@@ -41,6 +41,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _int_where(valid, rule: str):
+    """argparse type: an int for which valid holds, else a usage error naming rule."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+    return parse
+
+
+_ER_SAMPLES = _int_where(lambda v: v >= 1, "samples must be >= 1")
+_REPLICATES = _int_where(lambda v: v == 0 or v >= 100, "replicates must be 0 or >= 100")
+_WALK_LENGTH = _int_where(lambda v: v >= 1, "t must be >= 1")
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -141,9 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="compute the full metric report")
     p.add_argument("net_file")
     p.add_argument("--report", choices=("json", "text"), default="json")
-    p.add_argument("--er-samples", type=int, default=100)
-    p.add_argument("--bootstrap", type=int, default=1000, help="0 skips the p-value bootstrap")
-    p.add_argument("--walktrap-t", type=int, default=4)
+    p.add_argument("--er-samples", type=_ER_SAMPLES, default=100)
+    p.add_argument("--bootstrap", type=_REPLICATES, default=1000, help="0 skips the p-value bootstrap")
+    p.add_argument("--walktrap-t", type=_WALK_LENGTH, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--label", default=None)
     p.add_argument("--out", default=None)
@@ -158,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("communities", help="Walktrap partition of the giant component")
     p.add_argument("net_file")
-    p.add_argument("--t", type=int, default=4, help="random-walk length")
+    p.add_argument("--t", type=_WALK_LENGTH, default=4, help="random-walk length")
     p.add_argument("--out", default=None, help="partition CSV path (default stdout)")
     p.add_argument("--dendrogram", default=None, help="also write the merge list CSV here")
     p.set_defaults(func=_cmd_communities)

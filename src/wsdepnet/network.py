@@ -50,12 +50,6 @@ class DependencyNetwork:
             adj[src].append(dst)
         return adj
 
-    def in_adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.nodes]
-        for src, dst in self.sorted_links():
-            adj[dst].append(src)
-        return adj
-
     def undirected_adjacency(self) -> list[list[int]]:
         """Simple undirected projection; neighbor lists sorted, no duplicates."""
         neighbor_sets: list[set[int]] = [set() for _ in self.nodes]

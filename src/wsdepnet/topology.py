@@ -24,20 +24,6 @@ Adjacency = list[list[int]]
 
 # -- adjacency-level primitives ----------------------------------------------
 
-def bfs_lengths(adj: Adjacency, source: int) -> list[int]:
-    """Hop counts from source; -1 where unreachable."""
-    dist = [-1] * len(adj)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
 def weak_components_of(undirected: Adjacency) -> list[list[int]]:
     """Connected components of an undirected adjacency, as sorted id lists."""
     seen = [False] * len(undirected)
@@ -72,43 +58,49 @@ def triangle_ratio(undirected: Adjacency) -> float:
     return closed / triples if triples else 0.0
 
 
-def average_local_clustering(undirected: Adjacency) -> float:
-    """Mean over nodes of the local clustering coefficient (degree < 2 counts 0)."""
-    if not undirected:
-        return 0.0
-    neighbor_sets = [set(ns) for ns in undirected]
-    total = 0.0
-    for u, neighbors in enumerate(undirected):
-        d = len(neighbors)
-        if d < 2:
-            continue
-        linked = sum(len(neighbor_sets[v] & neighbor_sets[u]) for v in neighbors)
-        total += linked / (d * (d - 1))
-    return total / len(undirected)
-
-
 def distance_stats_of(adj: Adjacency, require_all_pairs: bool) -> tuple[float, int, int]:
     """(average over finite ordered pairs, max finite distance, finite pair count).
 
+    Bit-parallel multi-source BFS (Then et al., "The More the Merrier",
+    PVLDB 8(4), 2014): bit s of reach[v] means v has been reached from s,
+    and each level is one pull sweep over the predecessor lists.
+
     With require_all_pairs, an unreachable ordered pair raises (undirected
-    mode on a connected component never has one).
+    mode on a connected component never has one); the first such pair in
+    (source, target) order is named.
     """
     n = len(adj)
-    total = 0
-    finite_pairs = 0
-    diameter = 0
-    for source in range(n):
-        for target, d in enumerate(bfs_lengths(adj, source)):
-            if target == source:
-                continue
-            if d < 0:
-                if require_all_pairs:
-                    raise DegenerateAnalysisError("average-distance", f"no path {source} -> {target}")
-                continue
-            total += d
-            finite_pairs += 1
-            if d > diameter:
-                diameter = d
+    pred: Adjacency = [[] for _ in range(n)]
+    for u, neighbors in enumerate(adj):
+        for v in neighbors:
+            pred[v].append(u)
+    reach = [1 << v for v in range(n)]
+    frontier = reach[:]
+    total = finite_pairs = diameter = 0
+    while True:
+        found = 0
+        new_frontier = [0] * n
+        for v in range(n):
+            bits = 0
+            for u in pred[v]:
+                bits |= frontier[u]
+            bits &= ~reach[v]
+            if bits:
+                new_frontier[v] = bits
+                reach[v] |= bits
+                found += bits.bit_count()
+        if not found:
+            break
+        diameter += 1
+        total += diameter * found
+        finite_pairs += found
+        frontier = new_frontier
+    if require_all_pairs and finite_pairs < n * (n - 1):
+        full = (1 << n) - 1
+        unreached = [full & ~bits for bits in reach]  # bit s: no path s -> v
+        source = min((bits & -bits).bit_length() - 1 for bits in unreached if bits)
+        target = next(t for t, bits in enumerate(unreached) if bits >> source & 1)
+        raise DegenerateAnalysisError("average-distance", f"no path {source} -> {target}")
     average = total / finite_pairs if finite_pairs else float("nan")
     return average, diameter, finite_pairs
 
@@ -179,8 +171,6 @@ def distances(n: DependencyNetwork, mode: str = "directed") -> DistanceStats:
         raise ValueError(f"unknown mode {mode!r}")
     if n.node_count == 0:
         raise DegenerateAnalysisError("average-distance", "empty network")
-    if n.node_count == 1:
-        return DistanceStats(average=None, diameter=0, finite_pairs=0)
     adj = n.out_adjacency() if mode == "directed" else n.undirected_adjacency()
     average, diameter, finite_pairs = distance_stats_of(adj, require_all_pairs=(mode == "undirected"))
     if finite_pairs == 0:
@@ -315,11 +305,7 @@ def er_baseline(nodes: int, links: int, samples: int, seed: int) -> ERBaseline:
         giant_adj: Adjacency = [[] for _ in giant]
         for old in giant:
             giant_adj[index[old]] = [index[v] for v in adj[old]]
-        if len(giant) > 1:
-            avg, _diam, _pairs = distance_stats_of(giant_adj, require_all_pairs=True)
-        else:
-            avg = float("nan")
-        distances_mc[i] = avg
+        distances_mc[i] = distance_stats_of(giant_adj, require_all_pairs=True)[0]
         transitivity_mc[i] = triangle_ratio(giant_adj)
     mean_degree = 2 * links / nodes if nodes else float("nan")
     analytic_distance = math.log(nodes) / math.log(mean_degree) if mean_degree > 1 else float("nan")

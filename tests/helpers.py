@@ -7,6 +7,8 @@ sums), so agreement is meaningful.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from wsdepnet.matching import MatcherKind
@@ -35,6 +37,35 @@ def floyd_warshall(adj: list[list[int]]) -> list[list[float]]:
                 if alt < row[j]:
                     row[j] = alt
     return dist
+
+
+def bfs_lengths(adj: list[list[int]], source: int) -> list[int]:
+    """Hop counts from source; -1 where unreachable."""
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def average_local_clustering(undirected: list[list[int]]) -> float:
+    """Mean over nodes of the local clustering coefficient (degree < 2 counts 0)."""
+    if not undirected:
+        return 0.0
+    neighbor_sets = [set(ns) for ns in undirected]
+    total = 0.0
+    for u, neighbors in enumerate(undirected):
+        d = len(neighbors)
+        if d < 2:
+            continue
+        linked = sum(len(neighbor_sets[v] & neighbor_sets[u]) for v in neighbors)
+        total += linked / (d * (d - 1))
+    return total / len(undirected)
 
 
 def triangle_count_trace(undirected: list[list[int]]) -> int:

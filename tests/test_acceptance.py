@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    bfs_lengths,
     block_agreement,
     collection_doc,
     floyd_warshall,
@@ -32,7 +33,6 @@ from wsdepnet.powerlaw import fit_power_law, sample_discrete_powerlaw
 from wsdepnet.report import AnalysisConfig, analyze
 from wsdepnet.sawsdl import load_sawsdl
 from wsdepnet.topology import (
-    bfs_lengths,
     degree_correlation,
     er_baseline,
     giant_subnetwork,

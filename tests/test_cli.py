@@ -206,6 +206,24 @@ def test_usage_errors_exit_1(k2_net, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("analyze", "--er-samples", "0"),
+        ("analyze", "--bootstrap", "50"),
+        ("analyze", "--walktrap-t", "0"),
+        ("communities", "--t", "0"),
+    ],
+)
+def test_out_of_range_counts_are_usage_errors(tmp_path, k2_net, capsys, command, flag, value):
+    out = tmp_path / "out.txt"
+    assert main([command, str(k2_net), flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "missing.graphml")]) == 2
     assert "input error" in capsys.readouterr().err

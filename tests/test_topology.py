@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     INF,
+    average_local_clustering,
+    bfs_lengths,
     floyd_warshall,
     random_directed_network,
     triangle_count_trace,
@@ -14,11 +16,10 @@ from wsdepnet.errors import DegenerateAnalysisError
 from wsdepnet.matching import MatcherKind
 from wsdepnet.network import network_from_edges
 from wsdepnet.topology import (
-    average_local_clustering,
-    bfs_lengths,
     components,
     degree_correlation,
     degree_stats,
+    distance_stats_of,
     distances,
     er_baseline,
     giant_subnetwork,
@@ -73,7 +74,7 @@ def test_empty_network_distances_error():
 
 def test_undirected_mode_requires_connectivity():
     n = _net(4, [(0, 1), (2, 3)])
-    with pytest.raises(DegenerateAnalysisError):
+    with pytest.raises(DegenerateAnalysisError, match="no path 0 -> 2"):
         distances(n, "undirected")
 
 
@@ -98,6 +99,39 @@ def test_bfs_agrees_with_floyd_warshall(n):
         for dst in range(n.node_count):
             expected = oracle[src][dst]
             assert lengths[dst] == (-1 if expected == INF else int(expected))
+
+
+@st.composite
+def _sparse_nets(draw):
+    """Directed graphs with unreachable pairs and trailing isolated nodes."""
+    linked = draw(st.integers(1, 16))
+    isolated = draw(st.integers(0, 3))
+    node = st.integers(0, linked - 1)
+    edges = draw(st.sets(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=3 * linked))
+    return _net(linked + isolated, sorted(edges))
+
+
+@given(_sparse_nets())
+@settings(max_examples=150)
+def test_distance_kernel_matches_floyd_warshall(n):
+    for adj in (n.out_adjacency(), n.undirected_adjacency()):
+        oracle = floyd_warshall(adj)
+        pairs = [(s, t) for s in range(len(adj)) for t in range(len(adj)) if s != t]
+        finite = [int(oracle[s][t]) for s, t in pairs if oracle[s][t] != INF]
+        average, diameter, finite_pairs = distance_stats_of(adj, require_all_pairs=False)
+        assert finite_pairs == len(finite)
+        assert diameter == max(finite, default=0)
+        if finite:
+            assert average == sum(finite) / len(finite)
+        else:
+            assert math.isnan(average)
+        unreachable = [(s, t) for s, t in pairs if oracle[s][t] == INF]
+        if unreachable:
+            s, t = unreachable[0]
+            with pytest.raises(DegenerateAnalysisError, match=f"no path {s} -> {t}$"):
+                distance_stats_of(adj, require_all_pairs=True)
+        else:
+            assert distance_stats_of(adj, require_all_pairs=True)[1:] == (diameter, finite_pairs)
 
 
 @given(_directed_nets())
