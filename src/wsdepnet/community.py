@@ -103,6 +103,7 @@ def walktrap(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
     Requires a connected undirected projection with at least one link.
     Exact ties in the merge criterion go to the pair with the smallest
     (min community id, max community id), making the run deterministic.
+    Exact ties in modularity go to the earliest cut.
     """
     if t < 1:
         raise ValueError("walk length t must be >= 1")
@@ -116,50 +117,48 @@ def walktrap(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
     if not edges:
         raise DegenerateAnalysisError("walktrap", "no links")
     m = len(edges)
-    degrees = np.array([len(neigh) for neigh in undirected], dtype=float)
+    degrees = [len(neigh) for neigh in undirected]
 
-    transition = np.zeros((size, size))
+    # Row u of P^k is the mean of the rows of P^(k-1) over u's neighbours.
+    walk = np.zeros((size, size))
     for u, neighbors in enumerate(undirected):
-        transition[u, neighbors] = 1.0 / degrees[u]
-    walk = np.linalg.matrix_power(transition, t)
-    inv_degree = 1.0 / degrees
+        walk[u, neighbors] = 1.0 / degrees[u]
+    spare = np.empty_like(walk)
+    for _ in range(t - 1):
+        for u, neighbors in enumerate(undirected):
+            np.sum(walk[neighbors], axis=0, out=spare[u])
+            spare[u] /= degrees[u]
+        walk, spare = spare, walk
+    del spare
+    # Columns scaled by D^-1/2, so the squared walk distance is a plain dot product.
+    walk *= 1.0 / np.sqrt(degrees)
+    gap = np.empty(size)
 
-    comm_size: dict[int, int] = {i: 1 for i in range(size)}
-    comm_vector: dict[int, np.ndarray] = {i: walk[i] for i in range(size)}
-    comm_nodes: dict[int, list[int]] = {i: [i] for i in range(size)}
-    comm_degree: dict[int, float] = {i: degrees[i] for i in range(size)}
-    neighbors_of: dict[int, set[int]] = {i: set() for i in range(size)}
-    for u, v in edges:
-        neighbors_of[u].add(v)
-        neighbors_of[v].add(u)
+    # A community's vector is the size-weighted mean of its nodes' rows,
+    # kept in place in walk[row_of[c]]; label maps node -> row. A merge
+    # keeps the larger community's row, so only the smaller one's nodes
+    # are scanned for crossing links and relabelled.
+    comm_size = {i: 1 for i in range(size)}
+    row_of = {i: i for i in range(size)}
+    comm_degree = {i: degrees[i] for i in range(size)}
+    neighbors_of = {i: set(neigh) for i, neigh in enumerate(undirected)}
+    members = [[i] for i in range(size)]
+    label = list(range(size))
 
     def delta_sigma(a: int, b: int) -> float:
-        gap = comm_vector[a] - comm_vector[b]
-        r2 = float(np.sum(gap * gap * inv_degree))
+        np.subtract(walk[row_of[a]], walk[row_of[b]], out=gap)
         sa, sb = comm_size[a], comm_size[b]
-        return (sa * sb) / (sa + sb) / size * r2
+        return (sa * sb) / (sa + sb) / size * float(gap @ gap)
 
-    current: dict[tuple[int, int], float] = {}
-    heap: list[tuple[float, int, int]] = []
-    for u, v in edges:
-        d = delta_sigma(u, v)
-        current[(u, v)] = d
-        heap.append((d, u, v))
+    current = {(u, v): delta_sigma(u, v) for u, v in edges}
+    heap = [(d, u, v) for (u, v), d in current.items()]
     heapq.heapify(heap)
 
-    label = list(range(size))  # node -> current community id
-    intra = {i: 0 for i in range(size)}
-
-    def partition_modularity() -> float:
-        q = 0.0
-        for cid in comm_size:
-            q += intra[cid] / m - (comm_degree[cid] / (2 * m)) ** 2
-        return q
-
-    cut_modularities = [partition_modularity()]
+    # 4m^2 Q = 4m * (intra-community links) - sum of squared community degrees, exactly
+    intra = 0
+    degree_squares = sum(d * d for d in degrees)
+    cut_keys = [-degree_squares]
     merges: list[MergeStep] = []
-    next_id = size
-    edge_sets = [set(neigh) for neigh in undirected]
 
     for step in range(size - 1):
         while True:
@@ -167,44 +166,41 @@ def walktrap(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
             if current.get((a, b)) == d:
                 break
         del current[(a, b)]
-        c = next_id
-        next_id += 1
-        sa, sb = comm_size[a], comm_size[b]
-        comm_size[c] = sa + sb
-        comm_vector[c] = (sa * comm_vector[a] + sb * comm_vector[b]) / (sa + sb)
-        comm_degree[c] = comm_degree[a] + comm_degree[b]
-        cross = sum(1 for node in comm_nodes[a] for other in edge_sets[node] if label[other] == b)
-        intra[c] = intra[a] + intra[b] + cross
-        comm_nodes[c] = comm_nodes[a] + comm_nodes[b]
-        for node in comm_nodes[c]:
-            label[node] = c
-        new_neighbors = (neighbors_of[a] | neighbors_of[b]) - {a, b}
+        c = size + step
+        sa, sb = comm_size.pop(a), comm_size.pop(b)
+        keep, drop = row_of.pop(a), row_of.pop(b)
+        if sa < sb:
+            keep, drop = drop, keep
+        intra += sum(label[other] == keep for node in members[drop] for other in undirected[node])
+        degree_a, degree_b = comm_degree.pop(a), comm_degree.pop(b)
+        degree_squares += 2 * degree_a * degree_b
+        cut_keys.append(4 * m * intra - degree_squares)
+        vector = walk[keep]
+        vector *= max(sa, sb)
+        vector += min(sa, sb) * walk[drop]
+        vector /= sa + sb
+        for node in members[drop]:
+            label[node] = keep
+        members[keep] += members[drop]
+        comm_size[c], row_of[c], comm_degree[c] = sa + sb, keep, degree_a + degree_b
+        new_neighbors = (neighbors_of.pop(a) | neighbors_of.pop(b)) - {a, b}
         neighbors_of[c] = new_neighbors
         for x in new_neighbors:
-            neighbors_of[x].discard(a)
-            neighbors_of[x].discard(b)
+            neighbors_of[x] -= {a, b}
             neighbors_of[x].add(c)
-            current.pop((min(a, x), max(a, x)), None)
-            current.pop((min(b, x), max(b, x)), None)
-            d_new = delta_sigma(c, x)
-            key = (min(c, x), max(c, x))
-            current[key] = d_new
-            heapq.heappush(heap, (d_new, key[0], key[1]))
-        for dead in (a, b):
-            del comm_size[dead], comm_vector[dead], comm_nodes[dead], comm_degree[dead]
-            del intra[dead], neighbors_of[dead]
+            current.pop((a, x) if a < x else (x, a), None)
+            current.pop((b, x) if b < x else (x, b), None)
+            d_new = current[(x, c)] = delta_sigma(c, x)
+            heapq.heappush(heap, (d_new, x, c))  # c is the largest id alive
         merges.append(MergeStep(step=step, community_a=a, community_b=b, delta_sigma=d))
-        cut_modularities.append(partition_modularity())
 
     result = WalktrapResult(
         partition=CommunityPartition(assignment={}, community_count=0, modularity=0.0, walktrap_t=t),
         merges=merges,
-        cut_modularities=cut_modularities,
-        best_cut=0,
+        cut_modularities=[key / (4 * m * m) for key in cut_keys],
+        best_cut=max(range(len(cut_keys)), key=lambda k: (cut_keys[k], -k)),
     )
-    best_cut = max(range(len(cut_modularities)), key=lambda k: (cut_modularities[k], -k))
-    assignment = result.assignment_at_cut(best_cut)
-    result.best_cut = best_cut
+    assignment = result.assignment_at_cut(result.best_cut)
     result.partition = CommunityPartition(
         assignment=assignment,
         community_count=len(set(assignment.values())),

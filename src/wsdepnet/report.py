@@ -81,9 +81,17 @@ def analyze(
 
     Metrics that are undefined on the given network (zero degree variance,
     too small a power-law tail, a linkless giant) are reported as None with
-    the reason recorded under `degenerate`; an empty network is an error.
+    the reason recorded under `degenerate`; an empty network is an error,
+    and so is a config with er_samples < 1, bootstrap_n neither 0 nor
+    >= 100, or walktrap_t < 1 (ValueError, raised before any work).
     """
     config = config or AnalysisConfig()
+    if config.er_samples < 1:
+        raise ValueError(f"er_samples must be >= 1, got {config.er_samples}")
+    if config.bootstrap_n != 0 and config.bootstrap_n < 100:
+        raise ValueError(f"bootstrap_n must be 0 or >= 100, got {config.bootstrap_n}")
+    if config.walktrap_t < 1:
+        raise ValueError(f"walktrap_t must be >= 1, got {config.walktrap_t}")
     if n.node_count == 0:
         raise DegenerateAnalysisError("analyze", "empty network")
     if label is None:

@@ -274,7 +274,8 @@ def sample_gnm_adjacency(n: int, m: int, rng: np.random.Generator) -> Adjacency:
         raise ValueError(f"infeasible link count: {m} > {possible}")
     chosen = rng.choice(possible, size=m, replace=False)
     # row i of the upper triangle starts at i*(n-1) - i*(i-1)/2
-    offsets = np.array([i * (n - 1) - i * (i - 1) // 2 for i in range(n)], dtype=np.int64)
+    i = np.arange(n, dtype=np.int64)
+    offsets = i * (n - 1) - i * (i - 1) // 2
     rows = np.searchsorted(offsets, chosen, side="right") - 1
     cols = rows + 1 + (chosen - offsets[rows])
     adj: Adjacency = [[] for _ in range(n)]

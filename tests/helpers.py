@@ -92,6 +92,29 @@ def modularity_definition(edges: list[tuple[int, int]], assignment: dict[int, in
     return q
 
 
+def walktrap_delta_sigma(undirected: list[list[int]], t: int):
+    """Delta-sigma between two node sets, from its definition through P^t.
+
+    Pons & Latapy, "Computing communities in large networks using random
+    walks", JGAA 10(2), 2006, Thm. 3: (1/n) |C1||C2|/(|C1|+|C2|) r^2, where
+    r^2 is the D^-1 weighted squared gap between the member-averaged rows
+    of the dense matrix power P^t.
+    """
+    n = len(undirected)
+    degrees = np.array([len(neighbors) for neighbors in undirected], dtype=float)
+    transition = np.zeros((n, n))
+    for u, neighbors in enumerate(undirected):
+        transition[u, neighbors] = 1.0 / degrees[u]
+    walk = np.linalg.matrix_power(transition, t)
+
+    def delta_sigma(first: set[int], second: set[int]) -> float:
+        gap = walk[sorted(first)].mean(axis=0) - walk[sorted(second)].mean(axis=0)
+        r2 = float(np.sum(gap**2 / degrees))
+        return len(first) * len(second) / (len(first) + len(second)) / n * r2
+
+    return delta_sigma
+
+
 def random_directed_network(rng: np.random.Generator, max_n: int = 50) -> DependencyNetwork:
     """Random simple directed graph (no self-loops), possibly disconnected."""
     n = int(rng.integers(2, max_n + 1))

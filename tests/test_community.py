@@ -7,6 +7,7 @@ from helpers import (
     modularity_definition,
     planted_two_block,
     random_connected_undirected_network,
+    walktrap_delta_sigma,
 )
 from wsdepnet.community import (
     dendrogram_csv,
@@ -97,15 +98,44 @@ def test_partition_modularity_consistent_with_recomputation():
     assert p.modularity == pytest.approx(modularity(n, p.assignment), abs=1e-10)
 
 
+def _assert_cuts_consistent(net, result):
+    # every cut's modularity is that of its partition; exact ties go to the earliest cut
+    for cut, expected in enumerate(result.cut_modularities):
+        assert modularity(net, result.assignment_at_cut(cut)) == pytest.approx(expected, abs=1e-12)
+    assert result.best_cut == result.cut_modularities.index(max(result.cut_modularities))
+
+
 def test_best_cut_is_argmax_over_dendrogram():
     n = _net(6, BRIDGE)
-    result = walktrap(n, t=4)
-    best = result.cut_modularities[result.best_cut]
-    assert best == max(result.cut_modularities)
-    for cut in range(len(result.cut_modularities)):
-        assignment = result.assignment_at_cut(cut)
-        expected = result.cut_modularities[cut]
-        assert modularity(n, assignment) == pytest.approx(expected, abs=1e-10)
+    _assert_cuts_consistent(n, walktrap(n, t=4))
+
+
+@given(_connected_nets(), st.integers(1, 5))
+@settings(max_examples=40)
+def test_best_cut_is_argmax_over_dendrogram_on_random_graphs(net, t):
+    _assert_cuts_consistent(net, walktrap(net, t=t))
+
+
+@given(_connected_nets(), st.integers(1, 5))
+@settings(max_examples=40)
+def test_walktrap_merges_match_dense_oracle(net, t):
+    result = walktrap(net, t=t)
+    delta_sigma = walktrap_delta_sigma(net.undirected_adjacency(), t)
+    edges = sorted({(min(u, v), max(u, v)) for u, v in net.links})
+    members = {i: {i} for i in range(net.node_count)}
+    for merge in result.merges:
+        community_of = {node: c for c, nodes in members.items() for node in nodes}
+        adjacent = {
+            (min(community_of[u], community_of[v]), max(community_of[u], community_of[v]))
+            for u, v in edges
+            if community_of[u] != community_of[v]
+        }
+        pair = (merge.community_a, merge.community_b)
+        assert pair in adjacent
+        oracle = {p: delta_sigma(members[p[0]], members[p[1]]) for p in adjacent}
+        assert merge.delta_sigma == pytest.approx(oracle[pair], rel=1e-9, abs=0)
+        assert oracle[pair] == pytest.approx(min(oracle.values()), rel=1e-9, abs=0)
+        members[net.node_count + merge.step] = members.pop(pair[0]) | members.pop(pair[1])
 
 
 @given(_connected_nets())

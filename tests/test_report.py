@@ -101,6 +101,27 @@ def test_analyze_empty_network_raises():
         analyze(empty, FAST)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("er_samples", 0, "er_samples must be >= 1, got 0"),
+        ("bootstrap_n", 50, "bootstrap_n must be 0 or >= 100, got 50"),
+        ("bootstrap_n", -1, "bootstrap_n must be 0 or >= 100, got -1"),
+        ("walktrap_t", 0, "walktrap_t must be >= 1, got 0"),
+    ],
+)
+def test_analyze_rejects_bad_config_before_any_work(k2_collection, monkeypatch, field, value, message):
+    net = build_network(k2_collection, MatcherKind.SYNTACTIC_EQUAL)
+
+    def no_work(*_args):
+        raise AssertionError("analyze did work before checking its config")
+
+    monkeypatch.setattr("wsdepnet.report.network_summary", no_work)
+    monkeypatch.setattr("wsdepnet.report.giant_subnetwork", no_work)
+    with pytest.raises(ValueError, match=message):
+        analyze(net, dataclasses.replace(FAST, **{field: value}))
+
+
 def test_analyze_single_link_records_degenerate_metrics():
     net = network_from_edges(2, [(0, 1)], MatcherKind.SYNTACTIC_EQUAL)
     r = analyze(net, FAST)
