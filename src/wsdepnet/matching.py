@@ -3,8 +3,7 @@
 Two binary symmetric matchers ship: name equality on trimmed strings and
 exact concept-URI equality. Both are equivalence relations, so archetypes
 (the classes of the transitive closure of the match relation) reduce to
-key hashing; a pairwise union-find route is kept for matchers that are not
-transitive and doubles as a test oracle.
+key hashing.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .model import ParameterInstance, ServiceCollection
 
@@ -93,46 +91,3 @@ def build_archetypes(
         arch.label = _label_for(arch.members)
     return archetypes, instance_map
 
-
-class UnionFind:
-    """Disjoint sets over dense integer indices, smaller root index wins."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if ry < rx:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-
-
-def build_archetypes_pairwise(
-    instances: list[ParameterInstance],
-    predicate: Callable[[ParameterInstance, ParameterInstance], bool],
-) -> list[list[int]]:
-    """Classes of the transitive closure of `predicate`, by O(n^2) comparison.
-
-    Works for arbitrary (possibly non-transitive) symmetric predicates.
-    Returns member index lists, classes ordered by smallest member index.
-    Quadratic; intended for small collections and as the hashing oracle.
-    """
-    uf = UnionFind(len(instances))
-    for i in range(len(instances)):
-        for j in range(i + 1, len(instances)):
-            if predicate(instances[i], instances[j]):
-                uf.union(i, j)
-    classes: dict[int, list[int]] = {}
-    for i in range(len(instances)):
-        classes.setdefault(uf.find(i), []).append(i)
-    return [classes[root] for root in sorted(classes)]

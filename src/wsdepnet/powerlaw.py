@@ -6,7 +6,9 @@ approximation alpha = 1 + n / sum(ln(x_i / (xmin - 1/2))). The lower cutoff
 is chosen among observed values by minimizing the Kolmogorov-Smirnov
 distance between the empirical tail CDF and the fitted model CDF. The
 p-value refits every bootstrap replicate, so it measures the whole
-procedure, not just the final exponent.
+procedure, not just the final exponent. Replicates are drawn through one
+CDF table per fit and go through the KS scan in blocks of rows;
+select_xmin is the one-row case of the same scan.
 
 Hurwitz zeta values (the discrete normalization) are computed by direct
 summation with an Euler-Maclaurin tail correction, accurate to ~1e-12
@@ -23,6 +25,7 @@ import numpy as np
 from .errors import DegenerateAnalysisError
 
 _EM_TERMS = 28  # direct-sum terms before the tail correction
+_BLOCK_CELLS = 1 << 14  # bootstrap samples scanned at once; bounds the scan's memory
 
 
 def _scaled_zeta(alpha: np.ndarray | float, q: np.ndarray | float, scale: np.ndarray | float) -> np.ndarray:
@@ -89,16 +92,6 @@ def fit_alpha(data, xmin: int) -> float:
     return 1.0 + tail.size / log_sum
 
 
-def fit_alpha_continuous(data, xmin: int) -> float:
-    """Continuous ML exponent, shipped as a cross-check for the discrete fit."""
-    arr = _as_positive_ints(data)
-    tail = arr[arr >= xmin]
-    if tail.size < 2:
-        raise DegenerateAnalysisError("power-law-fit", f"degenerate tail: fewer than 2 observations >= {xmin}")
-    log_sum = float(np.sum(np.log(tail / xmin)))
-    return 1.0 + tail.size / log_sum
-
-
 def ks_statistic(empirical_cdf, model_cdf) -> float:
     """Max absolute difference between two CDFs evaluated on the same points."""
     empirical = np.asarray(empirical_cdf, dtype=float)
@@ -124,6 +117,51 @@ def ks_distance(data, alpha: float, xmin: int) -> float:
     return ks_statistic(empirical, model_tail_cdf(alpha, xmin, values))
 
 
+def _ks_scan(samples: np.ndarray, min_tail: int):
+    """KS distance of every candidate cutoff of every row of `samples`.
+
+    `samples` is an (R, n) array sorted along its rows. Candidates are the
+    distinct values keeping at least `min_tail` observations in the tail
+    where the row has any such value, and at least 2 otherwise. Returns
+    (row, xmin, alpha, ks) with one entry per candidate, rows ascending and
+    cutoffs ascending within a row; rows with fewer than 2 distinct values
+    have no candidates. Only the (candidate, distinct value >= candidate)
+    pairs of all rows go through one _scaled_zeta call.
+    """
+    rows, n = samples.shape
+    step = samples[:, 1:] != samples[:, :-1]
+    edge = np.ones((rows, 1), dtype=bool)
+    row, first = np.nonzero(np.hstack([edge, step]))  # one entry per distinct value
+    _, last = np.nonzero(np.hstack([step, edge]))
+    tail = n - first
+    distinct = np.bincount(row, minlength=rows)
+    keep = tail >= max(min_tail, 2)
+    fallback = np.bincount(row[keep], minlength=rows) == 0
+    cand = np.flatnonzero(np.where(fallback[row], tail >= 2, keep) & (distinct[row] >= 2))
+
+    # all candidate exponents from suffix log sums
+    suffix_logsum = np.cumsum(np.log(samples.astype(float))[:, ::-1], axis=1)[:, ::-1]
+    cand_row, cand_first = row[cand], first[cand]
+    v = samples[cand_row, cand_first].astype(float)
+    n_tail = tail[cand].astype(float)
+    alphas = 1.0 + n_tail / (suffix_logsum[cand_row, cand_first] - n_tail * np.log(v - 0.5))
+
+    # pair p joins candidate pc[p] with distinct value j[p] of the same row, j >= candidate
+    width = np.cumsum(distinct)[cand_row] - cand
+    starts = np.cumsum(width) - width
+    pc = np.repeat(np.arange(cand.size), width)
+    j = np.arange(pc.size) + np.repeat(cand - starts, width)
+    w = samples[row[j], first[j]].astype(float)
+    scaled = _scaled_zeta(
+        np.concatenate([alphas, alphas[pc]]), np.concatenate([v, w + 1.0]), np.concatenate([v, v[pc]])
+    )
+    model = 1.0 - scaled[cand.size :] / scaled[: cand.size][pc]
+    empirical = (last[j] + 1 - cand_first[pc]) / n_tail[pc]
+    gaps = np.abs(empirical - model)
+    ks = np.maximum.reduceat(gaps, starts) if cand.size else gaps
+    return cand_row, v, alphas, ks
+
+
 def select_xmin(data, min_tail: int = 10) -> tuple[int, float, float]:
     """Pick the cutoff among observed values minimizing the KS distance.
 
@@ -131,67 +169,47 @@ def select_xmin(data, min_tail: int = 10) -> tuple[int, float, float]:
     observations where possible (at least 2 otherwise); KS ties go to the
     smaller cutoff. Returns (xmin, alpha, ks_statistic).
     """
-    arr = np.sort(_as_positive_ints(data))
-    values, first_index = np.unique(arr, return_index=True)
-    if values.size < 2:
+    _, v, alphas, ks = _ks_scan(np.sort(_as_positive_ints(data))[None, :], min_tail)
+    if ks.size == 0:
         raise DegenerateAnalysisError("power-law-fit", "fewer than 2 distinct values")
-    n = arr.size
-    tail_sizes = n - first_index
-    candidate_mask = tail_sizes >= max(min_tail, 2)
-    if not candidate_mask.any():
-        candidate_mask = tail_sizes >= 2
-    if not candidate_mask.any():
-        raise DegenerateAnalysisError("power-law-fit", "no cutoff leaves 2 observations in the tail")
-    cand = np.flatnonzero(candidate_mask)
-
-    # all candidate exponents from one pass of suffix log sums
-    log_data = np.log(arr.astype(float))
-    suffix_logsum = np.concatenate([np.cumsum(log_data[::-1])[::-1], [0.0]])
-    v = values[cand].astype(float)
-    n_tail = tail_sizes[cand].astype(float)
-    denom = suffix_logsum[first_index[cand]] - n_tail * np.log(v - 0.5)
-    alphas = 1.0 + n_tail / denom
-
-    # model tail CDF for every (candidate, distinct value >= candidate) pair
-    counts = np.diff(np.append(first_index, n))
-    cum_counts = np.cumsum(counts)  # number of observations <= values[j]
-    a_col = alphas[:, None]
-    v_col = v[:, None]
-    w_row = values.astype(float)[None, :]
-    scaled_norm = _scaled_zeta(a_col, v_col, v_col)
-    scaled_tail = _scaled_zeta(a_col, w_row + 1.0, v_col)
-    model = 1.0 - scaled_tail / scaled_norm
-    empirical = (cum_counts[None, :] - first_index[cand][:, None]) / n_tail[:, None]
-    gaps = np.abs(empirical - model)
-    valid = w_row >= v_col
-    gaps = np.where(valid, gaps, -np.inf)
-    ks = gaps.max(axis=1)
-
     best = int(np.argmin(ks))  # first minimum == smallest cutoff
-    return int(values[cand[best]]), float(alphas[best]), float(ks[best])
+    return int(v[best]), float(alphas[best]), float(ks[best])
+
+
+class _TailSampler:
+    """Discrete power-law draws through one CDF table over [xmin, xmin + L).
+
+    The table is kept between draws and grows x4 only when a draw needs it.
+    cumsum is sequential, so a longer table has the same prefix and gives
+    every draw the index a shorter one would.
+    """
+
+    def __init__(self, alpha: float, xmin: int):
+        self.alpha = alpha
+        self.xmin = xmin
+        self.norm = float(_scaled_zeta(alpha, float(xmin), float(xmin)))
+        self.cdf = self._table(1024)
+
+    def _table(self, length: int) -> np.ndarray:
+        support = np.arange(self.xmin, self.xmin + length, dtype=float)
+        return np.cumsum((support / self.xmin) ** -self.alpha / self.norm)
+
+    def draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        if size == 0:
+            return np.zeros(0, dtype=np.int64)
+        u = rng.random(size)
+        u_max = float(u.max())
+        while self.cdf[-1] < u_max and self.cdf.size <= 50_000_000:
+            self.cdf = self._table(4 * self.cdf.size)
+        out = self.xmin + np.searchsorted(self.cdf, u, side="left")
+        for i in np.flatnonzero(out >= self.xmin + self.cdf.size):  # extreme tail, bisect on the exact CDF
+            out[i] = _quantile(self.alpha, self.xmin, float(u[i]))
+        return out.astype(np.int64)
 
 
 def sample_discrete_powerlaw(alpha: float, xmin: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF draws from the discrete power law on {xmin, xmin+1, ...}."""
-    if size == 0:
-        return np.zeros(0, dtype=np.int64)
-    u = rng.random(size)
-    norm = float(_scaled_zeta(alpha, float(xmin), float(xmin)))
-    # CDF table over [xmin, xmin + L), extended until it covers max(u)
-    length = 1024
-    u_max = float(u.max())
-    while True:
-        support = np.arange(xmin, xmin + length, dtype=float)
-        pmf = (support / xmin) ** -alpha / norm
-        cdf = np.cumsum(pmf)
-        if cdf[-1] >= u_max or length > 50_000_000:
-            break
-        length *= 4
-    out = xmin + np.searchsorted(cdf, u, side="left")
-    overflow = out >= xmin + length
-    for i in np.flatnonzero(overflow):  # extreme tail, bisect on the exact CDF
-        out[i] = _quantile(alpha, xmin, float(u[i]))
-    return out.astype(np.int64)
+    return _TailSampler(alpha, xmin).draw(size, rng)
 
 
 def _quantile(alpha: float, xmin: int, u: float) -> int:
@@ -214,6 +232,29 @@ def pvalue_from_replicates(observed_ks: float, replicate_ks) -> float:
     return float(np.mean(replicate_ks >= observed_ks))
 
 
+def _replicate_ks(arr: np.ndarray, fit: PowerLawFit, replicates: int, seed: int, min_tail: int) -> np.ndarray:
+    """Minimum KS distance of every bootstrap replicate (inf where it collapsed
+    to one value), scanned in blocks of at most _BLOCK_CELLS samples."""
+    n = arr.size
+    below = arr[arr < fit.xmin]
+    p_tail = (n - below.size) / n
+    sampler = _TailSampler(fit.alpha, fit.xmin)
+    block = max(1, _BLOCK_CELLS // n)
+    ks_values = np.full(replicates, np.inf)
+    for start in range(0, replicates, block):
+        samples = np.empty((min(block, replicates - start), n), dtype=np.int64)
+        for i, r in enumerate(range(start, start + len(samples))):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+            k = int((rng.random(n) < p_tail).sum())
+            samples[i, :k] = sampler.draw(k, rng)
+            if n - k > 0:
+                samples[i, k:] = rng.choice(below, size=n - k, replace=True)
+        samples.sort(axis=1)
+        rows, _, _, ks = _ks_scan(samples, min_tail)
+        np.minimum.at(ks_values, start + rows, ks)
+    return ks_values
+
+
 def gof_pvalue(data, fit: PowerLawFit, replicates: int, seed: int, min_tail: int = 10) -> float:
     """Semiparametric bootstrap p-value for the fitted power law.
 
@@ -221,27 +262,12 @@ def gof_pvalue(data, fit: PowerLawFit, replicates: int, seed: int, min_tail: int
     with probability n_tail/n and uniformly from the empirical values below
     xmin otherwise, then reruns the whole cutoff selection. Replicate r uses
     an RNG stream derived from (seed, r), so the result is independent of
-    evaluation order.
+    evaluation order and of how replicates are grouped into blocks. A
+    replicate that collapsed to one value counts as extreme (KS = inf).
     """
     if replicates < 100:
         raise ValueError("replicates must be >= 100")
-    arr = _as_positive_ints(data)
-    n = arr.size
-    below = arr[arr < fit.xmin]
-    p_tail = (n - below.size) / n
-    ks_values = np.empty(replicates)
-    for r in range(replicates):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        from_tail = rng.random(n) < p_tail
-        k = int(from_tail.sum())
-        parts = [sample_discrete_powerlaw(fit.alpha, fit.xmin, k, rng)]
-        if n - k > 0:
-            parts.append(rng.choice(below, size=n - k, replace=True))
-        replicate = np.concatenate(parts)
-        try:
-            _, _, ks_values[r] = select_xmin(replicate, min_tail=min_tail)
-        except DegenerateAnalysisError:
-            ks_values[r] = np.inf  # replicate collapsed to one value; count as extreme
+    ks_values = _replicate_ks(_as_positive_ints(data), fit, replicates, seed, min_tail)
     return pvalue_from_replicates(fit.ks_statistic, ks_values)
 
 

@@ -8,10 +8,14 @@ sums), so agreement is meaningful.
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable
 
 import numpy as np
 
+from wsdepnet import powerlaw
+from wsdepnet.errors import DegenerateAnalysisError
 from wsdepnet.matching import MatcherKind
+from wsdepnet.model import ParameterInstance
 from wsdepnet.network import DependencyNetwork, network_from_edges
 from wsdepnet.topology import weak_components_of
 
@@ -113,6 +117,137 @@ def walktrap_delta_sigma(undirected: list[list[int]], t: int):
         return len(first) * len(second) / (len(first) + len(second)) / n * r2
 
     return delta_sigma
+
+
+def fit_alpha_continuous(data, xmin: int) -> float:
+    """Continuous ML exponent, a cross-check for the discrete fit."""
+    arr = powerlaw._as_positive_ints(data)
+    tail = arr[arr >= xmin]
+    if tail.size < 2:
+        raise DegenerateAnalysisError("power-law-fit", f"degenerate tail: fewer than 2 observations >= {xmin}")
+    log_sum = float(np.sum(np.log(tail / xmin)))
+    return 1.0 + tail.size / log_sum
+
+
+def select_xmin_oracle(data, min_tail: int = 10) -> tuple[int, float, float]:
+    """KS cutoff selection on one sample, over the full (candidate x distinct
+    value) matrix with the pairs below the cutoff masked out."""
+    arr = np.sort(np.asarray(data, dtype=np.int64))
+    values, first_index = np.unique(arr, return_index=True)
+    if values.size < 2:
+        raise DegenerateAnalysisError("power-law-fit", "fewer than 2 distinct values")
+    n = arr.size
+    tail_sizes = n - first_index
+    candidate_mask = tail_sizes >= max(min_tail, 2)
+    if not candidate_mask.any():
+        candidate_mask = tail_sizes >= 2
+    cand = np.flatnonzero(candidate_mask)
+
+    log_data = np.log(arr.astype(float))
+    suffix_logsum = np.concatenate([np.cumsum(log_data[::-1])[::-1], [0.0]])
+    v = values[cand].astype(float)
+    n_tail = tail_sizes[cand].astype(float)
+    denom = suffix_logsum[first_index[cand]] - n_tail * np.log(v - 0.5)
+    alphas = 1.0 + n_tail / denom
+
+    counts = np.diff(np.append(first_index, n))
+    cum_counts = np.cumsum(counts)  # number of observations <= values[j]
+    a_col = alphas[:, None]
+    v_col = v[:, None]
+    w_row = values.astype(float)[None, :]
+    scaled_norm = powerlaw._scaled_zeta(a_col, v_col, v_col)
+    with np.errstate(over="ignore"):  # pairs below the cutoff may overflow; they are masked out
+        scaled_tail = powerlaw._scaled_zeta(a_col, w_row + 1.0, v_col)
+    model = 1.0 - scaled_tail / scaled_norm
+    empirical = (cum_counts[None, :] - first_index[cand][:, None]) / n_tail[:, None]
+    gaps = np.where(w_row >= v_col, np.abs(empirical - model), -np.inf)
+    ks = gaps.max(axis=1)
+
+    best = int(np.argmin(ks))
+    return int(values[cand[best]]), float(alphas[best]), float(ks[best])
+
+
+def sample_discrete_powerlaw_oracle(alpha: float, xmin: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF draws through a CDF table built for this call alone."""
+    if size == 0:
+        return np.zeros(0, dtype=np.int64)
+    u = rng.random(size)
+    norm = float(powerlaw._scaled_zeta(alpha, float(xmin), float(xmin)))
+    length = 1024
+    u_max = float(u.max())
+    while True:
+        support = np.arange(xmin, xmin + length, dtype=float)
+        cdf = np.cumsum((support / xmin) ** -alpha / norm)
+        if cdf[-1] >= u_max or length > 50_000_000:
+            break
+        length *= 4
+    out = xmin + np.searchsorted(cdf, u, side="left")
+    for i in np.flatnonzero(out >= xmin + length):
+        out[i] = powerlaw._quantile(alpha, xmin, float(u[i]))
+    return out.astype(np.int64)
+
+
+def replicate_ks_oracle(data, fit: powerlaw.PowerLawFit, replicates: int, seed: int, min_tail: int = 10) -> np.ndarray:
+    """Bootstrap KS values one replicate at a time (inf where a replicate collapsed)."""
+    arr = np.asarray(data, dtype=np.int64)
+    n = arr.size
+    below = arr[arr < fit.xmin]
+    p_tail = (n - below.size) / n
+    ks_values = np.empty(replicates)
+    for r in range(replicates):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+        k = int((rng.random(n) < p_tail).sum())
+        parts = [sample_discrete_powerlaw_oracle(fit.alpha, fit.xmin, k, rng)]
+        if n - k > 0:
+            parts.append(rng.choice(below, size=n - k, replace=True))
+        try:
+            _, _, ks_values[r] = select_xmin_oracle(np.concatenate(parts), min_tail=min_tail)
+        except DegenerateAnalysisError:
+            ks_values[r] = np.inf
+    return ks_values
+
+
+class UnionFind:
+    """Disjoint sets over dense integer indices, smaller root index wins."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x: int, y: int) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return
+        if ry < rx:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+
+
+def build_archetypes_pairwise(
+    instances: list[ParameterInstance],
+    predicate: Callable[[ParameterInstance, ParameterInstance], bool],
+) -> list[list[int]]:
+    """Classes of the transitive closure of `predicate`, by O(n^2) comparison.
+
+    Works for arbitrary (possibly non-transitive) symmetric predicates.
+    Returns member index lists, classes ordered by smallest member index.
+    """
+    uf = UnionFind(len(instances))
+    for i in range(len(instances)):
+        for j in range(i + 1, len(instances)):
+            if predicate(instances[i], instances[j]):
+                uf.union(i, j)
+    classes: dict[int, list[int]] = {}
+    for i in range(len(instances)):
+        classes.setdefault(uf.find(i), []).append(i)
+    return [classes[root] for root in sorted(classes)]
 
 
 def random_directed_network(rng: np.random.Generator, max_n: int = 50) -> DependencyNetwork:

@@ -1,11 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import collection_doc, op, param
+from helpers import build_archetypes_pairwise, collection_doc, op, param
 from wsdepnet.matching import (
     MatcherKind,
     build_archetypes,
-    build_archetypes_pairwise,
     instance_key,
     matches,
 )

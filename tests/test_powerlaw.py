@@ -1,15 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import zeta as scipy_zeta
 
+from helpers import fit_alpha_continuous, replicate_ks_oracle, sample_discrete_powerlaw_oracle, select_xmin_oracle
+from wsdepnet import powerlaw
 from wsdepnet.errors import DegenerateAnalysisError
 from wsdepnet.powerlaw import (
     degree_distribution_rows,
     fit_alpha,
-    fit_alpha_continuous,
     fit_power_law,
     gof_pvalue,
     hurwitz_zeta,
@@ -161,6 +163,33 @@ def test_select_xmin_falls_back_to_two():
 def test_select_xmin_degenerate():
     with pytest.raises(DegenerateAnalysisError):
         select_xmin([7])
+    with pytest.raises(DegenerateAnalysisError):
+        select_xmin([])
+
+
+def _constant_zeta(alpha, q, scale):
+    return np.ones(np.broadcast(alpha, q, scale).shape)
+
+
+@given(
+    data=st.lists(st.integers(1, 60), min_size=0, max_size=80),
+    min_tail=st.sampled_from([2, 5, 10, 30]),
+    tied=st.booleans(),
+)
+@settings(max_examples=150)
+def test_select_xmin_matches_oracle(data, min_tail, tied):
+    # Real zeta values give no exact KS ties between cutoffs, so the tied
+    # case replaces the model CDF by 0: every cutoff then has KS = 1.0.
+    with mock.patch.object(powerlaw, "_scaled_zeta", _constant_zeta if tied else powerlaw._scaled_zeta):
+        try:
+            expected = select_xmin_oracle(data, min_tail=min_tail)
+        except DegenerateAnalysisError:
+            with pytest.raises(DegenerateAnalysisError, match="fewer than 2 distinct values"):
+                select_xmin(data, min_tail=min_tail)
+            return
+        assert select_xmin(data, min_tail=min_tail) == expected
+    if tied:
+        assert expected[0] == min(data)
 
 
 # -- sampling -----------------------------------------------------------------
@@ -182,6 +211,30 @@ def test_sampler_marginal_frequencies():
     assert p1 == pytest.approx(expected, abs=0.005)
 
 
+def test_shared_table_draws_match_per_call_draws():
+    # At alpha = 2 about 6e-4 of the mass lies beyond the first 1024-entry
+    # table, so the large first draw grows it; the small later draws would
+    # fit in a fresh table but are looked up in the grown one.
+    alpha, xmin = 2.0, 1
+    sampler = powerlaw._TailSampler(alpha, xmin)
+    fresh_top = float(sampler.cdf[-1])
+    sizes = [5000] + [5] * 40 + [0, 1, 200]
+    fit_fresh = 0
+    for r, size in enumerate(sizes):
+        shared_rng, call_rng, oracle_rng = (np.random.default_rng((7, r)) for _ in range(3))
+        shared = sampler.draw(size, shared_rng)
+        per_call = sample_discrete_powerlaw(alpha, xmin, size, call_rng)
+        assert shared.dtype == per_call.dtype == np.int64
+        assert np.array_equal(shared, per_call)
+        assert np.array_equal(shared, sample_discrete_powerlaw_oracle(alpha, xmin, size, oracle_rng))
+        assert shared_rng.random() == call_rng.random() == oracle_rng.random()
+        if r == 0:
+            assert sampler.cdf.size > 1024
+        elif size:
+            fit_fresh += float(np.random.default_rng((7, r)).random(size).max()) <= fresh_top
+    assert fit_fresh >= 10
+
+
 # -- goodness of fit ----------------------------------------------------------
 
 
@@ -196,6 +249,50 @@ def test_gof_requires_enough_replicates():
     fit = fit_power_law(data, replicates=0)
     with pytest.raises(ValueError, match="replicates"):
         gof_pvalue(data, fit, replicates=50, seed=0)
+
+
+def _check_against_oracle(data, replicates, seed, min_tail, rows_per_block, tied=False):
+    with mock.patch.object(powerlaw, "_scaled_zeta", _constant_zeta if tied else powerlaw._scaled_zeta):
+        fit = fit_power_law(data, replicates=0, min_tail=min_tail)
+        assert (fit.xmin, fit.alpha, fit.ks_statistic) == select_xmin_oracle(data, min_tail=min_tail)
+        expected = replicate_ks_oracle(data, fit, replicates, seed, min_tail=min_tail)
+        arr = np.asarray(data, dtype=np.int64)
+        with mock.patch.object(powerlaw, "_BLOCK_CELLS", rows_per_block * arr.size):
+            got = powerlaw._replicate_ks(arr, fit, replicates, seed, min_tail)
+            p_value = gof_pvalue(data, fit, replicates=replicates, seed=seed, min_tail=min_tail)
+    assert np.array_equal(got, expected)
+    assert p_value == pvalue_from_replicates(fit.ks_statistic, expected)
+    return expected
+
+
+@given(
+    data=st.lists(st.integers(1, 40), min_size=3, max_size=60),
+    replicates=st.sampled_from([100, 101, 257]),
+    seed=st.integers(0, 2**32 - 1),
+    min_tail=st.sampled_from([2, 10, 30]),
+    rows_per_block=st.sampled_from([1, 7, 100, 1000]),
+    tied=st.booleans(),
+)
+@settings(max_examples=30)
+def test_batched_bootstrap_matches_per_replicate_oracle(data, replicates, seed, min_tail, rows_per_block, tied):
+    try:
+        _check_against_oracle(data, replicates, seed, min_tail, rows_per_block, tied)
+    except DegenerateAnalysisError:
+        assert len(set(data)) < 2
+
+
+@pytest.mark.parametrize("replicates", [100, 101, 257])
+def test_batched_bootstrap_edge_cases(replicates):
+    # every replicate below min_tail takes the 2-observation fallback
+    small = [1, 2, 2, 3, 5, 8, 13]
+    _check_against_oracle(small, replicates, 3, 10, 100)
+    # replicates that collapse to one value count as KS = inf
+    collapsing = [1, 1, 1, 1, 1, 1, 2, 2, 3]
+    assert np.isinf(_check_against_oracle(collapsing, replicates, 0, 10, 100)).any()
+    # paper-scale sample (n = 270) in blocks of 100 replicates
+    rng = np.random.default_rng(replicates)
+    heavy = np.concatenate([sample_discrete_powerlaw(2.3, 3, 200, rng), rng.integers(1, 3, size=70)])
+    _check_against_oracle(heavy, replicates, 5, 10, 100)
 
 
 def test_fit_power_law_without_bootstrap():
