@@ -9,12 +9,36 @@ into archetypes is the matching module's job.
 from __future__ import annotations
 
 import enum
+import functools
+import gc
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
 from .errors import DuplicateIdError, SchemaError, CollectionError
+
+
+def nogc(func):
+    """Run func with the cyclic garbage collector paused.
+
+    The loaders and builders allocate large object graphs that outlive the
+    call and hold no garbage cycles, so collections during the call only
+    rescan survivors. The previous state is restored on return or raise; a
+    collector that is already disabled stays disabled.
+    """
+
+    @functools.wraps(func)
+    def wrapper(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return wrapper
 
 
 class Role(enum.Enum):
@@ -171,6 +195,7 @@ def _parse_parameter(obj, role: Role, op_id: str, where: str) -> ParameterInstan
     )
 
 
+@nogc
 def load_canonical(path: str | Path) -> ServiceCollection:
     """Load a collection from the canonical JSON format.
 

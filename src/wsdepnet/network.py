@@ -17,7 +17,7 @@ from xml.sax.saxutils import escape
 
 from .errors import CollectionError
 from .matching import Archetype, MatcherKind, build_archetypes
-from .model import ParameterInstance, Role, ServiceCollection
+from .model import ParameterInstance, Role, ServiceCollection, nogc
 
 
 @dataclass
@@ -68,6 +68,7 @@ class NetworkSummary:
     self_loop_count: int
 
 
+@nogc
 def build_network(
     c: ServiceCollection,
     kind: MatcherKind,
@@ -203,8 +204,13 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
+@nogc
 def save_network(n: DependencyNetwork, path: str | Path) -> None:
-    """Write the GraphML file plus a sidecar with matcher and archetype membership."""
+    """Write the GraphML file plus a sidecar with matcher and archetype membership.
+
+    The sidecar is one line of JSON with sorted keys, so the C encoder
+    writes it; load_network reads any JSON layout of the same object.
+    """
     path = Path(path)
     path.write_text(to_graphml(n), encoding="utf-8")
     meta = {
@@ -233,11 +239,35 @@ def save_network(n: DependencyNetwork, path: str | Path) -> None:
             for src, dst in n.sorted_links()
         ],
     }
-    sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    sidecar_path(path).write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
 
 
+class _Values(dict):
+    """Value -> member table of an enum; an unknown value raises ValueError naming it."""
+
+    def __init__(self, what: str, enum_type):
+        super().__init__((member.value, member) for member in enum_type)
+        self.what = what
+
+    def __missing__(self, value):
+        raise ValueError(f"unknown {self.what} {value!r}")
+
+
+_ROLES = _Values("role", Role)
+_MATCHERS = _Values("matcher", MatcherKind)
+
+
+def _entry(section: str, index: int | None) -> str:
+    return section if index is None else f"{section}[{index}]"
+
+
+@nogc
 def load_network(path: str | Path) -> DependencyNetwork:
-    """Read a network written by save_network (GraphML + sidecar)."""
+    """Read a network written by save_network (GraphML + sidecar).
+
+    Fails closed: a malformed or inconsistent pair of files raises
+    CollectionError naming the file and the key or entry at fault.
+    """
     path = Path(path)
     meta_path = sidecar_path(path)
     if not path.exists():
@@ -250,50 +280,79 @@ def load_network(path: str | Path) -> DependencyNetwork:
         raise CollectionError(f"{path}: malformed GraphML: {exc}") from exc
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise CollectionError(f"{meta_path}: parse error: {exc}") from exc
 
-    nodes: list[Archetype] = []
-    for entry in meta["archetypes"]:
-        members = [
-            ParameterInstance(
-                name=m["name"],
-                role=Role(m["role"]),
-                operation_id=m["operation"],
-                xsd_type=m.get("type"),
-                concept=m.get("concept"),
-            )
-            for m in entry["members"]
-        ]
-        nodes.append(Archetype(id=entry["id"], label=entry["label"], key=entry["key"], members=members))
-    nodes.sort(key=lambda a: a.id)
-    if [a.id for a in nodes] != list(range(len(nodes))):
-        raise CollectionError(f"{meta_path}: archetype ids are not dense")
+    # one try per file, not a check per member: a failure is located by
+    # the section and entry index reached when it was raised
+    where, index = "top level", None
+    try:
+        matcher = _MATCHERS[meta["matcher"]]
+        self_loop_count = meta["self_loop_count"]
+        if type(self_loop_count) is not int or self_loop_count < 0:
+            raise ValueError(f"self_loop_count must be an integer >= 0, got {self_loop_count!r}")
+        where = "archetypes"
+        nodes: list[Archetype] = []
+        for index, entry in enumerate(meta["archetypes"]):
+            members = [
+                ParameterInstance(
+                    name=m["name"],
+                    role=_ROLES[m["role"]],
+                    operation_id=m["operation"],
+                    xsd_type=m.get("type"),
+                    concept=m.get("concept"),
+                )
+                for m in entry["members"]
+            ]
+            label, key = entry["label"], entry["key"]
+            if type(label) is not str or type(key) is not str:
+                raise ValueError("label and key must be strings")
+            nodes.append(Archetype(id=entry["id"], label=label, key=key, members=members))
+        index = None
+        nodes.sort(key=lambda a: a.id)
+        if [a.id for a in nodes] != list(range(len(nodes))):
+            raise ValueError("ids are not dense")
+        where = "links"
+        witnesses: dict[tuple[int, int], list[str]] = {}
+        for index, entry in enumerate(meta["links"]):
+            pair = (entry["source"], entry["target"])
+            if pair in witnesses:
+                raise ValueError(f"duplicate link {pair}")
+            witnesses[pair] = list(entry["witnesses"])
+    except KeyError as exc:
+        raise CollectionError(f"{meta_path}: {_entry(where, index)}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CollectionError(f"{meta_path}: {_entry(where, index)}: {exc}") from None
 
     weights: dict[tuple[int, int], int] = {}
     graph = tree.getroot().find(f"{{{GRAPHML_NS}}}graph")
     if graph is None:
         raise CollectionError(f"{path}: no graph element")
-    for edge in graph.findall(f"{{{GRAPHML_NS}}}edge"):
-        src = int(edge.get("source").lstrip("n"))
-        dst = int(edge.get("target").lstrip("n"))
-        weight = 1
-        for data in edge.findall(f"{{{GRAPHML_NS}}}data"):
-            if data.get("key") == "weight":
-                weight = int(data.text)
-        weights[(src, dst)] = weight
+    node_count = len(nodes)
+    if len(graph.findall(f"{{{GRAPHML_NS}}}node")) != node_count:
+        raise CollectionError(f"{path}: GraphML nodes and sidecar archetypes disagree")
+    try:
+        for index, edge in enumerate(graph.findall(f"{{{GRAPHML_NS}}}edge")):
+            src = int(edge.get("source").lstrip("n"))
+            dst = int(edge.get("target").lstrip("n"))
+            if not (0 <= src < node_count and 0 <= dst < node_count) or src == dst:
+                raise ValueError(f"link {src} -> {dst} outside a loop-free {node_count}-node network")
+            weight = 1
+            for data in edge.findall(f"{{{GRAPHML_NS}}}data"):
+                if data.get("key") == "weight":
+                    weight = int(data.text)
+            if weight < 1:
+                raise ValueError(f"weight must be >= 1, got {weight}")
+            if (src, dst) in weights:
+                raise ValueError(f"duplicate link {src} -> {dst}")
+            weights[(src, dst)] = weight
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CollectionError(f"{path}: {_entry('edge', index)}: {exc}") from None
 
-    links: dict[tuple[int, int], Link] = {}
-    for entry in meta["links"]:
-        key = (entry["source"], entry["target"])
-        if key not in weights:
-            raise CollectionError(f"{meta_path}: link {key} not present in GraphML")
-        links[key] = Link(weight=weights[key], witness_operations=list(entry["witnesses"]))
-    if set(links) != set(weights):
+    if witnesses.keys() != weights.keys():
+        for pair in witnesses:
+            if pair not in weights:
+                raise CollectionError(f"{meta_path}: link {pair} not present in GraphML")
         raise CollectionError(f"{path}: GraphML links and sidecar links disagree")
-    return DependencyNetwork(
-        nodes=nodes,
-        links=links,
-        matcher=MatcherKind(meta["matcher"]),
-        self_loop_count=meta["self_loop_count"],
-    )
+    links = {pair: Link(weight=weights[pair], witness_operations=ops) for pair, ops in witnesses.items()}
+    return DependencyNetwork(nodes=nodes, links=links, matcher=matcher, self_loop_count=self_loop_count)

@@ -37,9 +37,17 @@ def _scaled_zeta(alpha: np.ndarray | float, q: np.ndarray | float, scale: np.nda
     alpha = np.asarray(alpha, dtype=float)
     q = np.asarray(q, dtype=float)
     scale = np.asarray(scale, dtype=float)
-    total = np.zeros(np.broadcast(alpha, q, scale).shape)
+    shape = np.broadcast(alpha, q, scale).shape
+    total = np.zeros(shape)
+    neg_alpha = -alpha
+    # + and / round exactly in any kernel, so they run in place; the power
+    # gets its own buffer, as numpy may pick another pow kernel in place
+    ratio, term = np.empty(shape), np.empty(shape)
     for t in range(_EM_TERMS):
-        total = total + ((q + t) / scale) ** -alpha
+        np.add(q, t, out=ratio)
+        np.divide(ratio, scale, out=ratio)
+        np.power(ratio, neg_alpha, out=term)
+        total += term
     edge = q + _EM_TERMS
     ratio_pow = (edge / scale) ** -alpha
     total = total + scale * (edge / scale) ** (1.0 - alpha) / (alpha - 1.0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CollectionError, UnsupportedConstructError
-from .model import Operation, ParameterInstance, Role, Service, ServiceCollection, SourceFormat, new_collection
+from .model import Operation, ParameterInstance, Role, Service, ServiceCollection, SourceFormat, new_collection, nogc
 
 log = logging.getLogger(__name__)
 
@@ -28,6 +28,7 @@ POLICY_NAMESPACES = (
     "http://schemas.xmlsoap.org/ws/2004/09/policy",
     "http://www.w3.org/ns/ws-policy",
 )
+_POLICY_PREFIXES = tuple(f"{{{ns}}}" for ns in POLICY_NAMESPACES)
 
 MODEL_REFERENCE = f"{{{SAWSDL_NS}}}modelReference"
 
@@ -56,21 +57,21 @@ class _Part:
     concept: str | None
 
 
+@nogc
 def load_sawsdl(directory: str | Path) -> ServiceCollection:
     """Load every description file under `directory` (recursively) into one collection."""
     directory = Path(directory)
     if not directory.is_dir():
         raise CollectionError(f"not a directory: {directory}")
     files = sorted(
-        (p for p in directory.rglob("*") if p.suffix.lower() in SUFFIXES),
-        key=lambda p: p.relative_to(directory).as_posix(),
+        ((p.relative_to(directory), p) for p in directory.rglob("*") if p.suffix.lower() in SUFFIXES),
+        key=lambda item: item[0].as_posix(),
     )
     if not files:
         log.warning("no service description files found under %s", directory)
         return new_collection([], SourceFormat.SAWSDL)
     services = []
-    for path in files:
-        rel = path.relative_to(directory)
+    for rel, path in files:
         domain = rel.parts[0] if len(rel.parts) > 1 else None
         services.append(_parse_file(path, service_id=rel.with_suffix("").as_posix(), domain=domain))
     return new_collection(services, SourceFormat.SAWSDL)
@@ -93,10 +94,11 @@ def _parse_file(path: Path, service_id: str, domain: str | None) -> Service:
     if root.tag != f"{{{WSDL11_NS}}}definitions":
         raise UnsupportedConstructError(root.tag, str(path))
 
-    for elem in root.iter():
-        ns = elem.tag[1:].split("}", 1)[0] if elem.tag.startswith("{") else ""
-        if ns in POLICY_NAMESPACES:
-            raise UnsupportedConstructError(f"policy element {elem.tag}", str(path))
+    # scan the distinct tags; only a rejected file pays for a second walk,
+    # which names the first policy element in document order
+    if any(tag.startswith(_POLICY_PREFIXES) for tag in {elem.tag for elem in root.iter()}):
+        first = next(elem.tag for elem in root.iter() if elem.tag.startswith(_POLICY_PREFIXES))
+        raise UnsupportedConstructError(f"policy element {first}", str(path))
     if root.find(f"{{{WSDL11_NS}}}import") is not None:
         raise UnsupportedConstructError("wsdl:import", str(path))
 

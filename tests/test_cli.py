@@ -274,3 +274,65 @@ def test_communities_on_disconnected_network_exits_1(tmp_path, write_collection,
                  "--out", str(net)]) == 0
     assert main(["communities", str(net), "--t", "0"]) == 1
     assert "t must be" in capsys.readouterr().err
+
+
+
+def _without(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+def _edited(edit):
+    def mutate(meta):
+        edit(meta)
+        return meta
+
+    return mutate
+
+
+def _drop_member_name(meta):
+    del meta["archetypes"][0]["members"][0]["name"]
+
+
+# sidecar edit (meta -> new meta), (old, new) text replacement in the
+# GraphML, the file the message must name, a fragment naming the key or entry
+NETWORK_MUTATIONS = {
+    "no-archetypes": (_without("archetypes"), None, "meta.json", "missing key 'archetypes'"),
+    "no-links": (_without("links"), None, "meta.json", "missing key 'links'"),
+    "no-matcher": (_without("matcher"), None, "meta.json", "missing key 'matcher'"),
+    "no-member-name": (_edited(_drop_member_name), None, "meta.json", "archetypes[0]: missing key 'name'"),
+    "unknown-role": (_edited(lambda m: m["archetypes"][1]["members"][0].update(role="bogus")), None,
+                     "meta.json", "archetypes[1]: unknown role 'bogus'"),
+    "unknown-matcher": (_edited(lambda m: m.update(matcher="fuzzy")), None, "meta.json", "unknown matcher 'fuzzy'"),
+    "archetypes-not-a-list": (_edited(lambda m: m.update(archetypes=7)), None, "meta.json", "archetypes"),
+    "top-level-list": (lambda meta: [meta], None, "meta.json", "top level"),
+    "link-out-of-range": (_edited(lambda m: m["links"][0].update(target=9)), ('target="n2"', 'target="n9"'),
+                          "k2.graphml:", "edge[0]: link 0 -> 9"),
+    "zero-weight": (None, ('<data key="weight">1</data>', '<data key="weight">0</data>'), "k2.graphml:",
+                    "weight must be >= 1"),
+    "non-integer-weight": (None, ('<data key="weight">1</data>', '<data key="weight">x</data>'), "k2.graphml:",
+                           "edge[0]"),
+    "edge-without-source": (None, ('source="n0" ', ""), "k2.graphml:", "edge[0]"),
+    "missing-node": (None, ('<node id="n5"><data key="label">f</data><data key="instance_count">1</data></node>', ""),
+                     "k2.graphml:", "GraphML nodes"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(NETWORK_MUTATIONS))
+def test_malformed_network_exits_2(tmp_path, k2_net, capsys, mutation):
+    mutate_meta, replace_graphml, file_name, fragment = NETWORK_MUTATIONS[mutation]
+    meta_path = k2_net.with_name(k2_net.name + ".meta.json")
+    if mutate_meta is not None:
+        meta = mutate_meta(json.loads(meta_path.read_text(encoding="utf-8")))
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    if replace_graphml is not None:
+        text = k2_net.read_text(encoding="utf-8")
+        assert replace_graphml[0] in text
+        k2_net.write_text(text.replace(*replace_graphml, 1), encoding="utf-8")
+    out = tmp_path / "edges.tsv"
+    assert main(["export", str(k2_net), "--format", "edgelist", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("wsdepnet: input error: ")
+    assert file_name in err
+    assert fragment in err
+    assert not out.exists()

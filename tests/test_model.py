@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from wsdepnet.model import (
     collection_to_dict,
     load_canonical,
     new_collection,
+    nogc,
     write_canonical,
 )
 
@@ -172,3 +174,36 @@ def test_empty_collection_is_valid():
     c = collection_from_dict({"services": []})
     assert c.instance_count == 0
     assert list(c.iter_instances()) == []
+
+
+def test_nogc_pauses_and_restores_the_collector():
+    seen = []
+
+    @nogc
+    def work(fail=False):
+        seen.append(gc.isenabled())
+        if fail:
+            raise RuntimeError("boom")
+        return 7
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        assert work() == 7
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="boom"):
+            work(fail=True)
+        assert gc.isenabled()
+        gc.disable()
+        assert work() == 7
+        assert not gc.isenabled()
+        with pytest.raises(RuntimeError):
+            work(fail=True)
+        assert not gc.isenabled()
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+    assert seen == [False, False, False, False]
+    assert work.__name__ == "work"

@@ -1,3 +1,4 @@
+import json
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -142,6 +143,28 @@ def test_save_load_round_trip(tmp_path, k2_collection):
     save_network(loaded, path2)
     assert path2.read_bytes() == path.read_bytes()
     assert sidecar_path(path2).read_bytes() == sidecar_path(path).read_bytes()
+
+
+def test_indented_sidecar_loads_and_resaves_as_one_line(tmp_path, k2_collection):
+    # older files and bench/generators.py write the sidecar with indent=2
+    n = build_network(k2_collection, MatcherKind.SYNTACTIC_EQUAL)
+    path = tmp_path / "net.graphml"
+    save_network(n, path)
+    one_line = sidecar_path(path).read_bytes()
+    assert one_line.count(b"\n") == 1
+    indented = tmp_path / "indented.graphml"
+    indented.write_bytes(path.read_bytes())
+    meta = json.loads(one_line)
+    sidecar_path(indented).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    loaded = load_network(indented)
+    assert to_graphml(loaded) == to_graphml(n)
+    assert {k: (v.weight, v.witness_operations) for k, v in loaded.links.items()} == {
+        k: (v.weight, v.witness_operations) for k, v in n.links.items()
+    }
+    assert [a.members for a in loaded.nodes] == [a.members for a in n.nodes]
+    resaved = tmp_path / "resaved.graphml"
+    save_network(loaded, resaved)
+    assert sidecar_path(resaved).read_bytes() == one_line
 
 
 def test_load_network_requires_sidecar(tmp_path, k2_collection):

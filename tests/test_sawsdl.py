@@ -148,6 +148,40 @@ def test_policy_rejected(tmp_path):
         load_sawsdl_file(path)
 
 
+W3C_POLICY = "http://www.w3.org/ns/ws-policy"
+POLICY_2004 = "http://schemas.xmlsoap.org/ws/2004/09/policy"
+
+
+@pytest.mark.parametrize(
+    "anchor, inserted, tag",
+    [
+        (  # nested inside wsdl:types/xsd:schema
+            '<xsd:schema targetNamespace="http://example.org/bp">',
+            f'<wsp:Policy xmlns:wsp="{POLICY_2004}"/>',
+            f"{{{POLICY_2004}}}Policy",
+        ),
+        (  # top level, W3C namespace
+            "</wsdl:types>",
+            f'<wsp:Policy xmlns:wsp="{W3C_POLICY}"/>',
+            f"{{{W3C_POLICY}}}Policy",
+        ),
+        (  # several policy tags: the first in document order is named
+            "</wsdl:portType>",
+            f'<wsp:All xmlns:wsp="{W3C_POLICY}"><wsp:Policy/></wsp:All>',
+            f"{{{W3C_POLICY}}}All",
+        ),
+    ],
+)
+def test_nested_and_w3c_policy_rejected(tmp_path, anchor, inserted, tag):
+    assert anchor in WSDL_TEMPLATE
+    path = tmp_path / "pol.wsdl"
+    path.write_text(WSDL_TEMPLATE.replace(anchor, anchor + inserted, 1), encoding="utf-8")
+    with pytest.raises(UnsupportedConstructError) as info:
+        load_sawsdl(tmp_path)
+    assert info.value.construct == f"policy element {tag}"
+    assert info.value.path == str(path)
+
+
 def test_wsdl_import_rejected(tmp_path):
     text = WSDL_TEMPLATE.replace(
         "<wsdl:types>",
