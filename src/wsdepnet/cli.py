@@ -95,8 +95,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    left = report_from_json(Path(args.report_a).read_text(encoding="utf-8"))
-    right = report_from_json(Path(args.report_b).read_text(encoding="utf-8"))
+    left = report_from_json(Path(args.report_a).read_bytes(), source=args.report_a)
+    right = report_from_json(Path(args.report_b).read_bytes(), source=args.report_b)
     comparison = compare(left, right)
     if args.report == "json":
         text = comparison_to_json(comparison)

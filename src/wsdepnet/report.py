@@ -11,13 +11,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
-from .errors import DegenerateAnalysisError
+from .errors import CollectionError, DegenerateAnalysisError
 from .community import walktrap
 from .network import DependencyNetwork, network_summary
 from .powerlaw import PowerLawFit, fit_power_law
 from .topology import (
+    ERBaseline,
     degree_correlation,
     degree_stats,
     distances,
@@ -72,6 +76,82 @@ class MetricsReport:
     config: AnalysisConfig = field(default_factory=AnalysisConfig)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _er_baseline_beside(nodes: int, links: int, samples: int, seed: int):
+    """Run er_baseline(nodes, links, samples, seed) while the with-block runs.
+
+    Yields a function that returns the ERBaseline, or the message of the
+    ValueError that er_baseline raised. The baseline runs in a forked
+    child when there is a second CPU to run it on, else in this process
+    when the function is called. The child is reaped before the block is
+    left, and killed first if the block raised.
+    """
+
+    def baseline() -> ERBaseline | str:
+        try:
+            return er_baseline(nodes, links, samples, seed)
+        except ValueError as err:
+            return str(err)
+
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
+        yield baseline
+        return
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The child is fork-safe although BLAS threads did not survive the
+        # fork: it runs only the numpy RNG, searchsorted and pure Python, so
+        # it makes no BLAS call, takes no lock another thread may hold, logs
+        # nothing and does no I/O but its pipe. os._exit skips the atexit
+        # handlers and the buffered output it shares with the parent.
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(baseline()))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    pipe = os.fdopen(read_fd, "rb")
+    reaped = False
+
+    def collect() -> ERBaseline | str:
+        nonlocal reaped
+        data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        result = None
+        if code == 0:
+            try:
+                result = pickle.loads(data)
+            except (pickle.UnpicklingError, EOFError):
+                pass
+        if not isinstance(result, (ERBaseline, str)):
+            raise RuntimeError(
+                f"er_baseline: child process ended with exit status {code} "
+                f"after sending {len(data)} bytes"
+            )
+        return result
+
+    try:
+        yield collect
+    finally:
+        pipe.close()
+        if not reaped:
+            import signal  # here, as a run that succeeds need not load it
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def analyze(
     n: DependencyNetwork,
     config: AnalysisConfig | None = None,
@@ -84,6 +164,15 @@ def analyze(
     the reason recorded under `degenerate`; an empty network is an error,
     and so is a config with er_samples < 1, bootstrap_n neither 0 nor
     >= 100, or walktrap_t < 1 (ValueError, raised before any work).
+
+    Once the distances are measured, the Erdos-Renyi baseline runs in a
+    forked child process while this process fits the power laws, runs
+    Walktrap and counts triangles. It runs in this process instead where
+    `os.fork` does not exist or the process may use only one CPU. Every
+    stage draws from its own seeded RNG stream, so the report does not
+    depend on which path ran. The child's memory and CPU time show in
+    `resource.RUSAGE_CHILDREN`, not in `RUSAGE_SELF`. If the child fails
+    other than by the baseline's ValueError, analyze raises RuntimeError.
     """
     config = config or AnalysisConfig()
     if config.er_samples < 1:
@@ -107,32 +196,34 @@ def analyze(
             degenerate[metric] = err.reason
             return None
 
+    def fit_for(values) -> PowerLawFit:
+        positive = [v for v in values if v > 0]
+        return fit_power_law(positive, replicates=config.bootstrap_n, seed=config.seed)
+
     directed = distances(giant, "directed")
     undirected = distances(giant, "undirected")
     if directed.average is None:
         degenerate["avg_distance_directed"] = "fewer than 2 nodes"
     if undirected.average is None:
         degenerate["avg_distance_undirected"] = "fewer than 2 nodes"
-    correlation = guarded("degree_correlation", lambda: degree_correlation(giant))
-    degrees = degree_stats(giant)
 
-    try:
-        er = er_baseline(giant.node_count, giant.link_count, config.er_samples, config.seed)
-    except ValueError as err:
-        degenerate["er_baseline"] = str(err)
+    # Forked only now: the distance kernel ran 2x slower beside a busy process.
+    with _er_baseline_beside(
+        giant.node_count, giant.link_count, config.er_samples, config.seed
+    ) as er_result:
+        correlation = guarded("degree_correlation", lambda: degree_correlation(giant))
+        degrees = degree_stats(giant)
+        power_law = {
+            "in": guarded("power_law_in", lambda: fit_for(degrees.in_degrees)),
+            "out": guarded("power_law_out", lambda: fit_for(degrees.out_degrees)),
+            "all": guarded("power_law_all", lambda: fit_for(degrees.total_degrees)),
+        }
+        partition = guarded("communities", lambda: walktrap(giant, t=config.walktrap_t).partition)
+        clustering = transitivity(giant)
+        er = er_result()
+    if isinstance(er, str):
+        degenerate["er_baseline"] = er
         er = None
-
-    def fit_for(values) -> PowerLawFit:
-        positive = [v for v in values if v > 0]
-        return fit_power_law(positive, replicates=config.bootstrap_n, seed=config.seed)
-
-    power_law = {
-        "in": guarded("power_law_in", lambda: fit_for(degrees.in_degrees)),
-        "out": guarded("power_law_out", lambda: fit_for(degrees.out_degrees)),
-        "all": guarded("power_law_all", lambda: fit_for(degrees.total_degrees)),
-    }
-
-    partition = guarded("communities", lambda: walktrap(giant, t=config.walktrap_t).partition)
 
     def _clean(x: float | None) -> float | None:
         return None if x is None or not math.isfinite(x) else x
@@ -152,7 +243,7 @@ def analyze(
         diameter_directed=directed.diameter,
         diameter_undirected=undirected.diameter,
         finite_directed_pairs=directed.finite_pairs,
-        transitivity=transitivity(giant),
+        transitivity=clustering,
         degree_correlation=correlation,
         avg_in_degree=degrees.avg_in,
         avg_out_degree=degrees.avg_out,
@@ -256,17 +347,51 @@ def report_to_json(r: MetricsReport) -> str:
     return json.dumps(report_to_dict(r), indent=2, sort_keys=True) + "\n"
 
 
-def report_from_dict(d: dict) -> MetricsReport:
-    data = dict(d)
-    data["power_law"] = {
-        k: PowerLawFit(**f) if f is not None else None for k, f in d["power_law"].items()
-    }
-    data["config"] = AnalysisConfig(**d["config"])
-    return MetricsReport(**data)
+def _object(value) -> dict:
+    if type(value) is not dict:
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
 
 
-def report_from_json(text: str) -> MetricsReport:
-    return report_from_dict(json.loads(text))
+def report_from_dict(d: dict, source: str = "report") -> MetricsReport:
+    """Inverse of report_to_dict.
+
+    Fails closed: a report that is not an object, lacks a key, has an
+    unknown one, a power-law entry that is neither an object nor null or a
+    config that is not one of integers raises CollectionError naming
+    `source` and the key at fault.
+    """
+    # one try for the whole report, as in load_network: a failure is
+    # located by the key reached when it was raised
+    where = "top level"
+    try:
+        data = dict(_object(d))
+        fits, config = data["power_law"], data["config"]
+        where = "power_law"
+        data["power_law"] = {}
+        for tail, fit in _object(fits).items():
+            where = f"power_law.{tail}"
+            data["power_law"][tail] = None if fit is None else PowerLawFit(**_object(fit))
+        where = "config"
+        data["config"] = AnalysisConfig(**_object(config))
+        for name, value in asdict(data["config"]).items():
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        where = "top level"
+        return MetricsReport(**data)
+    except KeyError as exc:
+        raise CollectionError(f"{source}: {where}: missing key {exc}") from None
+    except TypeError as exc:
+        raise CollectionError(f"{source}: {where}: {exc}") from None
+
+
+def report_from_json(text: str | bytes, source: str = "report") -> MetricsReport:
+    """Parse a report written by report_to_json; errors as in report_from_dict."""
+    try:
+        d = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise CollectionError(f"{source}: parse error: {exc}") from exc
+    return report_from_dict(d, source)
 
 
 def comparison_to_dict(c: ComparisonReport) -> dict:

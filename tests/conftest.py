@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -9,6 +10,19 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_children():
+    """Fail any test that leaves a child process unreaped."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    if pid == 0:
+        pytest.fail("the test left a child process running")
+    pytest.fail(f"the test left child process {pid} unreaped (wait status {status})")
 
 
 @pytest.fixture

@@ -253,6 +253,55 @@ def test_compare_on_non_report_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _set(key, value):
+    def mutate(report):
+        report[key] = value
+        return report
+
+    return mutate
+
+
+def _drop(key):
+    def mutate(report):
+        del report[key]
+        return report
+
+    return mutate
+
+
+# mutation of a valid report -> text the error must contain
+REPORT_MUTATIONS = {
+    "top-level-list": (lambda report: [report], "top level: expected an object, got list"),
+    "no-power-law": (_drop("power_law"), "top level: missing key 'power_law'"),
+    "no-label": (_drop("label"), "'label'"),
+    "unknown-key": (_set("colour", "red"), "unexpected keyword argument 'colour'"),
+    "power-law-not-object": (_set("power_law", [1]), "power_law: expected an object, got list"),
+    "power-law-entry-not-object": (_set("power_law", {"in": 3}), "power_law.in: expected an object"),
+    "power-law-entry-missing-key": (_set("power_law", {"in": {"alpha": 2.0}}), "power_law.in: "),
+    "config-not-object": (_set("config", "fast"), "config: expected an object, got str"),
+    "config-unknown-key": (_set("config", {"er_samples": 8, "speed": 1}), "'speed'"),
+    "config-not-integer": (
+        _set("config", {"er_samples": "8", "bootstrap_n": 0, "walktrap_t": 4, "seed": 0}),
+        "config: er_samples must be an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(REPORT_MUTATIONS))
+def test_compare_on_malformed_report_exits_2(tmp_path, k2_net, capsys, mutation):
+    mutate, fragment = REPORT_MUTATIONS[mutation]
+    good = tmp_path / "good.json"
+    bad = tmp_path / "bad.json"
+    assert main(["analyze", str(k2_net), *FAST_ANALYZE, "--out", str(good)]) == 0
+    bad.write_text(json.dumps(mutate(json.loads(good.read_text(encoding="utf-8")))), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["compare", str(good), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"wsdepnet: input error: {bad}: ")
+    assert fragment in err
+
+
 def test_degenerate_analysis_exits_3(tmp_path, write_collection, capsys):
     src = write_collection({"services": []})
     net = tmp_path / "empty.graphml"

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import signal
+import time
 
 import pytest
 
@@ -156,6 +159,117 @@ def test_analyze_deterministic_bytes(k2_collection):
     first = report_to_json(analyze(net, config))
     second = report_to_json(analyze(net, config))
     assert first == second
+
+
+# -- the ER baseline beside the other stages -----------------------------------
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count analyze sees; 1 keeps the ER baseline in process."""
+
+    def set_count(count):
+        monkeypatch.setattr("wsdepnet.report._usable_cpus", lambda: count)
+
+    return set_count
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the forks analyze makes."""
+    made = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr("wsdepnet.report.os.fork", fork)
+    return made
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that is still running after 60 s, rather than hang."""
+
+    def expire(*_args):
+        raise TimeoutError("no result after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("case", ["k2", "reciprocal-pair"])
+def test_er_baseline_path_leaves_report_bytes_unchanged(k2_collection, cpus, forks, deadline, case):
+    if case == "k2":
+        net = build_network(k2_collection, MatcherKind.SYNTACTIC_EQUAL)
+    else:
+        net = network_from_edges(2, [(0, 1), (1, 0)], MatcherKind.SYNTACTIC_EQUAL)
+    config = AnalysisConfig(er_samples=20, bootstrap_n=100, walktrap_t=4, seed=7)
+    cpus(1)
+    inline = analyze(net, config)
+    assert forks == []
+    cpus(2)
+    forked = analyze(net, config)
+    assert len(forks) == 1
+    assert report_to_json(forked) == report_to_json(inline)
+    assert render_text(forked) == render_text(inline)
+    if case == "reciprocal-pair":
+        assert forked.degenerate["er_baseline"] == "infeasible link count: 2 > 1"
+        assert forked.er_avg_distance is None
+
+
+def _exit_3(*_args):
+    os._exit(3)
+
+
+def _raise_key_error(*_args):
+    raise KeyError("not a ValueError")
+
+
+def _kill_self(*_args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _return_a_number(*_args):
+    return 42
+
+
+@pytest.mark.parametrize(
+    "child, status",
+    [(_exit_3, 3), (_raise_key_error, 1), (_kill_self, -signal.SIGKILL), (_return_a_number, 0)],
+)
+def test_failed_er_child_fails_analyze_loudly(k2_collection, monkeypatch, cpus, forks, deadline, child, status):
+    net = build_network(k2_collection, MatcherKind.SYNTACTIC_EQUAL)
+    monkeypatch.setattr("wsdepnet.report.er_baseline", child)
+    cpus(2)
+    with pytest.raises(RuntimeError, match=f"^er_baseline: child process ended with exit status {status} "):
+        analyze(net, FAST)
+    assert len(forks) == 1
+
+
+def test_failing_stage_reaps_the_er_child(k2_collection, monkeypatch, cpus, forks, deadline):
+    net = build_network(k2_collection, MatcherKind.SYNTACTIC_EQUAL)
+
+    def slow_baseline(*_args):
+        time.sleep(60)
+
+    def broken_walktrap(*_args, **_kwargs):
+        raise RuntimeError("walktrap broke")
+
+    monkeypatch.setattr("wsdepnet.report.er_baseline", slow_baseline)
+    monkeypatch.setattr("wsdepnet.report.walktrap", broken_walktrap)
+    cpus(2)
+    with pytest.raises(RuntimeError, match="walktrap broke"):
+        analyze(net, FAST)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # -- compare ------------------------------------------------------------------
