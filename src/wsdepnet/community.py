@@ -1,24 +1,50 @@
 """Random-walk community detection and Newman modularity.
 
 Direction is discarded: both run on the undirected simple projection.
-The agglomeration follows the short-random-walk scheme: each node carries
-its t-step walk probability row, the distance between communities is the
-degree-normalized euclidean gap between their (averaged) rows, and the
-merge chosen at each step is the adjacent pair whose fusion least
-increases the mean squared node-to-community distance. The reported
-partition is the dendrogram cut with maximum modularity.
+The agglomeration follows the short-random-walk scheme (Pons & Latapy,
+JGAA 10(2), 2006): each node carries its t-step walk probability row, the
+distance between communities is the degree-normalized euclidean gap
+between their (averaged) rows, and the merge chosen at each step is the
+adjacent pair whose fusion least increases the mean squared
+node-to-community distance, Delta-sigma. The reported partition is the
+dendrogram cut with maximum modularity.
+
+Walktrap never forms those rows. With P = D^-1 A and W = P^t D^-1/2, the
+Gram matrix G = W W^T equals P^2t D^-1 (as D P = P^T D), which 2t - 1
+sparse walk steps build in place of one. The rows of P^t tend to the
+stationary distribution pi = d / 2m, so the steps start from P - 1 pi^T,
+whose powers are P^k - 1 pi^T: that shifts G by the constant 1/2m, which
+cancels in
+
+    Delta-sigma(C, X) = s_C s_X / (s_C + s_X) / n * (G_CC + G_XX - 2 G_CX),
+
+and keeps G's entries about as small as the gaps between rows. A
+difference below 2^-6 of G_CC + G_XX has lost too many digits (twin
+nodes, nodes with the same closed neighbourhood, long walks), so such a
+pair is recomputed from t sparse steps of the difference of its two mean
+rows, whose rounding is relative to that difference. A merge updates G
+by Lance-Williams: G[C] = (s_A G[A] + s_B G[B]) / (s_A + s_B), a row and
+a column (Lance & Williams, Comput. J. 9(4), 1967). Every community keeps
+its nearest neighbour; a merge is one argmin over communities in id order
+and recomputes only the new community and the neighbours whose nearest it
+absorbed. Ties go to the smallest (min id, max id). Memory is one n x n
+matrix, plus a spare one during the walk steps.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import DegenerateAnalysisError
 from .network import DependencyNetwork
 from .topology import weak_components_of
+
+# A Gram difference G_CC + G_XX - 2 G_CX below this share of G_CC + G_XX
+# is recomputed from the walk of the row difference.
+_RECOMPUTE_BELOW = 2.0**-6
 
 
 def _undirected_edges(n: DependencyNetwork) -> list[tuple[int, int]]:
@@ -113,46 +139,91 @@ def walktrap(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
         raise DegenerateAnalysisError("walktrap", "empty network")
     if len(weak_components_of(undirected)) > 1:
         raise ValueError("walktrap requires a connected network; pass one component")
-    edges = _undirected_edges(n)
-    if not edges:
-        raise DegenerateAnalysisError("walktrap", "no links")
-    m = len(edges)
     degrees = [len(neigh) for neigh in undirected]
+    m = sum(degrees) // 2
+    if not m:
+        raise DegenerateAnalysisError("walktrap", "no links")
 
-    # Row u of P^k is the mean of the rows of P^(k-1) over u's neighbours.
-    walk = np.zeros((size, size))
+    # G = (P^2t - 1 pi^T) D^-1 from 2t - 1 walk steps: row u of the next
+    # power is the mean of the rows of the last over u's neighbours.
+    pi = np.asarray(degrees) / (2.0 * m)
+    gram = np.empty((size, size))
+    gram[:] = -pi
     for u, neighbors in enumerate(undirected):
-        walk[u, neighbors] = 1.0 / degrees[u]
-    spare = np.empty_like(walk)
-    for _ in range(t - 1):
+        gram[u, neighbors] += 1.0 / degrees[u]
+    spare = np.empty_like(gram)
+    for _ in range(2 * t - 1):
         for u, neighbors in enumerate(undirected):
-            np.sum(walk[neighbors], axis=0, out=spare[u])
-            spare[u] /= degrees[u]
-        walk, spare = spare, walk
+            row = spare[u]
+            np.copyto(row, gram[neighbors[0]])
+            for v in neighbors[1:]:
+                row += gram[v]
+            row /= degrees[u]
+        gram, spare = spare, gram
     del spare
-    # Columns scaled by D^-1/2, so the squared walk distance is a plain dot product.
-    walk *= 1.0 / np.sqrt(degrees)
-    gap = np.empty(size)
+    # the rows' pi-weighted mean is 0 but for rounding, which would not
+    # cancel in Delta-sigma
+    gram -= np.einsum("u,uv->v", pi, gram)
+    gram /= degrees
+    diag = gram.diagonal()
 
-    # A community's vector is the size-weighted mean of its nodes' rows,
-    # kept in place in walk[row_of[c]]; label maps node -> row. A merge
-    # keeps the larger community's row, so only the smaller one's nodes
-    # are scanned for crossing links and relabelled.
-    comm_size = {i: 1 for i in range(size)}
-    row_of = {i: i for i in range(size)}
-    comm_degree = {i: degrees[i] for i in range(size)}
-    neighbors_of = {i: set(neigh) for i, neigh in enumerate(undirected)}
-    members = [[i] for i in range(size)]
-    label = list(range(size))
+    # Row r of gram belongs to the community ids[r]; a merge keeps one of
+    # the two rows. links[r] maps each adjacent row to the number of links
+    # between the two communities, and degrees[r] becomes the community's
+    # degree sum. For a community of id c, best[c] is its smallest
+    # Delta-sigma to a neighbour and partner[c] that neighbour's row, the
+    # one of smallest id among exact ties; best is inf for ids not alive.
+    sizes = np.ones(size)
+    members = [[u] for u in range(size)]
+    ids = np.arange(size)
+    row_of = np.arange(2 * size - 1)
+    links = [dict.fromkeys(neighbors, 1) for neighbors in undirected]
+    best = np.full(2 * size - 1, np.inf)
+    partner = np.empty(2 * size - 1, dtype=np.intp)
 
-    def delta_sigma(a: int, b: int) -> float:
-        np.subtract(walk[row_of[a]], walk[row_of[b]], out=gap)
-        sa, sb = comm_size[a], comm_size[b]
-        return (sa * sb) / (sa + sb) / size * float(gap @ gap)
+    inverse_degrees = 1.0 / np.array(degrees, dtype=float)
+    flat_neighbors = np.fromiter(chain.from_iterable(undirected), dtype=np.intp, count=2 * m)
+    neighbor_starts = np.cumsum(degrees) - degrees
 
-    current = {(u, v): delta_sigma(u, v) for u, v in edges}
-    heap = [(d, u, v) for (u, v), d in current.items()]
-    heapq.heapify(heap)
+    def delta_sigma(xs, ys: np.ndarray, g_xy: np.ndarray) -> np.ndarray:
+        # symmetric in x and y to the last bit, as IEEE + and * commute
+        sx, sy = sizes[xs], sizes[ys]
+        terms = diag[xs] + diag[ys]
+        gap = terms - 2 * g_xy
+        d = sx * sy / (sx + sy) / size * gap
+        lossy = gap <= _RECOMPUTE_BELOW * terms
+        if lossy.any():
+            xs = np.broadcast_to(xs, d.shape)
+            for i in np.flatnonzero(lossy):
+                d[i] = walked_delta_sigma(xs[i], ys[i])
+        return d
+
+    def walked_delta_sigma(x: int, y: int) -> float:
+        """Delta-sigma of rows x and y from t steps of their mean rows' difference."""
+        walk = np.zeros(size)
+        walk[members[x]] = 1.0 / sizes[x]
+        walk[members[y]] = -1.0 / sizes[y]
+        for _ in range(t):
+            # (walk P)_v = sum over neighbours u of v of walk_u / d_u
+            walk = np.add.reduceat((walk * inverse_degrees)[flat_neighbors], neighbor_starts)
+        return sizes[x] * sizes[y] / (sizes[x] + sizes[y]) / size * float((walk * walk * inverse_degrees).sum())
+
+    def nearest(rows: np.ndarray) -> None:
+        """Set best and partner of `rows` from all their neighbours."""
+        neighbors = [links[r].keys() for r in rows]
+        counts = np.fromiter(map(len, neighbors), dtype=np.intp, count=len(rows))
+        ys = np.fromiter(chain.from_iterable(neighbors), dtype=np.intp, count=int(counts.sum()))
+        xs = np.repeat(rows, counts)
+        # G is read as G[min, max]: the walk steps leave it symmetric only
+        # up to rounding, and a pair must get one value from either side.
+        d = delta_sigma(xs, ys, gram[np.minimum(xs, ys), np.maximum(xs, ys)])
+        starts = np.cumsum(counts) - counts
+        low = np.minimum.reduceat(d, starts)
+        tied_ids = np.where(d == np.repeat(low, counts), ids[ys], 2 * size)
+        best[ids[rows]] = low
+        partner[ids[rows]] = row_of[np.minimum.reduceat(tied_ids, starts)]
+
+    nearest(np.arange(size))
 
     # 4m^2 Q = 4m * (intra-community links) - sum of squared community degrees, exactly
     intra = 0
@@ -161,38 +232,63 @@ def walktrap(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
     merges: list[MergeStep] = []
 
     for step in range(size - 1):
-        while True:
-            d, a, b = heapq.heappop(heap)
-            if current.get((a, b)) == d:
-                break
-        del current[(a, b)]
+        # best is indexed by id, so its first minimum a is the smallest id
+        # of a pair of least Delta-sigma, and a's partner b the smallest id
+        # paired with a at that value: b > a, or b would come first.
+        a = int(best.argmin())
+        d = float(best[a])
+        first, other = int(row_of[a]), int(partner[a])
+        b = int(ids[other])
+        keep, drop = (first, other) if len(links[first]) >= len(links[other]) else (other, first)
         c = size + step
-        sa, sb = comm_size.pop(a), comm_size.pop(b)
-        keep, drop = row_of.pop(a), row_of.pop(b)
-        if sa < sb:
-            keep, drop = drop, keep
-        intra += sum(label[other] == keep for node in members[drop] for other in undirected[node])
-        degree_a, degree_b = comm_degree.pop(a), comm_degree.pop(b)
-        degree_squares += 2 * degree_a * degree_b
-        cut_keys.append(4 * m * intra - degree_squares)
-        vector = walk[keep]
-        vector *= max(sa, sb)
-        vector += min(sa, sb) * walk[drop]
-        vector /= sa + sb
-        for node in members[drop]:
-            label[node] = keep
+
+        # Lance-Williams: G[c] = (s_a G[a] + s_b G[b]) / (s_a + s_b).
+        sa, sb = sizes[keep], sizes[drop]
+        row = gram[keep]
+        row *= sa
+        row += sb * gram[drop]
+        row /= sa + sb
+        gram[:, keep] = row
+        gram[keep, keep] = (sa * row[keep] + sb * row[drop]) / (sa + sb)
+        sizes[keep] = sa + sb
+        if len(members[keep]) < len(members[drop]):
+            members[keep], members[drop] = members[drop], members[keep]
         members[keep] += members[drop]
-        comm_size[c], row_of[c], comm_degree[c] = sa + sb, keep, degree_a + degree_b
-        new_neighbors = (neighbors_of.pop(a) | neighbors_of.pop(b)) - {a, b}
-        neighbors_of[c] = new_neighbors
-        for x in new_neighbors:
-            neighbors_of[x] -= {a, b}
-            neighbors_of[x].add(c)
-            current.pop((a, x) if a < x else (x, a), None)
-            current.pop((b, x) if b < x else (x, b), None)
-            d_new = current[(x, c)] = delta_sigma(c, x)
-            heapq.heappush(heap, (d_new, x, c))  # c is the largest id alive
+        best[a] = best[b] = np.inf
+        ids[keep], row_of[c] = c, keep
+
+        kept, dropped = links[keep], links[drop]
+        links[drop] = {}
+        intra += kept.pop(drop)
+        del dropped[keep]
+        for y, count in dropped.items():
+            neighbor = links[y]
+            del neighbor[drop]
+            neighbor[keep] = kept[y] = kept.get(y, 0) + count
+        degree_squares += 2 * degrees[keep] * degrees[drop]
+        degrees[keep] += degrees[drop]
+        cut_keys.append(4 * m * intra - degree_squares)
         merges.append(MergeStep(step=step, community_a=a, community_b=b, delta_sigma=d))
+        if not kept:
+            break
+
+        # Only pairs with c changed; c's come from one gather out of its
+        # row. A neighbour keeps its partner unless c is strictly closer (c
+        # has the largest id, so it loses ties), or its partner was a or b:
+        # then it is recomputed over all its neighbours.
+        ys = np.fromiter(kept, dtype=np.intp, count=len(kept))
+        y_ids = ids[ys]
+        previous = partner[y_ids]
+        d_c = delta_sigma(keep, ys, row[ys])  # row and column c of G agree
+        low = d_c.min()
+        best[c] = low
+        partner[c] = row_of[y_ids[d_c == low].min()]
+        closer = d_c < best[y_ids]
+        best[y_ids[closer]] = d_c[closer]
+        partner[y_ids[closer]] = keep
+        stale = ys[~closer & ((previous == keep) | (previous == drop))]
+        if len(stale):
+            nearest(stale)
 
     result = WalktrapResult(
         partition=CommunityPartition(assignment={}, community_count=0, modularity=0.0, walktrap_t=t),

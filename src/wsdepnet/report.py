@@ -9,10 +9,13 @@ full precision); text renderings round reals to 2 decimals.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import pickle
+import types
+import typing
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
@@ -353,13 +356,44 @@ def _object(value) -> dict:
     return value
 
 
+# JSON types a scalar annotation accepts; a bool is not a number here
+_SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+@functools.cache
+def _scalar_fields(cls) -> list[tuple[str, tuple[type, ...], str]]:
+    """(name, accepted JSON types, their description) of each scalar field of a dataclass."""
+    fields = []
+    for name, hint in typing.get_type_hints(cls).items():
+        options = set(typing.get_args(hint)) if isinstance(hint, types.UnionType) else {hint}
+        optional = type(None) in options
+        options.discard(type(None))
+        if len(options) == 1 and (kind := options.pop()) in _SCALARS:
+            accepted, noun = _SCALARS[kind]
+            if optional:
+                accepted, noun = (*accepted, type(None)), f"{noun} or null"
+            fields.append((name, accepted, noun))
+    return fields
+
+
+def _typed(instance):
+    """Return the dataclass `instance` once each scalar field has its annotated JSON type."""
+    for name, accepted, noun in _scalar_fields(type(instance)):
+        value = getattr(instance, name)
+        if type(value) not in accepted:
+            raise TypeError(f"{name} must be {noun}, got {value!r}")
+    return instance
+
+
 def report_from_dict(d: dict, source: str = "report") -> MetricsReport:
     """Inverse of report_to_dict.
 
     Fails closed: a report that is not an object, lacks a key, has an
-    unknown one, a power-law entry that is neither an object nor null or a
-    config that is not one of integers raises CollectionError naming
-    `source` and the key at fault.
+    unknown one, a power-law entry that is neither an object nor null, or
+    a scalar field whose JSON type does not match its annotation (ints
+    where int is declared, ints or floats where float is, null only where
+    the type is optional, never a bool for a number) raises
+    CollectionError naming `source` and the key at fault.
     """
     # one try for the whole report, as in load_network: a failure is
     # located by the key reached when it was raised
@@ -371,14 +405,11 @@ def report_from_dict(d: dict, source: str = "report") -> MetricsReport:
         data["power_law"] = {}
         for tail, fit in _object(fits).items():
             where = f"power_law.{tail}"
-            data["power_law"][tail] = None if fit is None else PowerLawFit(**_object(fit))
+            data["power_law"][tail] = None if fit is None else _typed(PowerLawFit(**_object(fit)))
         where = "config"
-        data["config"] = AnalysisConfig(**_object(config))
-        for name, value in asdict(data["config"]).items():
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+        data["config"] = _typed(AnalysisConfig(**_object(config)))
         where = "top level"
-        return MetricsReport(**data)
+        return _typed(MetricsReport(**data))
     except KeyError as exc:
         raise CollectionError(f"{source}: {where}: missing key {exc}") from None
     except TypeError as exc:

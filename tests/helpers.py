@@ -7,12 +7,15 @@ sums), so agreement is meaningful.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from wsdepnet import powerlaw
+from wsdepnet.community import CommunityPartition, MergeStep, WalktrapResult, modularity
 from wsdepnet.errors import DegenerateAnalysisError
 from wsdepnet.matching import MatcherKind
 from wsdepnet.model import ParameterInstance
@@ -117,6 +120,142 @@ def walktrap_delta_sigma(undirected: list[list[int]], t: int):
         return len(first) * len(second) / (len(first) + len(second)) / n * r2
 
     return delta_sigma
+
+
+def walktrap_delta_sigma_exact(undirected: list[list[int]], t: int):
+    """walktrap_delta_sigma in exact rational arithmetic, for long walks."""
+    n = len(undirected)
+    walk = [[Fraction(int(v in neighbors), len(neighbors)) for v in range(n)] for neighbors in undirected]
+    for _ in range(t - 1):
+        walk = [[sum((walk[v][j] for v in neighbors), Fraction(0)) / len(neighbors) for j in range(n)]
+                for neighbors in undirected]
+
+    def delta_sigma(first: set[int], second: set[int]) -> Fraction:
+        r2 = Fraction(0)
+        for j in range(n):
+            gap = sum(walk[u][j] for u in first) / len(first) - sum(walk[u][j] for u in second) / len(second)
+            r2 += gap * gap / len(undirected[j])
+        return Fraction(len(first) * len(second), (len(first) + len(second)) * n) * r2
+
+    return delta_sigma
+
+
+def walktrap_heap_reference(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
+    """Walktrap with explicit walk rows and a lazily pruned heap.
+
+    The previous implementation of `community.walktrap`, kept as its oracle:
+    each community keeps its degree-normalized t-step walk row, every
+    adjacent pair's Delta-sigma is a fresh dot product, and superseded heap
+    entries are skipped when popped.
+
+    Requires a connected undirected projection with at least one link.
+    Exact ties in the merge criterion go to the pair with the smallest
+    (min community id, max community id), making the run deterministic.
+    Exact ties in modularity go to the earliest cut.
+    """
+    if t < 1:
+        raise ValueError("walk length t must be >= 1")
+    undirected = n.undirected_adjacency()
+    size = len(undirected)
+    if size == 0:
+        raise DegenerateAnalysisError("walktrap", "empty network")
+    if len(weak_components_of(undirected)) > 1:
+        raise ValueError("walktrap requires a connected network; pass one component")
+    edges = sorted({(min(s, d), max(s, d)) for s, d in n.links})
+    if not edges:
+        raise DegenerateAnalysisError("walktrap", "no links")
+    m = len(edges)
+    degrees = [len(neigh) for neigh in undirected]
+
+    # Row u of P^k is the mean of the rows of P^(k-1) over u's neighbours.
+    walk = np.zeros((size, size))
+    for u, neighbors in enumerate(undirected):
+        walk[u, neighbors] = 1.0 / degrees[u]
+    spare = np.empty_like(walk)
+    for _ in range(t - 1):
+        for u, neighbors in enumerate(undirected):
+            np.sum(walk[neighbors], axis=0, out=spare[u])
+            spare[u] /= degrees[u]
+        walk, spare = spare, walk
+    del spare
+    # Columns scaled by D^-1/2, so the squared walk distance is a plain dot product.
+    walk *= 1.0 / np.sqrt(degrees)
+    gap = np.empty(size)
+
+    # A community's vector is the size-weighted mean of its nodes' rows,
+    # kept in place in walk[row_of[c]]; label maps node -> row. A merge
+    # keeps the larger community's row, so only the smaller one's nodes
+    # are scanned for crossing links and relabelled.
+    comm_size = {i: 1 for i in range(size)}
+    row_of = {i: i for i in range(size)}
+    comm_degree = {i: degrees[i] for i in range(size)}
+    neighbors_of = {i: set(neigh) for i, neigh in enumerate(undirected)}
+    members = [[i] for i in range(size)]
+    label = list(range(size))
+
+    def delta_sigma(a: int, b: int) -> float:
+        np.subtract(walk[row_of[a]], walk[row_of[b]], out=gap)
+        sa, sb = comm_size[a], comm_size[b]
+        return (sa * sb) / (sa + sb) / size * float(gap @ gap)
+
+    current = {(u, v): delta_sigma(u, v) for u, v in edges}
+    heap = [(d, u, v) for (u, v), d in current.items()]
+    heapq.heapify(heap)
+
+    # 4m^2 Q = 4m * (intra-community links) - sum of squared community degrees, exactly
+    intra = 0
+    degree_squares = sum(d * d for d in degrees)
+    cut_keys = [-degree_squares]
+    merges: list[MergeStep] = []
+
+    for step in range(size - 1):
+        while True:
+            d, a, b = heapq.heappop(heap)
+            if current.get((a, b)) == d:
+                break
+        del current[(a, b)]
+        c = size + step
+        sa, sb = comm_size.pop(a), comm_size.pop(b)
+        keep, drop = row_of.pop(a), row_of.pop(b)
+        if sa < sb:
+            keep, drop = drop, keep
+        intra += sum(label[other] == keep for node in members[drop] for other in undirected[node])
+        degree_a, degree_b = comm_degree.pop(a), comm_degree.pop(b)
+        degree_squares += 2 * degree_a * degree_b
+        cut_keys.append(4 * m * intra - degree_squares)
+        vector = walk[keep]
+        vector *= max(sa, sb)
+        vector += min(sa, sb) * walk[drop]
+        vector /= sa + sb
+        for node in members[drop]:
+            label[node] = keep
+        members[keep] += members[drop]
+        comm_size[c], row_of[c], comm_degree[c] = sa + sb, keep, degree_a + degree_b
+        new_neighbors = (neighbors_of.pop(a) | neighbors_of.pop(b)) - {a, b}
+        neighbors_of[c] = new_neighbors
+        for x in new_neighbors:
+            neighbors_of[x] -= {a, b}
+            neighbors_of[x].add(c)
+            current.pop((a, x) if a < x else (x, a), None)
+            current.pop((b, x) if b < x else (x, b), None)
+            d_new = current[(x, c)] = delta_sigma(c, x)
+            heapq.heappush(heap, (d_new, x, c))  # c is the largest id alive
+        merges.append(MergeStep(step=step, community_a=a, community_b=b, delta_sigma=d))
+
+    result = WalktrapResult(
+        partition=CommunityPartition(assignment={}, community_count=0, modularity=0.0, walktrap_t=t),
+        merges=merges,
+        cut_modularities=[key / (4 * m * m) for key in cut_keys],
+        best_cut=max(range(len(cut_keys)), key=lambda k: (cut_keys[k], -k)),
+    )
+    assignment = result.assignment_at_cut(result.best_cut)
+    result.partition = CommunityPartition(
+        assignment=assignment,
+        community_count=len(set(assignment.values())),
+        modularity=modularity(n, assignment),
+        walktrap_t=t,
+    )
+    return result
 
 
 def fit_alpha_continuous(data, xmin: int) -> float:

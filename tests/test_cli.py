@@ -269,6 +269,14 @@ def _drop(key):
     return mutate
 
 
+def _set_fit(tail, key, value):
+    def mutate(report):
+        report["power_law"][tail][key] = value
+        return report
+
+    return mutate
+
+
 # mutation of a valid report -> text the error must contain
 REPORT_MUTATIONS = {
     "top-level-list": (lambda report: [report], "top level: expected an object, got list"),
@@ -284,6 +292,16 @@ REPORT_MUTATIONS = {
         _set("config", {"er_samples": "8", "bootstrap_n": 0, "walktrap_t": 4, "seed": 0}),
         "config: er_samples must be an integer",
     ),
+    "nodes-string": (_set("nodes", "x"), "top level: nodes must be an integer, got 'x'"),
+    "nodes-bool": (_set("nodes", True), "top level: nodes must be an integer, got True"),
+    "nodes-float": (_set("nodes", 12.0), "top level: nodes must be an integer, got 12.0"),
+    "float-field-null": (_set("transitivity", None), "top level: transitivity must be a number, got None"),
+    "float-field-bool": (_set("transitivity", False), "top level: transitivity must be a number, got False"),
+    "optional-float-string": (_set("modularity", "high"), "top level: modularity must be a number or null"),
+    "label-not-string": (_set("label", 7), "top level: label must be a string, got 7"),
+    "power-law-alpha-string": (_set_fit("in", "alpha", "2.5"), "power_law.in: alpha must be a number, got '2.5'"),
+    "power-law-xmin-float": (_set_fit("in", "xmin", 1.0), "power_law.in: xmin must be an integer, got 1.0"),
+    "power-law-p-value-bool": (_set_fit("in", "p_value", True), "power_law.in: p_value must be a number or null"),
 }
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,8 @@ from helpers import (
     planted_two_block,
     random_connected_undirected_network,
     walktrap_delta_sigma,
+    walktrap_delta_sigma_exact,
+    walktrap_heap_reference,
 )
 from wsdepnet.community import (
     dendrogram_csv,
@@ -138,6 +142,84 @@ def test_walktrap_merges_match_dense_oracle(net, t):
         members[net.node_count + merge.step] = members.pop(pair[0]) | members.pop(pair[1])
 
 
+# t stops at 6: past it the heap code's own Delta-sigma errors near 1e-12
+# relative on small graphs (test_walktrap_long_walks_match_exact_arithmetic
+# checks longer walks)
+@given(_connected_nets(), st.integers(1, 6))
+@settings(max_examples=150)
+def test_walktrap_matches_heap_reference(net, t):
+    result = walktrap(net, t=t)
+    reference = walktrap_heap_reference(net, t=t)
+    assert len(result.merges) == len(reference.merges)
+    # Up to a first difference both runs took the minimum over the same
+    # pairs, so a different pair must be a tie. Symmetric graphs have exact
+    # ties that the two routes round apart, and past such a tie each run is
+    # a valid agglomeration of its own (the dense oracle test checks every
+    # step).
+    for ours, theirs in zip(result.merges, reference.merges):
+        if (ours.community_a, ours.community_b) != (theirs.community_a, theirs.community_b):
+            assert ours.delta_sigma == pytest.approx(theirs.delta_sigma, rel=1e-12)
+            return
+        assert ours.delta_sigma == pytest.approx(theirs.delta_sigma, rel=1e-9)
+    assert result.partition == reference.partition
+    assert result.best_cut == reference.best_cut
+    assert result.cut_modularities == reference.cut_modularities
+
+
+# 2 and 6 share their closed neighbourhood, so their walk rows differ by
+# about 4^-t; 0 and 1, and 3 and 4, are twins with equal rows
+CLOSED_TWINS = [(0, 2), (0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (1, 4), (1, 6), (2, 5), (2, 6), (5, 6)]
+
+
+@pytest.mark.parametrize("t", [8, 16, 32])
+def test_walktrap_long_walks_match_exact_arithmetic(t):
+    # As the walk mixes the rows, G_CC + G_XX - 2 G_CX cancels ever more
+    # digits; every recorded Delta-sigma must still be that of exact
+    # arithmetic, and the least over the adjacent pairs.
+    nets = [_net(7, CLOSED_TWINS)]
+    nets += [random_connected_undirected_network(np.random.default_rng(seed), max_n=10) for seed in range(12)]
+    for net in nets:
+        delta_sigma = walktrap_delta_sigma_exact(net.undirected_adjacency(), t)
+        edges = sorted({(min(u, v), max(u, v)) for u, v in net.links})
+        members = {i: {i} for i in range(net.node_count)}
+        for merge in walktrap(net, t=t).merges:
+            community_of = {node: c for c, nodes in members.items() for node in nodes}
+            adjacent = {tuple(sorted((community_of[u], community_of[v]))) for u, v in edges}
+            adjacent -= {(c, c) for c in members}
+            pair = (merge.community_a, merge.community_b)
+            exact = {p: delta_sigma(members[p[0]], members[p[1]]) for p in adjacent}
+            assert merge.delta_sigma == pytest.approx(float(exact[pair]), rel=1e-12, abs=0)
+            assert float(exact[pair]) == pytest.approx(float(min(exact.values())), rel=1e-12, abs=0)
+            members[net.node_count + merge.step] = members.pop(pair[0]) | members.pop(pair[1])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_walktrap_matches_heap_reference_on_planted_blocks(seed):
+    net, _ = planted_two_block(60, 0.15, 0.01, seed=seed)
+    for t in (2, 4, 8):
+        result, reference = walktrap(net, t=t), walktrap_heap_reference(net, t=t)
+        assert [(m.community_a, m.community_b) for m in result.merges] == [
+            (m.community_a, m.community_b) for m in reference.merges
+        ]
+        assert result.partition == reference.partition
+        assert result.best_cut == reference.best_cut
+
+
+def test_walktrap_peak_memory_is_two_walk_matrices():
+    # one n x n Gram matrix plus the spare of the walk steps; the slack
+    # covers the adjacency, the link counts and the per-community arrays
+    net, _ = planted_two_block(200, 0.05, 0.005, seed=0)
+    size = net.node_count
+    assert size == 400
+    tracemalloc.start()
+    try:
+        walktrap(net, t=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * size * size + 256 * 1024
+
+
 @given(_connected_nets())
 @settings(max_examples=25)
 def test_walktrap_invariants_on_random_graphs(net):
@@ -162,6 +244,25 @@ def test_walktrap_path_merges_adjacent_pair_first():
     assert (first.community_a, first.community_b) == (0, 1)
     assert result.partition.community_count == 1
     assert result.partition.modularity == 0.0
+
+
+def test_walktrap_exact_ties_go_to_smallest_ids():
+    # by symmetry every leaf of a star ties with every other, and so does
+    # each side of a cycle at t=1: the smallest (min id, max id) must win
+    star = _net(7, [(0, leaf) for leaf in range(1, 7)])
+    for t in (1, 2, 3):
+        merges = walktrap(star, t=t).merges
+        assert [(m.community_a, m.community_b) for m in merges] == [(0, 1), (2, 7), (3, 8), (4, 9), (5, 10), (6, 11)]
+    cycle = _net(8, [(i, (i + 1) % 8) for i in range(8)])
+    merges = walktrap(cycle, t=1).merges
+    assert [(m.community_a, m.community_b) for m in merges] == [
+        (0, 1), (2, 8), (3, 9), (4, 10), (5, 11), (6, 12), (7, 13)
+    ]
+    # here the third merge ties (3, 7) with (3, 8) exactly: node 3's older
+    # partner 7 must not give way to the newer community 8
+    edges = [(0, 2), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 6), (3, 5), (4, 5), (5, 6)]
+    merges = walktrap(_net(7, edges), t=1).merges
+    assert [(m.community_a, m.community_b) for m in merges[:3]] == [(0, 5), (2, 6), (3, 7)]
 
 
 def test_walktrap_two_runs_identical():
