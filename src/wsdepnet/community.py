@@ -47,27 +47,27 @@ from .topology import weak_components_of
 _RECOMPUTE_BELOW = 2.0**-6
 
 
-def _undirected_edges(n: DependencyNetwork) -> list[tuple[int, int]]:
-    return sorted({(min(s, d), max(s, d)) for s, d in n.links})
-
-
 def modularity(n: DependencyNetwork, assignment: dict[int, int]) -> float:
     """Q = sum_c [e_c/m - (d_c/2m)^2] over the undirected simple projection."""
-    edges = _undirected_edges(n)
-    if not edges:
+    m = sum(map(len, n.neighbors)) // 2
+    if not m:
         raise DegenerateAnalysisError("modularity", "no links")
     missing = [node.id for node in n.nodes if node.id not in assignment]
     if missing:
         raise ValueError(f"assignment misses nodes {missing[:5]}")
-    m = len(edges)
     intra: dict[int, int] = {}
     degree_sum: dict[int, int] = {}
-    for u, v in edges:
-        cu, cv = assignment[u], assignment[v]
-        degree_sum[cu] = degree_sum.get(cu, 0) + 1
-        degree_sum[cv] = degree_sum.get(cv, 0) + 1
-        if cu == cv:
-            intra[cu] = intra.get(cu, 0) + 1
+    # each edge once, as u < v in ascending order: the order in which
+    # communities first appear fixes the summation order of q
+    for u, neighbors in enumerate(n.neighbors):
+        for v in neighbors:
+            if v < u:
+                continue
+            cu, cv = assignment[u], assignment[v]
+            degree_sum[cu] = degree_sum.get(cu, 0) + 1
+            degree_sum[cv] = degree_sum.get(cv, 0) + 1
+            if cu == cv:
+                intra[cu] = intra.get(cu, 0) + 1
     q = 0.0
     for community, d_c in degree_sum.items():
         q += intra.get(community, 0) / m - (d_c / (2 * m)) ** 2
@@ -133,7 +133,7 @@ def walktrap(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
     """
     if t < 1:
         raise ValueError("walk length t must be >= 1")
-    undirected = n.undirected_adjacency()
+    undirected = n.neighbors
     size = len(undirected)
     if size == 0:
         raise DegenerateAnalysisError("walktrap", "empty network")

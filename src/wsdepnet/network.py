@@ -5,13 +5,17 @@ as an input and yields a member of archetype dst as an output. The graph
 is simple: parallel dependencies accumulate in the link weight, and
 self-dependencies are suppressed (counted, not stored), since all the
 downstream metrics assume a loop-free unweighted graph.
+
+A network is built once and never changed, so its adjacency lists are
+derived from the links on first read and cached.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -28,6 +32,10 @@ class Link:
 
 @dataclass
 class DependencyNetwork:
+    """Built once: no code changes `nodes` or `links` after construction, so
+    the adjacency lists below are built on first read and shared by every
+    metric, which must not change them either."""
+
     nodes: list[Archetype]
     links: dict[tuple[int, int], Link]
     matcher: MatcherKind
@@ -44,19 +52,27 @@ class DependencyNetwork:
     def sorted_links(self) -> list[tuple[int, int]]:
         return sorted(self.links)
 
-    def out_adjacency(self) -> list[list[int]]:
+    @functools.cached_property
+    def successors(self) -> list[list[int]]:
+        """Link targets of each node, ascending."""
         adj: list[list[int]] = [[] for _ in self.nodes]
         for src, dst in self.sorted_links():
             adj[src].append(dst)
         return adj
 
-    def undirected_adjacency(self) -> list[list[int]]:
-        """Simple undirected projection; neighbor lists sorted, no duplicates."""
-        neighbor_sets: list[set[int]] = [set() for _ in self.nodes]
-        for src, dst in self.links:
-            neighbor_sets[src].add(dst)
-            neighbor_sets[dst].add(src)
-        return [sorted(s) for s in neighbor_sets]
+    @functools.cached_property
+    def predecessors(self) -> list[list[int]]:
+        """Link sources of each node, ascending."""
+        adj: list[list[int]] = [[] for _ in self.nodes]
+        for src, targets in enumerate(self.successors):
+            for dst in targets:
+                adj[dst].append(src)
+        return adj
+
+    @functools.cached_property
+    def neighbors(self) -> list[list[int]]:
+        """The simple undirected projection: neighbours of each node, ascending."""
+        return [sorted({*out, *into}) for out, into in zip(self.successors, self.predecessors)]
 
 
 @dataclass
@@ -68,6 +84,24 @@ class NetworkSummary:
     self_loop_count: int
 
 
+def _accumulate(nodes: list[Archetype], matcher: MatcherKind, dependencies) -> DependencyNetwork:
+    """A network from (src, dst, witness) dependencies: parallel ones add to
+    one link's weight and witnesses, self-dependencies are only counted."""
+    links: dict[tuple[int, int], Link] = {}
+    self_loops = 0
+    for src, dst, witness in dependencies:
+        if src == dst:
+            self_loops += 1
+            continue
+        link = links.get((src, dst))
+        if link is None:
+            links[(src, dst)] = Link(weight=1, witness_operations=[witness])
+        else:
+            link.weight += 1
+            link.witness_operations.append(witness)
+    return DependencyNetwork(nodes=nodes, links=links, matcher=matcher, self_loop_count=self_loops)
+
+
 @nogc
 def build_network(
     c: ServiceCollection,
@@ -77,31 +111,16 @@ def build_network(
     """Archetypes become nodes; every (input, output) instance pair of every
     operation contributes one directed dependency between their archetypes."""
     archetypes, instance_map = build_archetypes(c, kind, casefold=casefold)
-    links: dict[tuple[int, int], Link] = {}
-    self_loops = 0
-    for op in c.iter_operations():
-        for input_inst in op.inputs:
-            src = instance_map[id(input_inst)]
-            for output_inst in op.outputs:
-                dst = instance_map[id(output_inst)]
-                if src == dst:
-                    self_loops += 1
-                    continue
-                link = links.get((src, dst))
-                if link is None:
-                    links[(src, dst)] = Link(weight=1, witness_operations=[op.id])
-                else:
-                    link.weight += 1
-                    link.witness_operations.append(op.id)
-    return DependencyNetwork(nodes=archetypes, links=links, matcher=kind, self_loop_count=self_loops)
+    return _accumulate(archetypes, kind, (
+        (instance_map[id(input_inst)], instance_map[id(output_inst)], op.id)
+        for op in c.iter_operations()
+        for input_inst in op.inputs
+        for output_inst in op.outputs
+    ))
 
 
 def network_summary(n: DependencyNetwork) -> NetworkSummary:
-    degree = [0] * n.node_count
-    for src, dst in n.links:
-        degree[src] += 1
-        degree[dst] += 1
-    isolated = sum(1 for d in degree if d == 0)
+    isolated = sum(1 for neighbors in n.neighbors if not neighbors)
     return NetworkSummary(
         nodes=n.node_count,
         links=n.link_count,
@@ -123,19 +142,7 @@ def network_from_edges(
         label = labels[i] if labels else f"n{i}"
         inst = ParameterInstance(name=label, role=Role.INPUT, operation_id="synthetic")
         nodes.append(Archetype(id=i, label=label, key=label, members=[inst]))
-    links: dict[tuple[int, int], Link] = {}
-    self_loops = 0
-    for src, dst in edges:
-        if src == dst:
-            self_loops += 1
-            continue
-        link = links.get((src, dst))
-        if link is None:
-            links[(src, dst)] = Link(weight=1, witness_operations=["synthetic"])
-        else:
-            link.weight += 1
-            link.witness_operations.append("synthetic")
-    return DependencyNetwork(nodes=nodes, links=links, matcher=matcher, self_loop_count=self_loops)
+    return _accumulate(nodes, matcher, ((src, dst, "synthetic") for src, dst in edges))
 
 
 # -- serialization ------------------------------------------------------------

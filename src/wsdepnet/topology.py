@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateAnalysisError
 from .matching import Archetype
-from .network import DependencyNetwork, Link
+from .network import DependencyNetwork
 
 Adjacency = list[list[int]]
 
@@ -58,8 +58,10 @@ def triangle_ratio(undirected: Adjacency) -> float:
     return closed / triples if triples else 0.0
 
 
-def distance_stats_of(adj: Adjacency, require_all_pairs: bool) -> tuple[float, int, int]:
-    """(average over finite ordered pairs, max finite distance, finite pair count).
+def distance_stats_of(pred: Adjacency, require_all_pairs: bool) -> tuple[float, int, int]:
+    """(average over finite ordered pairs, max finite distance, finite pair count)
+    of the graph whose predecessor lists are `pred`; an undirected adjacency
+    is its own.
 
     Bit-parallel multi-source BFS (Then et al., "The More the Merrier",
     PVLDB 8(4), 2014): bit s of reach[v] means v has been reached from s,
@@ -69,11 +71,7 @@ def distance_stats_of(adj: Adjacency, require_all_pairs: bool) -> tuple[float, i
     mode on a connected component never has one); the first such pair in
     (source, target) order is named.
     """
-    n = len(adj)
-    pred: Adjacency = [[] for _ in range(n)]
-    for u, neighbors in enumerate(adj):
-        for v in neighbors:
-            pred[v].append(u)
+    n = len(pred)
     reach = [1 << v for v in range(n)]
     frontier = reach[:]
     total = finite_pairs = diameter = 0
@@ -116,16 +114,9 @@ class ComponentDecomposition:
 
 def components(n: DependencyNetwork) -> ComponentDecomposition:
     """Weakly connected components, ordered by (size desc, smallest node id)."""
-    comps = weak_components_of(n.undirected_adjacency())
+    comps = weak_components_of(n.neighbors)
     comps.sort(key=lambda comp: (-len(comp), comp[0]))
-    link_counts = [0] * len(comps)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for node in comp:
-            comp_of[node] = ci
-    for src, _dst in n.links:
-        link_counts[comp_of[src]] += 1
-    sizes = [(len(comp), link_counts[ci]) for ci, comp in enumerate(comps)]
+    sizes = [(len(comp), sum(len(n.successors[u]) for u in comp)) for comp in comps]
     return ComponentDecomposition(components=comps, giant_index=0 if comps else -1, sizes=sizes)
 
 
@@ -144,7 +135,7 @@ def giant_subnetwork(n: DependencyNetwork) -> tuple[DependencyNetwork, dict[int,
         for old in giant
     ]
     links = {
-        (id_map[src], id_map[dst]): Link(weight=link.weight, witness_operations=list(link.witness_operations))
+        (id_map[src], id_map[dst]): link
         for (src, dst), link in n.links.items()
         if src in id_map and dst in id_map
     }
@@ -171,8 +162,8 @@ def distances(n: DependencyNetwork, mode: str = "directed") -> DistanceStats:
         raise ValueError(f"unknown mode {mode!r}")
     if n.node_count == 0:
         raise DegenerateAnalysisError("average-distance", "empty network")
-    adj = n.out_adjacency() if mode == "directed" else n.undirected_adjacency()
-    average, diameter, finite_pairs = distance_stats_of(adj, require_all_pairs=(mode == "undirected"))
+    pred = n.predecessors if mode == "directed" else n.neighbors
+    average, diameter, finite_pairs = distance_stats_of(pred, require_all_pairs=(mode == "undirected"))
     if finite_pairs == 0:
         return DistanceStats(average=None, diameter=0, finite_pairs=0)
     return DistanceStats(average=average, diameter=diameter, finite_pairs=finite_pairs)
@@ -180,7 +171,7 @@ def distances(n: DependencyNetwork, mode: str = "directed") -> DistanceStats:
 
 def transitivity(n: DependencyNetwork) -> float:
     """Global triangle density of the undirected simple projection."""
-    return triangle_ratio(n.undirected_adjacency())
+    return triangle_ratio(n.neighbors)
 
 
 @dataclass
@@ -195,11 +186,8 @@ class DegreeStats:
 
 
 def degree_stats(n: DependencyNetwork) -> DegreeStats:
-    in_deg = [0] * n.node_count
-    out_deg = [0] * n.node_count
-    for src, dst in n.links:
-        out_deg[src] += 1
-        in_deg[dst] += 1
+    in_deg = [len(sources) for sources in n.predecessors]
+    out_deg = [len(targets) for targets in n.successors]
     total = [i + o for i, o in zip(in_deg, out_deg)]
     count = n.node_count or 1
     return DegreeStats(
@@ -218,16 +206,18 @@ def degree_correlation(n: DependencyNetwork, mode: str = "total") -> float:
 
     The default correlates total degrees on the undirected projection, each
     link contributing both orientations; "out-in" and "in-out" are directed
-    variants over the directed links.
+    variants over the directed links. Links are taken in (src, dst) order,
+    as np.corrcoef's last bits depend on the order of its samples.
     """
     if n.link_count == 0:
         raise DegenerateAnalysisError("degree-correlation", "no links")
     stats = degree_stats(n)
+    links = n.sorted_links()
     xs: list[int] = []
     ys: list[int] = []
     if mode == "total":
         seen = set()
-        for src, dst in n.links:
+        for src, dst in links:
             edge = (min(src, dst), max(src, dst))
             if edge in seen:
                 continue
@@ -235,11 +225,11 @@ def degree_correlation(n: DependencyNetwork, mode: str = "total") -> float:
             xs.extend((stats.total_degrees[edge[0]], stats.total_degrees[edge[1]]))
             ys.extend((stats.total_degrees[edge[1]], stats.total_degrees[edge[0]]))
     elif mode == "out-in":
-        for src, dst in n.links:
+        for src, dst in links:
             xs.append(stats.out_degrees[src])
             ys.append(stats.in_degrees[dst])
     elif mode == "in-out":
-        for src, dst in n.links:
+        for src, dst in links:
             xs.append(stats.in_degrees[src])
             ys.append(stats.out_degrees[dst])
     else:

@@ -155,7 +155,7 @@ def walktrap_heap_reference(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
     """
     if t < 1:
         raise ValueError("walk length t must be >= 1")
-    undirected = n.undirected_adjacency()
+    undirected = n.neighbors
     size = len(undirected)
     if size == 0:
         raise DegenerateAnalysisError("walktrap", "empty network")
@@ -295,7 +295,8 @@ def select_xmin_oracle(data, min_tail: int = 10) -> tuple[int, float, float]:
     v_col = v[:, None]
     w_row = values.astype(float)[None, :]
     scaled_norm = powerlaw._scaled_zeta(a_col, v_col, v_col)
-    with np.errstate(over="ignore"):  # pairs below the cutoff may overflow; they are masked out
+    # pairs below the cutoff may overflow, and inf - inf gives nan; they are masked out
+    with np.errstate(over="ignore", invalid="ignore"):
         scaled_tail = powerlaw._scaled_zeta(a_col, w_row + 1.0, v_col)
     model = 1.0 - scaled_tail / scaled_norm
     empirical = (cum_counts[None, :] - first_index[cand][:, None]) / n_tail[:, None]

@@ -93,7 +93,7 @@ def test_criterion_3_metric_oracles():
     for index in range(50):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=777, spawn_key=(index,)))
         net = random_directed_network(rng, max_n=50)
-        out_adj = net.out_adjacency()
+        out_adj = net.successors
         oracle = floyd_warshall(out_adj)
         for source in range(net.node_count):
             bfs = bfs_lengths(out_adj, source)
@@ -101,7 +101,7 @@ def test_criterion_3_metric_oracles():
                 -1 if math.isinf(d) else int(d) for d in oracle[source]
             ]
             assert bfs == expected, f"graph {index} source {source}"
-        und = net.undirected_adjacency()
+        und = net.neighbors
         triples = sum(len(ns) * (len(ns) - 1) // 2 for ns in und)
         triangles = triangle_count_trace(und)
         if net.link_count and triples:

@@ -124,7 +124,7 @@ def test_best_cut_is_argmax_over_dendrogram_on_random_graphs(net, t):
 @settings(max_examples=40)
 def test_walktrap_merges_match_dense_oracle(net, t):
     result = walktrap(net, t=t)
-    delta_sigma = walktrap_delta_sigma(net.undirected_adjacency(), t)
+    delta_sigma = walktrap_delta_sigma(net.neighbors, t)
     edges = sorted({(min(u, v), max(u, v)) for u, v in net.links})
     members = {i: {i} for i in range(net.node_count)}
     for merge in result.merges:
@@ -179,7 +179,7 @@ def test_walktrap_long_walks_match_exact_arithmetic(t):
     nets = [_net(7, CLOSED_TWINS)]
     nets += [random_connected_undirected_network(np.random.default_rng(seed), max_n=10) for seed in range(12)]
     for net in nets:
-        delta_sigma = walktrap_delta_sigma_exact(net.undirected_adjacency(), t)
+        delta_sigma = walktrap_delta_sigma_exact(net.neighbors, t)
         edges = sorted({(min(u, v), max(u, v)) for u, v in net.links})
         members = {i: {i} for i in range(net.node_count)}
         for merge in walktrap(net, t=t).merges:

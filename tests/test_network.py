@@ -1,11 +1,14 @@
+import contextlib
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import collection_doc, op, param
-from wsdepnet.errors import CollectionError
+from wsdepnet.community import modularity, walktrap
+from wsdepnet.errors import CollectionError, DegenerateAnalysisError
 from wsdepnet.matching import MatcherKind
 from wsdepnet.model import collection_from_dict
 from wsdepnet.network import (
@@ -19,6 +22,15 @@ from wsdepnet.network import (
     to_dot,
     to_edgelist,
     to_graphml,
+)
+from wsdepnet.report import AnalysisConfig, analyze, report_to_json
+from wsdepnet.topology import (
+    components,
+    degree_correlation,
+    degree_stats,
+    distances,
+    giant_subnetwork,
+    transitivity,
 )
 
 K2_LINKS = sorted(
@@ -216,3 +228,56 @@ def test_network_from_edges_counts(edges):
     assert n.self_loop_count == loops
     assert n.link_count == len(distinct)
     assert sum(link.weight for link in n.links.values()) == len(edges) - loops
+
+
+# -- cached adjacency lists ----------------------------------------------------
+
+
+def _adjacency_oracle(n):
+    """(successors, predecessors, neighbors) read straight off the links."""
+    nodes = range(n.node_count)
+    successors = [sorted(d for s, d in n.links if s == u) for u in nodes]
+    predecessors = [sorted(s for s, d in n.links if d == u) for u in nodes]
+    neighbors = [sorted({*successors[u], *predecessors[u]}) for u in nodes]
+    return successors, predecessors, neighbors
+
+
+def _adjacency(n):
+    return n.successors, n.predecessors, n.neighbors
+
+
+@given(
+    num_nodes=st.integers(1, 14),
+    edges=st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=50),
+)
+@settings(max_examples=40)
+def test_cached_adjacency_matches_links_and_survives_analysis(num_nodes, edges):
+    n = network_from_edges(num_nodes, [(u % num_nodes, v % num_nodes) for u, v in edges])
+    giant, _ = giant_subnetwork(n)
+    for net in (n, giant):
+        assert _adjacency(net) == _adjacency_oracle(net)
+    analyze(n, AnalysisConfig(er_samples=2, bootstrap_n=0))
+    # analyze measures its own giant; run every metric on this one too
+    for mode in ("directed", "undirected"):
+        distances(giant, mode)
+    transitivity(giant)
+    degree_stats(giant)
+    components(giant)
+    with contextlib.suppress(DegenerateAnalysisError):
+        degree_correlation(giant)
+    with contextlib.suppress(DegenerateAnalysisError):
+        modularity(giant, walktrap(giant).partition.assignment)
+    for net in (n, giant):
+        assert _adjacency(net) == _adjacency_oracle(net)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_link_insertion_order_does_not_change_the_report(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    edges = [(u, v) for u in range(60) for v in range(60) if u != v and rng.random() < 0.05]
+    rng.shuffle(edges)
+    n = network_from_edges(60, edges)
+    path = tmp_path / "net.graphml"
+    save_network(n, path)
+    config = AnalysisConfig(er_samples=5, bootstrap_n=0)
+    assert report_to_json(analyze(n, config)) == report_to_json(analyze(load_network(path), config))

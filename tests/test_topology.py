@@ -92,7 +92,7 @@ def _directed_nets(draw):
 @given(_directed_nets())
 @settings(max_examples=40)
 def test_bfs_agrees_with_floyd_warshall(n):
-    adj = n.out_adjacency()
+    adj = n.successors
     oracle = floyd_warshall(adj)
     for src in range(n.node_count):
         lengths = bfs_lengths(adj, src)
@@ -114,11 +114,12 @@ def _sparse_nets(draw):
 @given(_sparse_nets())
 @settings(max_examples=150)
 def test_distance_kernel_matches_floyd_warshall(n):
-    for adj in (n.out_adjacency(), n.undirected_adjacency()):
+    # the kernel pulls over predecessor lists; the oracle walks successor lists
+    for adj, pred in ((n.successors, n.predecessors), (n.neighbors, n.neighbors)):
         oracle = floyd_warshall(adj)
         pairs = [(s, t) for s in range(len(adj)) for t in range(len(adj)) if s != t]
         finite = [int(oracle[s][t]) for s, t in pairs if oracle[s][t] != INF]
-        average, diameter, finite_pairs = distance_stats_of(adj, require_all_pairs=False)
+        average, diameter, finite_pairs = distance_stats_of(pred, require_all_pairs=False)
         assert finite_pairs == len(finite)
         assert diameter == max(finite, default=0)
         if finite:
@@ -129,16 +130,16 @@ def test_distance_kernel_matches_floyd_warshall(n):
         if unreachable:
             s, t = unreachable[0]
             with pytest.raises(DegenerateAnalysisError, match=f"no path {s} -> {t}$"):
-                distance_stats_of(adj, require_all_pairs=True)
+                distance_stats_of(pred, require_all_pairs=True)
         else:
-            assert distance_stats_of(adj, require_all_pairs=True)[1:] == (diameter, finite_pairs)
+            assert distance_stats_of(pred, require_all_pairs=True)[1:] == (diameter, finite_pairs)
 
 
 @given(_directed_nets())
 @settings(max_examples=40)
 def test_pairwise_dominance_undirected_le_directed(n):
-    directed = n.out_adjacency()
-    undirected = n.undirected_adjacency()
+    directed = n.successors
+    undirected = n.neighbors
     for src in range(n.node_count):
         d_dir = bfs_lengths(directed, src)
         d_und = bfs_lengths(undirected, src)
@@ -165,7 +166,7 @@ def test_no_triples_transitivity_zero():
 @given(_directed_nets())
 @settings(max_examples=40)
 def test_triangles_agree_with_trace_oracle(n):
-    undirected = n.undirected_adjacency()
+    undirected = n.neighbors
     triples = sum(len(neigh) * (len(neigh) - 1) // 2 for neigh in undirected)
     expected = 3 * triangle_count_trace(undirected) / triples if triples else 0.0
     assert transitivity(n) == pytest.approx(expected, abs=1e-12)
