@@ -26,6 +26,7 @@ from .errors import DegenerateAnalysisError
 
 _EM_TERMS = 28  # direct-sum terms before the tail correction
 _BLOCK_CELLS = 1 << 14  # bootstrap samples scanned at once; bounds the scan's memory
+_MIN_TAIL = 10  # default least tail size of a candidate cutoff
 
 
 def _scaled_zeta(alpha: np.ndarray | float, q: np.ndarray | float, scale: np.ndarray | float) -> np.ndarray:
@@ -170,7 +171,7 @@ def _ks_scan(samples: np.ndarray, min_tail: int):
     return cand_row, v, alphas, ks
 
 
-def select_xmin(data, min_tail: int = 10) -> tuple[int, float, float]:
+def select_xmin(data, min_tail: int = _MIN_TAIL) -> tuple[int, float, float]:
     """Pick the cutoff among observed values minimizing the KS distance.
 
     Candidates are restricted to cutoffs keeping at least `min_tail`
@@ -240,18 +241,22 @@ def pvalue_from_replicates(observed_ks: float, replicate_ks) -> float:
     return float(np.mean(replicate_ks >= observed_ks))
 
 
-def _replicate_ks(arr: np.ndarray, fit: PowerLawFit, replicates: int, seed: int, min_tail: int) -> np.ndarray:
-    """Minimum KS distance of every bootstrap replicate (inf where it collapsed
-    to one value), scanned in blocks of at most _BLOCK_CELLS samples."""
+def _replicate_ks(
+    arr: np.ndarray, fit: PowerLawFit, stop: int, seed: int, min_tail: int, start: int = 0
+) -> np.ndarray:
+    """Minimum KS distance of bootstrap replicates start, ..., stop - 1 (inf
+    where one collapsed to one value), scanned in blocks of at most
+    _BLOCK_CELLS samples. Replicate r draws from the stream (seed, r), so
+    the arrays of consecutive ranges join into the array of their union."""
     n = arr.size
     below = arr[arr < fit.xmin]
     p_tail = (n - below.size) / n
     sampler = _TailSampler(fit.alpha, fit.xmin)
     block = max(1, _BLOCK_CELLS // n)
-    ks_values = np.full(replicates, np.inf)
-    for start in range(0, replicates, block):
-        samples = np.empty((min(block, replicates - start), n), dtype=np.int64)
-        for i, r in enumerate(range(start, start + len(samples))):
+    ks_values = np.full(stop - start, np.inf)
+    for first in range(start, stop, block):
+        samples = np.empty((min(block, stop - first), n), dtype=np.int64)
+        for i, r in enumerate(range(first, first + len(samples))):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
             k = int((rng.random(n) < p_tail).sum())
             samples[i, :k] = sampler.draw(k, rng)
@@ -259,11 +264,11 @@ def _replicate_ks(arr: np.ndarray, fit: PowerLawFit, replicates: int, seed: int,
                 samples[i, k:] = rng.choice(below, size=n - k, replace=True)
         samples.sort(axis=1)
         rows, _, _, ks = _ks_scan(samples, min_tail)
-        np.minimum.at(ks_values, start + rows, ks)
+        np.minimum.at(ks_values, first - start + rows, ks)
     return ks_values
 
 
-def gof_pvalue(data, fit: PowerLawFit, replicates: int, seed: int, min_tail: int = 10) -> float:
+def gof_pvalue(data, fit: PowerLawFit, replicates: int, seed: int, min_tail: int = _MIN_TAIL) -> float:
     """Semiparametric bootstrap p-value for the fitted power law.
 
     Each replicate draws len(data) values, from the fitted model above xmin
@@ -279,7 +284,7 @@ def gof_pvalue(data, fit: PowerLawFit, replicates: int, seed: int, min_tail: int
     return pvalue_from_replicates(fit.ks_statistic, ks_values)
 
 
-def fit_power_law(data, replicates: int = 1000, seed: int = 0, min_tail: int = 10) -> PowerLawFit:
+def fit_power_law(data, replicates: int = 1000, seed: int = 0, min_tail: int = _MIN_TAIL) -> PowerLawFit:
     """Full procedure: cutoff selection, exponent fit, bootstrap p-value.
 
     With replicates=0 the p-value is skipped (None).

@@ -16,15 +16,16 @@ import os
 import pickle
 import types
 import typing
-from contextlib import contextmanager
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 from .errors import CollectionError, DegenerateAnalysisError
 from .community import walktrap
 from .network import DependencyNetwork, network_summary
-from .powerlaw import PowerLawFit, fit_power_law
+from .powerlaw import _BLOCK_CELLS, _MIN_TAIL, PowerLawFit, _replicate_ks, fit_power_law, pvalue_from_replicates
 from .topology import (
-    ERBaseline,
     degree_correlation,
     degree_stats,
     distances,
@@ -34,6 +35,7 @@ from .topology import (
 )
 
 _DEFAULT_LABELS = {"syntactic-equal": "N^Eq", "semantic-exact": "N^Ex"}
+_TAILS = ("in", "out", "all")  # the power-law fits of a report
 
 
 @dataclass
@@ -86,73 +88,101 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@contextmanager
-def _er_baseline_beside(nodes: int, links: int, samples: int, seed: int):
-    """Run er_baseline(nodes, links, samples, seed) while the with-block runs.
+# A write of at most _POSIX_PIPE_BUF (512) bytes into an empty pipe neither
+# blocks nor splits, so the whole queue of 4-byte indices is written at once.
+_QUEUE_SLOTS = 512 // 4
 
-    Yields a function that returns the ERBaseline, or the message of the
-    ValueError that er_baseline raised. The baseline runs in a forked
-    child when there is a second CPU to run it on, else in this process
-    when the function is called. The child is reaped before the block is
-    left, and killed first if the block raised.
+
+def _drain(stages: list[Callable[[], object]], queue: int, claimed: bytes) -> dict[int, object]:
+    """Run the stage whose index is `claimed`, then each stage whose index
+    this process reads from `queue`, until the queue is empty; {index: result}.
+
+    Each read takes one whole 4-byte index: reads of a pipe are serialized,
+    and every reader asks for 4 bytes of a pipe holding multiples of 4.
     """
+    results = {}
+    while claimed:
+        index = int.from_bytes(claimed, "little")
+        results[index] = stages[index]()
+        claimed = os.read(queue, 4)
+    return results
 
-    def baseline() -> ERBaseline | str:
-        try:
-            return er_baseline(nodes, links, samples, seed)
-        except ValueError as err:
-            return str(err)
 
-    if not hasattr(os, "fork") or _usable_cpus() < 2:
-        yield baseline
-        return
-    read_fd, write_fd = os.pipe()
+def _run_stages(stages: list[Callable[[], object]]) -> list[object]:
+    """Results of the zero-argument callables `stages`, in stage order.
+
+    The stage indices go into a pipe that is then closed for writing. This
+    process takes index 0 first, and then, where `os.fork` exists and a
+    second CPU is usable, one forked helper process and this one each take
+    the next index until none is left; otherwise this process drains the
+    queue alone. The helper sends back its {index: result} pickled through
+    a second pipe. A helper that fails, or sends anything else, raises
+    RuntimeError naming its exit status and the bytes it sent; a stage that
+    raises here kills and reaps the helper first.
+    """
+    if len(stages) > _QUEUE_SLOTS:
+        raise ValueError(f"at most {_QUEUE_SLOTS} stages fit in the queue, got {len(stages)}")
+    queue, feed = os.pipe()
+    try:
+        os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(len(stages))))
+    finally:
+        os.close(feed)
+    try:
+        claimed = os.read(queue, 4)  # before any fork: stage 0 stays in this process
+        if hasattr(os, "fork") and _usable_cpus() >= 2:
+            results = _drain_beside_helper(stages, queue, claimed)
+        else:
+            results = _drain(stages, queue, claimed)
+    finally:
+        os.close(queue)
+    return [results[i] for i in range(len(stages))]
+
+
+def _drain_beside_helper(stages: list[Callable[[], object]], queue: int, claimed: bytes) -> dict[int, object]:
+    """_drain in this process and in one forked helper; their results merged."""
+    back, send = os.pipe()
     pid = os.fork()
     if pid == 0:
-        # The child is fork-safe although BLAS threads did not survive the
-        # fork: it runs only the numpy RNG, searchsorted and pure Python, so
-        # it makes no BLAS call, takes no lock another thread may hold, logs
-        # nothing and does no I/O but its pipe. os._exit skips the atexit
-        # handlers and the buffered output it shares with the parent.
+        # The helper is fork-safe although BLAS threads did not survive the
+        # fork: no queued stage makes a BLAS call (degree_correlation, whose
+        # np.corrcoef does, runs before the fork), and the stages run only
+        # numpy elementwise and sorting kernels, its RNG and pure Python. So
+        # the helper takes no lock another thread may hold, logs nothing and
+        # does no I/O but its pipes. os._exit skips the atexit handlers and
+        # the buffered output it shares with this process.
         status = 1
         try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(baseline()))
+            os.close(back)
+            with os.fdopen(send, "wb") as pipe:
+                pipe.write(pickle.dumps(_drain(stages, queue, os.read(queue, 4))))
             status = 0
         finally:
             os._exit(status)
-    os.close(write_fd)
-    pipe = os.fdopen(read_fd, "rb")
+    os.close(send)
     reaped = False
+    with os.fdopen(back, "rb") as pipe:
+        try:
+            results = _drain(stages, queue, claimed)
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped = True
+        finally:
+            if not reaped:
+                import signal  # here, as a run that succeeds need not load it
 
-    def collect() -> ERBaseline | str:
-        nonlocal reaped
-        data = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        reaped = True
-        result = None
-        if code == 0:
-            try:
-                result = pickle.loads(data)
-            except (pickle.UnpicklingError, EOFError):
-                pass
-        if not isinstance(result, (ERBaseline, str)):
-            raise RuntimeError(
-                f"er_baseline: child process ended with exit status {code} "
-                f"after sending {len(data)} bytes"
-            )
-        return result
-
-    try:
-        yield collect
-    finally:
-        pipe.close()
-        if not reaped:
-            import signal  # here, as a run that succeeds need not load it
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    theirs = None
+    if code == 0:
+        try:
+            theirs = pickle.loads(data)
+        except (pickle.UnpicklingError, EOFError):
+            pass
+    if not isinstance(theirs, dict) or sorted([*results, *theirs]) != list(range(len(stages))):
+        raise RuntimeError(
+            f"analyze: helper process ended with exit status {code} after sending {len(data)} bytes"
+        )
+    return results | theirs
 
 
 def analyze(
@@ -168,14 +198,18 @@ def analyze(
     and so is a config with er_samples < 1, bootstrap_n neither 0 nor
     >= 100, or walktrap_t < 1 (ValueError, raised before any work).
 
-    Once the distances are measured, the Erdos-Renyi baseline runs in a
-    forked child process while this process fits the power laws, runs
-    Walktrap and counts triangles. It runs in this process instead where
-    `os.fork` does not exist or the process may use only one CPU. Every
-    stage draws from its own seeded RNG stream, so the report does not
-    depend on which path ran. The child's memory and CPU time show in
-    `resource.RUSAGE_CHILDREN`, not in `RUSAGE_SELF`. If the child fails
-    other than by the baseline's ValueError, analyze raises RuntimeError.
+    The summary, the giant, the degrees, the degree correlation and the
+    power-law cutoffs take milliseconds and run first, in this process.
+    The rest are stages of one queue, in this order: Walktrap, the
+    Erdos-Renyi baseline, the bootstrap blocks of the in, out and all fits,
+    directed and undirected distances, and transitivity. This process
+    takes Walktrap, so its n x n matrices stay here; then it and, where
+    `os.fork` exists and a second CPU is usable, one forked helper process
+    each take the next stage until none is left. Every stage draws from
+    its own seeded RNG stream and results are merged by stage index, so the
+    report does not depend on which process ran what. The helper's memory
+    and CPU time show in `resource.RUSAGE_CHILDREN`, not in `RUSAGE_SELF`.
+    If the helper fails, analyze raises RuntimeError.
     """
     config = config or AnalysisConfig()
     if config.er_samples < 1:
@@ -199,34 +233,65 @@ def analyze(
             degenerate[metric] = err.reason
             return None
 
-    def fit_for(values) -> PowerLawFit:
-        positive = [v for v in values if v > 0]
-        return fit_power_law(positive, replicates=config.bootstrap_n, seed=config.seed)
+    correlation = guarded("degree_correlation", lambda: degree_correlation(giant))
+    degrees = degree_stats(giant)
+    tails = {"in": degrees.in_degrees, "out": degrees.out_degrees, "all": degrees.total_degrees}
+    positive = {tail: np.array([v for v in values if v > 0], dtype=np.int64) for tail, values in tails.items()}
+    power_law = {
+        tail: guarded(f"power_law_{tail}", lambda: fit_power_law(positive[tail], replicates=0))
+        for tail in tails
+    }
 
-    directed = distances(giant, "directed")
-    undirected = distances(giant, "undirected")
+    def communities():
+        try:
+            return walktrap(giant, t=config.walktrap_t).partition
+        except DegenerateAnalysisError as err:
+            return err.reason
+
+    def baseline():
+        try:
+            return er_baseline(giant.node_count, giant.link_count, config.er_samples, config.seed)
+        except ValueError as err:
+            return str(err)
+
+    stages: list[Callable[[], object]] = [communities, baseline]
+    replicates = config.bootstrap_n
+    blocks: dict[str, range] = {}
+    for tail, fit in power_law.items():
+        if fit is None or not replicates:
+            continue
+        # the scan blocks of _replicate_ks; each fit takes at most a quarter of the queue
+        step = max(1, _BLOCK_CELLS // positive[tail].size, -(-replicates // (_QUEUE_SLOTS // 4)))
+        starts = range(0, replicates, step)
+        blocks[tail] = range(len(stages), len(stages) + len(starts))
+        stages += [
+            functools.partial(
+                _replicate_ks, positive[tail], fit, min(start + step, replicates), config.seed, _MIN_TAIL, start
+            )
+            for start in starts
+        ]
+    stages += [
+        functools.partial(distances, giant, "directed"),
+        functools.partial(distances, giant, "undirected"),
+        functools.partial(transitivity, giant),
+    ]
+    results = _run_stages(stages)
+    partition, er, *_, directed, undirected, clustering = results
+
+    for tail, indices in blocks.items():
+        fit = power_law[tail]
+        fit.bootstrap_n = replicates
+        fit.p_value = pvalue_from_replicates(fit.ks_statistic, np.concatenate([results[i] for i in indices]))
+    if isinstance(partition, str):
+        degenerate["communities"] = partition
+        partition = None
+    if isinstance(er, str):
+        degenerate["er_baseline"] = er
+        er = None
     if directed.average is None:
         degenerate["avg_distance_directed"] = "fewer than 2 nodes"
     if undirected.average is None:
         degenerate["avg_distance_undirected"] = "fewer than 2 nodes"
-
-    # Forked only now: the distance kernel ran 2x slower beside a busy process.
-    with _er_baseline_beside(
-        giant.node_count, giant.link_count, config.er_samples, config.seed
-    ) as er_result:
-        correlation = guarded("degree_correlation", lambda: degree_correlation(giant))
-        degrees = degree_stats(giant)
-        power_law = {
-            "in": guarded("power_law_in", lambda: fit_for(degrees.in_degrees)),
-            "out": guarded("power_law_out", lambda: fit_for(degrees.out_degrees)),
-            "all": guarded("power_law_all", lambda: fit_for(degrees.total_degrees)),
-        }
-        partition = guarded("communities", lambda: walktrap(giant, t=config.walktrap_t).partition)
-        clustering = transitivity(giant)
-        er = er_result()
-    if isinstance(er, str):
-        degenerate["er_baseline"] = er
-        er = None
 
     def _clean(x: float | None) -> float | None:
         return None if x is None or not math.isfinite(x) else x
@@ -311,7 +376,7 @@ def compare(a: MetricsReport, b: MetricsReport) -> ComparisonReport:
     for name in _DELTA_FIELDS:
         left, right = getattr(a, name), getattr(b, name)
         deltas[name] = None if left is None or right is None else right - left
-    for key in ("in", "out", "all"):
+    for key in _TAILS:
         fit_a, fit_b = a.power_law.get(key), b.power_law.get(key)
         for attr in ("alpha", "p_value"):
             va = getattr(fit_a, attr) if fit_a else None
@@ -389,23 +454,34 @@ def report_from_dict(d: dict, source: str = "report") -> MetricsReport:
     """Inverse of report_to_dict.
 
     Fails closed: a report that is not an object, lacks a key, has an
-    unknown one, a power-law entry that is neither an object nor null, or
-    a scalar field whose JSON type does not match its annotation (ints
-    where int is declared, ints or floats where float is, null only where
-    the type is optional, never a bool for a number) raises
-    CollectionError naming `source` and the key at fault.
+    unknown one, a power-law entry that is neither an object nor null, a
+    `power_law` whose tails are not exactly in, out and all, a `degenerate`
+    that does not map strings to strings, or a scalar field whose JSON type
+    does not match its annotation (ints where int is declared, ints or
+    floats where float is, null only where the type is optional, never a
+    bool for a number) raises CollectionError naming `source` and the key
+    at fault.
     """
     # one try for the whole report, as in load_network: a failure is
     # located by the key reached when it was raised
     where = "top level"
     try:
         data = dict(_object(d))
-        fits, config = data["power_law"], data["config"]
+        fits, config, degenerate = data["power_law"], data["config"], data["degenerate"]
         where = "power_law"
         data["power_law"] = {}
         for tail, fit in _object(fits).items():
             where = f"power_law.{tail}"
             data["power_law"][tail] = None if fit is None else _typed(PowerLawFit(**_object(fit)))
+        where = "power_law"
+        if missing := [tail for tail in _TAILS if tail not in fits]:
+            raise KeyError(missing[0])
+        if extra := [tail for tail in fits if tail not in _TAILS]:
+            raise TypeError(f"unknown tail {extra[0]!r}")
+        where = "degenerate"
+        for metric, reason in _object(degenerate).items():
+            if type(metric) is not str or type(reason) is not str:
+                raise TypeError(f"{metric} must be a string, got {reason!r}")
         where = "config"
         data["config"] = _typed(AnalysisConfig(**_object(config)))
         where = "top level"
@@ -489,7 +565,7 @@ def render_text(r: MetricsReport) -> str:
     lines = [f"Dependency network report: {r.label} (matcher {r.matcher})"]
     for title, name in _TEXT_ROWS:
         lines.append(f"  {title:<28}{_fmt(getattr(r, name))}")
-    for key in ("in", "out", "all"):
+    for key in _TAILS:
         lines.append(f"  {'Power law (' + key + ')':<28}{_fmt_fit(r.power_law.get(key))}")
     if r.degenerate:
         notes = "; ".join(f"{k}: {v}" for k, v in sorted(r.degenerate.items()))
@@ -511,7 +587,7 @@ def render_comparison_text(c: ComparisonReport) -> str:
         right = _fmt(getattr(c.right, name))
         delta = _fmt(c.deltas.get(name)) if name in c.deltas else ""
         lines.append(f"  {title:<{width}}{left:>12}{right:>12}{delta:>12}")
-    for key in ("in", "out", "all"):
+    for key in _TAILS:
         for attr in ("alpha", "p_value"):
             fit_l, fit_r = c.left.power_law.get(key), c.right.power_law.get(key)
             left = _fmt(getattr(fit_l, attr)) if fit_l else "n/a"

@@ -269,6 +269,22 @@ def _drop(key):
     return mutate
 
 
+def _drop_fit(tail):
+    def mutate(report):
+        del report["power_law"][tail]
+        return report
+
+    return mutate
+
+
+def _set_fit_entry(tail, fit):
+    def mutate(report):
+        report["power_law"][tail] = fit
+        return report
+
+    return mutate
+
+
 def _set_fit(tail, key, value):
     def mutate(report):
         report["power_law"][tail][key] = value
@@ -302,6 +318,10 @@ REPORT_MUTATIONS = {
     "power-law-alpha-string": (_set_fit("in", "alpha", "2.5"), "power_law.in: alpha must be a number, got '2.5'"),
     "power-law-xmin-float": (_set_fit("in", "xmin", 1.0), "power_law.in: xmin must be an integer, got 1.0"),
     "power-law-p-value-bool": (_set_fit("in", "p_value", True), "power_law.in: p_value must be a number or null"),
+    "power-law-no-all": (_drop_fit("all"), "power_law: missing key 'all'"),
+    "power-law-extra-tail": (_set_fit_entry("both", None), "power_law: unknown tail 'both'"),
+    "degenerate-not-object": (_set("degenerate", 5), "degenerate: expected an object, got int"),
+    "degenerate-reason-number": (_set("degenerate", {"x": 3}), "degenerate: x must be a string, got 3"),
 }
 
 

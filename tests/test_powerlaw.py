@@ -284,6 +284,32 @@ def test_batched_bootstrap_matches_per_replicate_oracle(data, replicates, seed, 
         assert len(set(data)) < 2
 
 
+@given(
+    data=st.lists(st.integers(1, 40), min_size=3, max_size=60),
+    replicates=st.integers(1, 120),
+    cuts=st.lists(st.integers(0, 120), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    min_tail=st.sampled_from([2, 10]),
+    rows_per_block=st.sampled_from([1, 7, 1000]),
+)
+@settings(max_examples=40)
+# replicates of this sample collapse to one value (KS = inf)
+@example(data=[1, 1, 1, 1, 1, 1, 2, 2, 3], replicates=100, cuts=[37, 60], seed=0, min_tail=10, rows_per_block=7)
+def test_replicate_ranges_join_into_one_range(data, replicates, cuts, seed, min_tail, rows_per_block):
+    try:
+        fit = fit_power_law(data, replicates=0, min_tail=min_tail)
+    except DegenerateAnalysisError:
+        assert len(set(data)) < 2
+        return
+    arr = np.asarray(data, dtype=np.int64)
+    bounds = sorted({0, replicates, *(c for c in cuts if c < replicates)})
+    with mock.patch.object(powerlaw, "_BLOCK_CELLS", rows_per_block * arr.size):
+        whole = powerlaw._replicate_ks(arr, fit, replicates, seed, min_tail)
+        parts = [powerlaw._replicate_ks(arr, fit, stop, seed, min_tail, start) for start, stop in zip(bounds, bounds[1:])]
+    assert [part.size for part in parts] == [stop - start for start, stop in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
 @pytest.mark.parametrize("replicates", [100, 101, 257])
 def test_batched_bootstrap_edge_cases(replicates):
     # every replicate below min_tail takes the 2-observation fallback

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import signal
 import time
 
@@ -9,6 +10,7 @@ import pytest
 
 from helpers import collection_doc, op, param
 from wsdepnet.errors import DegenerateAnalysisError
+from wsdepnet.community import walktrap
 from wsdepnet.matching import MatcherKind
 from wsdepnet.model import collection_from_dict
 from wsdepnet.network import build_network, network_from_edges
@@ -161,12 +163,12 @@ def test_analyze_deterministic_bytes(k2_collection):
     assert first == second
 
 
-# -- the ER baseline beside the other stages -----------------------------------
+# -- the stage queue, drained here and in one forked helper ---------------------
 
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the CPU count analyze sees; 1 keeps the ER baseline in process."""
+    """Set the CPU count analyze sees; 1 keeps every stage in process."""
 
     def set_count(count):
         monkeypatch.setattr("wsdepnet.report._usable_cpus", lambda: count)
@@ -204,13 +206,25 @@ def deadline():
     signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("case", ["k2", "reciprocal-pair"])
+def _random_tree(nodes, seed):
+    """Links parent -> child of a random recursive tree: every in-degree is 1,
+    so the in-degree fit is degenerate while the others bootstrap in blocks."""
+    rng = random.Random(seed)
+    links = [(rng.randrange(child), child) for child in range(1, nodes)]
+    return network_from_edges(nodes, links, MatcherKind.SYNTACTIC_EQUAL)
+
+
+@pytest.mark.parametrize("case", ["k2", "reciprocal-pair", "degenerate-tail"])
 def test_er_baseline_path_leaves_report_bytes_unchanged(k2_collection, cpus, forks, deadline, case):
+    config = AnalysisConfig(er_samples=20, bootstrap_n=100, walktrap_t=4, seed=7)
     if case == "k2":
         net = build_network(k2_collection, MatcherKind.SYNTACTIC_EQUAL)
-    else:
+    elif case == "reciprocal-pair":
         net = network_from_edges(2, [(0, 1), (1, 0)], MatcherKind.SYNTACTIC_EQUAL)
-    config = AnalysisConfig(er_samples=20, bootstrap_n=100, walktrap_t=4, seed=7)
+    else:
+        # 400 nodes: the all-degree bootstrap is 8 blocks of at most 40 replicates
+        net = _random_tree(400, seed=3)
+        config = dataclasses.replace(config, bootstrap_n=300)
     cpus(1)
     inline = analyze(net, config)
     assert forks == []
@@ -222,6 +236,36 @@ def test_er_baseline_path_leaves_report_bytes_unchanged(k2_collection, cpus, for
     if case == "reciprocal-pair":
         assert forked.degenerate["er_baseline"] == "infeasible link count: 2 > 1"
         assert forked.er_avg_distance is None
+    if case == "degenerate-tail":
+        assert forked.power_law["in"] is None
+        assert forked.degenerate["power_law_in"] == "fewer than 2 distinct values"
+        assert forked.power_law["out"].p_value is not None
+        assert forked.power_law["all"].bootstrap_n == 300
+
+
+def test_walktrap_runs_in_this_process(k2_collection, monkeypatch, cpus, forks, deadline):
+    net = build_network(k2_collection, MatcherKind.SYNTACTIC_EQUAL)
+    ran_in = []
+
+    def recorded_walktrap(*args, **kwargs):
+        ran_in.append(os.getpid())  # a helper's append never reaches this process
+        return walktrap(*args, **kwargs)
+
+    fork = os.fork  # the counting fork of the forks fixture
+
+    def fork_then_wait():
+        pid = fork()
+        if pid:
+            time.sleep(0.2)  # the helper reaches the queue first
+        return pid
+
+    monkeypatch.setattr("wsdepnet.report.walktrap", recorded_walktrap)
+    monkeypatch.setattr("wsdepnet.report.os.fork", fork_then_wait)
+    cpus(2)
+    report = analyze(net, FAST)
+    assert len(forks) == 1
+    assert ran_in == [os.getpid()]
+    assert report.communities is not None
 
 
 def _exit_3(*_args):
@@ -236,19 +280,27 @@ def _kill_self(*_args):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _return_a_number(*_args):
-    return 42
+def _exit_0(*_args):
+    os._exit(0)
 
 
 @pytest.mark.parametrize(
     "child, status",
-    [(_exit_3, 3), (_raise_key_error, 1), (_kill_self, -signal.SIGKILL), (_return_a_number, 0)],
+    [(_exit_3, 3), (_raise_key_error, 1), (_kill_self, -signal.SIGKILL), (_exit_0, 0)],
 )
 def test_failed_er_child_fails_analyze_loudly(k2_collection, monkeypatch, cpus, forks, deadline, child, status):
     net = build_network(k2_collection, MatcherKind.SYNTACTIC_EQUAL)
+
+    def walktrap_after_the_helper(*args, **kwargs):
+        # stage 0 holds this process until the helper has ended, so the
+        # helper alone takes the baseline (stage 1) and fails in it
+        os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+        return walktrap(*args, **kwargs)
+
+    monkeypatch.setattr("wsdepnet.report.walktrap", walktrap_after_the_helper)
     monkeypatch.setattr("wsdepnet.report.er_baseline", child)
     cpus(2)
-    with pytest.raises(RuntimeError, match=f"^er_baseline: child process ended with exit status {status} "):
+    with pytest.raises(RuntimeError, match=f"^analyze: helper process ended with exit status {status} "):
         analyze(net, FAST)
     assert len(forks) == 1
 
