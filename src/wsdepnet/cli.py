@@ -8,7 +8,6 @@ analysis (metric undefined on the given network).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -209,9 +208,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"wsdepnet: degenerate analysis: {exc}", file=sys.stderr)
         return 3
     except CollectionError as exc:
-        print(f"wsdepnet: input error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
         print(f"wsdepnet: input error: {exc}", file=sys.stderr)
         return 2
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:

@@ -148,16 +148,19 @@ def validate_collection(c: ServiceCollection) -> None:
             seen_operation_ids.add(op.id)
             if op.service_id != service.id:
                 raise SchemaError(f"operation {op.id!r}: service_id {op.service_id!r} != {service.id!r}")
-            for inst, role in [(i, Role.INPUT) for i in op.inputs] + [(o, Role.OUTPUT) for o in op.outputs]:
-                if not inst.name or not inst.name.strip():
-                    raise SchemaError(f"operation {op.id!r}: parameter with empty name")
-                if not isinstance(inst.role, Role) or inst.role is not role:
-                    raise SchemaError(f"operation {op.id!r}: parameter {inst.name!r} has wrong role {inst.role!r}")
-                if inst.concept is not None and not inst.concept.strip():
-                    raise SchemaError(f"operation {op.id!r}: parameter {inst.name!r} has empty concept")
-                if inst.operation_id != op.id:
-                    raise SchemaError(f"operation {op.id!r}: parameter {inst.name!r} back-references {inst.operation_id!r}")
-                count += 1
+            for role, instances in ((Role.INPUT, op.inputs), (Role.OUTPUT, op.outputs)):
+                for inst in instances:
+                    if not inst.name or not inst.name.strip():
+                        raise SchemaError(f"operation {op.id!r}: parameter with empty name")
+                    if inst.role is not role:
+                        raise SchemaError(f"operation {op.id!r}: parameter {inst.name!r} has wrong role {inst.role!r}")
+                    if inst.concept is not None and not inst.concept.strip():
+                        raise SchemaError(f"operation {op.id!r}: parameter {inst.name!r} has empty concept")
+                    if inst.operation_id != op.id:
+                        raise SchemaError(
+                            f"operation {op.id!r}: parameter {inst.name!r} back-references {inst.operation_id!r}"
+                        )
+                count += len(instances)
     if count != c.instance_count:
         raise SchemaError(f"instance_count {c.instance_count} != actual {count}")
 
@@ -205,7 +208,7 @@ def load_canonical(path: str | Path) -> ServiceCollection:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CollectionError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)

@@ -2,7 +2,8 @@
 
 A link src -> dst means some operation consumes a member of archetype src
 as an input and yields a member of archetype dst as an output. The graph
-is simple: parallel dependencies accumulate in the link weight, and
+is simple: parallel dependencies accumulate in one link, whose weight is
+the number of its witnesses (an operation id per dependency), and
 self-dependencies are suppressed (counted, not stored), since all the
 downstream metrics assume a loop-free unweighted graph.
 
@@ -26,8 +27,15 @@ from .model import ParameterInstance, Role, ServiceCollection, nogc
 
 @dataclass
 class Link:
-    weight: int
+    """The operations that witness a link, one entry per (input, output)
+    instance pair; the weight is their count, and load_network checks each
+    GraphML weight against the sidecar's witness list."""
+
     witness_operations: list[str]
+
+    @property
+    def weight(self) -> int:
+        return len(self.witness_operations)
 
 
 @dataclass
@@ -86,7 +94,7 @@ class NetworkSummary:
 
 def _accumulate(nodes: list[Archetype], matcher: MatcherKind, dependencies) -> DependencyNetwork:
     """A network from (src, dst, witness) dependencies: parallel ones add to
-    one link's weight and witnesses, self-dependencies are only counted."""
+    one link's witnesses, self-dependencies are only counted."""
     links: dict[tuple[int, int], Link] = {}
     self_loops = 0
     for src, dst, witness in dependencies:
@@ -95,9 +103,8 @@ def _accumulate(nodes: list[Archetype], matcher: MatcherKind, dependencies) -> D
             continue
         link = links.get((src, dst))
         if link is None:
-            links[(src, dst)] = Link(weight=1, witness_operations=[witness])
+            links[(src, dst)] = Link([witness])
         else:
-            link.weight += 1
             link.witness_operations.append(witness)
     return DependencyNetwork(nodes=nodes, links=links, matcher=matcher, self_loop_count=self_loops)
 
@@ -301,16 +308,15 @@ def load_network(path: str | Path) -> DependencyNetwork:
         where = "archetypes"
         nodes: list[Archetype] = []
         for index, entry in enumerate(meta["archetypes"]):
-            members = [
-                ParameterInstance(
-                    name=m["name"],
-                    role=_ROLES[m["role"]],
-                    operation_id=m["operation"],
-                    xsd_type=m.get("type"),
-                    concept=m.get("concept"),
-                )
-                for m in entry["members"]
-            ]
+            members = []
+            for m in entry["members"]:
+                name, role, operation = m["name"], _ROLES[m["role"]], m["operation"]
+                xsd_type, concept = m.get("type"), m.get("concept")
+                if type(name) is not str or type(operation) is not str:
+                    raise ValueError(f"member name and operation must be strings, got {name!r}, {operation!r}")
+                if not (xsd_type is None or type(xsd_type) is str) or not (concept is None or type(concept) is str):
+                    raise ValueError(f"member type and concept must be strings or null, got {xsd_type!r}, {concept!r}")
+                members.append(ParameterInstance(name, role, operation, xsd_type, concept))
             label, key = entry["label"], entry["key"]
             if type(label) is not str or type(key) is not str:
                 raise ValueError("label and key must be strings")
@@ -325,13 +331,16 @@ def load_network(path: str | Path) -> DependencyNetwork:
             pair = (entry["source"], entry["target"])
             if pair in witnesses:
                 raise ValueError(f"duplicate link {pair}")
-            witnesses[pair] = list(entry["witnesses"])
+            ops = entry["witnesses"]
+            if type(ops) is not list or not all(type(op) is str for op in ops):
+                raise ValueError("witnesses must be a list of strings")
+            witnesses[pair] = ops
     except KeyError as exc:
         raise CollectionError(f"{meta_path}: {_entry(where, index)}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise CollectionError(f"{meta_path}: {_entry(where, index)}: {exc}") from None
 
-    weights: dict[tuple[int, int], int] = {}
+    graph_links: set[tuple[int, int]] = set()
     graph = tree.getroot().find(f"{{{GRAPHML_NS}}}graph")
     if graph is None:
         raise CollectionError(f"{path}: no graph element")
@@ -350,16 +359,19 @@ def load_network(path: str | Path) -> DependencyNetwork:
                     weight = int(data.text)
             if weight < 1:
                 raise ValueError(f"weight must be >= 1, got {weight}")
-            if (src, dst) in weights:
+            if (src, dst) in graph_links:
                 raise ValueError(f"duplicate link {src} -> {dst}")
-            weights[(src, dst)] = weight
+            graph_links.add((src, dst))
+            ops = witnesses.get((src, dst))
+            if ops is not None and len(ops) != weight:
+                raise ValueError(f"link {src} -> {dst} has weight {weight}, but {meta_path} lists {len(ops)} witnesses")
     except (AttributeError, TypeError, ValueError) as exc:
         raise CollectionError(f"{path}: {_entry('edge', index)}: {exc}") from None
 
-    if witnesses.keys() != weights.keys():
+    if witnesses.keys() != graph_links:
         for pair in witnesses:
-            if pair not in weights:
+            if pair not in graph_links:
                 raise CollectionError(f"{meta_path}: link {pair} not present in GraphML")
         raise CollectionError(f"{path}: GraphML links and sidecar links disagree")
-    links = {pair: Link(weight=weights[pair], witness_operations=ops) for pair, ops in witnesses.items()}
+    links = {pair: Link(ops) for pair, ops in witnesses.items()}
     return DependencyNetwork(nodes=nodes, links=links, matcher=matcher, self_loop_count=self_loop_count)

@@ -185,12 +185,16 @@ def select_xmin(data, min_tail: int = _MIN_TAIL) -> tuple[int, float, float]:
     return int(v[best]), float(alphas[best]), float(ks[best])
 
 
+_MAX_TABLE = 2**20
+
+
 class _TailSampler:
     """Discrete power-law draws through one CDF table over [xmin, xmin + L).
 
-    The table is kept between draws and grows x4 only when a draw needs it.
-    cumsum is sequential, so a longer table has the same prefix and gives
-    every draw the index a shorter one would.
+    The table is kept between draws and grows x4 only when a draw needs it,
+    up to _MAX_TABLE entries (8 MB); a draw beyond the table bisects the
+    exact CDF instead. cumsum is sequential, so a longer table has the same
+    prefix and gives every draw the index a shorter one would.
     """
 
     def __init__(self, alpha: float, xmin: int):
@@ -208,7 +212,7 @@ class _TailSampler:
             return np.zeros(0, dtype=np.int64)
         u = rng.random(size)
         u_max = float(u.max())
-        while self.cdf[-1] < u_max and self.cdf.size <= 50_000_000:
+        while self.cdf[-1] < u_max and self.cdf.size < _MAX_TABLE:
             self.cdf = self._table(4 * self.cdf.size)
         out = self.xmin + np.searchsorted(self.cdf, u, side="left")
         for i in np.flatnonzero(out >= self.xmin + self.cdf.size):  # extreme tail, bisect on the exact CDF

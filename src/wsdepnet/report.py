@@ -46,6 +46,17 @@ class AnalysisConfig:
     seed: int = 0
 
 
+def _checked(config: AnalysisConfig) -> AnalysisConfig:
+    """Return `config` if analyze accepts it, else raise ValueError naming the field."""
+    if config.er_samples < 1:
+        raise ValueError(f"er_samples must be >= 1, got {config.er_samples}")
+    if config.bootstrap_n != 0 and config.bootstrap_n < 100:
+        raise ValueError(f"bootstrap_n must be 0 or >= 100, got {config.bootstrap_n}")
+    if config.walktrap_t < 1:
+        raise ValueError(f"walktrap_t must be >= 1, got {config.walktrap_t}")
+    return config
+
+
 @dataclass
 class MetricsReport:
     label: str
@@ -211,13 +222,7 @@ def analyze(
     and CPU time show in `resource.RUSAGE_CHILDREN`, not in `RUSAGE_SELF`.
     If the helper fails, analyze raises RuntimeError.
     """
-    config = config or AnalysisConfig()
-    if config.er_samples < 1:
-        raise ValueError(f"er_samples must be >= 1, got {config.er_samples}")
-    if config.bootstrap_n != 0 and config.bootstrap_n < 100:
-        raise ValueError(f"bootstrap_n must be 0 or >= 100, got {config.bootstrap_n}")
-    if config.walktrap_t < 1:
-        raise ValueError(f"walktrap_t must be >= 1, got {config.walktrap_t}")
+    config = _checked(config or AnalysisConfig())
     if n.node_count == 0:
         raise DegenerateAnalysisError("analyze", "empty network")
     if label is None:
@@ -456,11 +461,11 @@ def report_from_dict(d: dict, source: str = "report") -> MetricsReport:
     Fails closed: a report that is not an object, lacks a key, has an
     unknown one, a power-law entry that is neither an object nor null, a
     `power_law` whose tails are not exactly in, out and all, a `degenerate`
-    that does not map strings to strings, or a scalar field whose JSON type
+    that does not map strings to strings, a scalar field whose JSON type
     does not match its annotation (ints where int is declared, ints or
     floats where float is, null only where the type is optional, never a
-    bool for a number) raises CollectionError naming `source` and the key
-    at fault.
+    bool for a number), or a config that analyze would refuse raises
+    CollectionError naming `source` and the key at fault.
     """
     # one try for the whole report, as in load_network: a failure is
     # located by the key reached when it was raised
@@ -483,12 +488,12 @@ def report_from_dict(d: dict, source: str = "report") -> MetricsReport:
             if type(metric) is not str or type(reason) is not str:
                 raise TypeError(f"{metric} must be a string, got {reason!r}")
         where = "config"
-        data["config"] = _typed(AnalysisConfig(**_object(config)))
+        data["config"] = _checked(_typed(AnalysisConfig(**_object(config))))
         where = "top level"
         return _typed(MetricsReport(**data))
     except KeyError as exc:
         raise CollectionError(f"{source}: {where}: missing key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise CollectionError(f"{source}: {where}: {exc}") from None
 
 

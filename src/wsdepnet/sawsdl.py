@@ -1,18 +1,20 @@
 """Reader for a constrained WSDL 1.1 + SAWSDL subset.
 
 One service per file. Operations come from port types, parameters from
-message parts. A part's ontology concept is the model-reference annotation
-found first on the part itself, then on the schema element it references,
-then on the (element's or part's) schema type. Binding and service sections
-carry no parameter information and are skipped; WSDL 2.0 documents, policy
-elements and top-level WSDL imports are rejected by name.
+message parts. Each part is resolved once, as its message is read, into
+its name, its XSD type (the part's type, else its element) and its
+ontology concept: the model-reference annotation found first on the part
+itself, then on the schema element it references, then on the schema type
+of that element (or, when the part names no declared element, the part's
+own type). An empty annotation counts as none. Binding and service
+sections carry no parameter information and are skipped; WSDL 2.0
+documents, policy elements and top-level WSDL imports are rejected by name.
 """
 
 from __future__ import annotations
 
 import logging
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CollectionError, UnsupportedConstructError
@@ -32,6 +34,15 @@ _POLICY_PREFIXES = tuple(f"{{{ns}}}" for ns in POLICY_NAMESPACES)
 
 MODEL_REFERENCE = f"{{{SAWSDL_NS}}}modelReference"
 
+# the element tags read, built once: a file is walked with plain findall
+_WSDL20 = f"{{{WSDL20_NS}}}"
+_DEFINITIONS, _IMPORT, _TYPES, _MESSAGE, _PART, _SERVICE, _PORT_TYPE, _OPERATION, _INPUT, _OUTPUT = (
+    f"{{{WSDL11_NS}}}{local}"
+    for local in "definitions import types message part service portType operation input output".split()
+)
+_SCHEMA, _ELEMENT = f"{{{XSD_NS}}}schema", f"{{{XSD_NS}}}element"
+_TYPE_TAGS = (f"{{{XSD_NS}}}complexType", f"{{{XSD_NS}}}simpleType")
+
 SUFFIXES = {".wsdl", ".sawsdl"}
 
 
@@ -47,14 +58,6 @@ def _annotation(elem: ET.Element) -> str | None:
     if value is None or not value.strip():
         return None
     return value
-
-
-@dataclass
-class _Part:
-    name: str
-    element: str | None
-    type: str | None
-    concept: str | None
 
 
 @nogc
@@ -89,9 +92,9 @@ def _parse_file(path: Path, service_id: str, domain: str | None) -> Service:
     except ET.ParseError as exc:
         raise CollectionError(f"{path}: malformed XML: {exc}") from exc
     root = tree.getroot()
-    if root.tag == f"{{{WSDL20_NS}}}description" or root.tag.startswith(f"{{{WSDL20_NS}}}"):
+    if root.tag.startswith(_WSDL20):
         raise UnsupportedConstructError("wsdl2:description", str(path))
-    if root.tag != f"{{{WSDL11_NS}}}definitions":
+    if root.tag != _DEFINITIONS:
         raise UnsupportedConstructError(root.tag, str(path))
 
     # scan the distinct tags; only a rejected file pays for a second walk,
@@ -99,77 +102,53 @@ def _parse_file(path: Path, service_id: str, domain: str | None) -> Service:
     if any(tag.startswith(_POLICY_PREFIXES) for tag in {elem.tag for elem in root.iter()}):
         first = next(elem.tag for elem in root.iter() if elem.tag.startswith(_POLICY_PREFIXES))
         raise UnsupportedConstructError(f"policy element {first}", str(path))
-    if root.find(f"{{{WSDL11_NS}}}import") is not None:
+    if root.find(_IMPORT) is not None:
         raise UnsupportedConstructError("wsdl:import", str(path))
 
     element_decls: dict[str, ET.Element] = {}
     type_decls: dict[str, ET.Element] = {}
-    for types in root.findall(f"{{{WSDL11_NS}}}types"):
-        for schema in types.findall(f"{{{XSD_NS}}}schema"):
+    for types in root.findall(_TYPES):
+        for schema in types.findall(_SCHEMA):
             for child in schema:
                 name = child.get("name")
                 if name is None:
                     continue
-                if child.tag == f"{{{XSD_NS}}}element":
+                if child.tag == _ELEMENT:
                     element_decls[name] = child
-                elif child.tag in (f"{{{XSD_NS}}}complexType", f"{{{XSD_NS}}}simpleType"):
+                elif child.tag in _TYPE_TAGS:
                     type_decls[name] = child
 
-    def concept_for(part: _Part) -> str | None:
-        # search order: part, referenced element, then that element's (or the part's) type
-        if part.concept is not None:
-            return part.concept
-        type_name = part.type
-        if part.element is not None:
-            decl = element_decls.get(part.element)
-            if decl is not None:
-                found = _annotation(decl)
-                if found is not None:
-                    return found
-                type_name = _local(decl.get("type"))
-        if type_name is not None:
-            decl = type_decls.get(type_name)
-            if decl is not None:
-                return _annotation(decl)
-        return None
-
-    messages: dict[str, list[_Part]] = {}
-    for message in root.findall(f"{{{WSDL11_NS}}}message"):
+    # message name -> its parts as (name, xsd type, concept)
+    messages: dict[str, list[tuple[str, str | None, str | None]]] = {}
+    for message in root.findall(_MESSAGE):
         mname = message.get("name")
         if mname is None:
             raise CollectionError(f"{path}: message without name")
-        parts = []
-        for part in message.findall(f"{{{WSDL11_NS}}}part"):
+        messages[mname] = parts = []
+        for part in message.findall(_PART):
             pname = part.get("name")
             if pname is None:
                 raise CollectionError(f"{path}: message {mname!r} has a part without name")
-            parts.append(
-                _Part(
-                    name=pname,
-                    element=_local(part.get("element")),
-                    type=_local(part.get("type")),
-                    concept=_annotation(part),
-                )
-            )
-        messages[mname] = parts
+            element, type_name = _local(part.get("element")), _local(part.get("type"))
+            xsd_type = type_name or element
+            concept = _annotation(part)
+            if concept is None and element is not None and (decl := element_decls.get(element)) is not None:
+                concept = _annotation(decl)
+                type_name = _local(decl.get("type"))
+            if concept is None and type_name is not None and (decl := type_decls.get(type_name)) is not None:
+                concept = _annotation(decl)
+            parts.append((pname, xsd_type, concept))
 
-    service_name = service_id.rsplit("/", 1)[-1]
-    service_elem = root.find(f"{{{WSDL11_NS}}}service")
-    if service_elem is not None and service_elem.get("name"):
-        service_name = service_elem.get("name")
-    elif root.get("name"):
-        service_name = root.get("name")
+    service_elem = root.find(_SERVICE)
+    service_name = service_elem is not None and service_elem.get("name")
+    service_name = service_name or root.get("name") or service_id.rsplit("/", 1)[-1]
 
     operations: list[Operation] = []
-    for port_type in root.findall(f"{{{WSDL11_NS}}}portType"):
-        for op_elem in port_type.findall(f"{{{WSDL11_NS}}}operation"):
+    for port_type in root.findall(_PORT_TYPE):
+        for op_elem in port_type.findall(_OPERATION):
             op_id = f"{service_id}#op{len(operations)}"
-            op = Operation(
-                id=op_id,
-                service_id=service_id,
-                name=op_elem.get("name") or f"op{len(operations)}",
-            )
-            for side, role in ((f"{{{WSDL11_NS}}}input", Role.INPUT), (f"{{{WSDL11_NS}}}output", Role.OUTPUT)):
+            op = Operation(id=op_id, service_id=service_id, name=op_elem.get("name") or f"op{len(operations)}")
+            for side, role, target in ((_INPUT, Role.INPUT, op.inputs), (_OUTPUT, Role.OUTPUT, op.outputs)):
                 ref = op_elem.find(side)
                 if ref is None:
                     continue
@@ -178,17 +157,8 @@ def _parse_file(path: Path, service_id: str, domain: str | None) -> Service:
                     raise CollectionError(f"{path}: operation {op.name!r} {role.value} lacks a message attribute")
                 if mname not in messages:
                     raise CollectionError(f"{path}: operation {op.name!r} references unknown message {mname!r}")
-                target = op.inputs if role is Role.INPUT else op.outputs
-                for part in messages[mname]:
-                    target.append(
-                        ParameterInstance(
-                            name=part.name,
-                            role=role,
-                            operation_id=op_id,
-                            xsd_type=part.type or part.element,
-                            concept=concept_for(part),
-                        )
-                    )
+                target.extend(ParameterInstance(name, role, op_id, xsd_type, concept)
+                              for name, xsd_type, concept in messages[mname])
             operations.append(op)
 
     return Service(id=service_id, name=service_name, domain_label=domain, operations=operations)

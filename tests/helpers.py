@@ -318,7 +318,7 @@ def sample_discrete_powerlaw_oracle(alpha: float, xmin: int, size: int, rng: np.
     while True:
         support = np.arange(xmin, xmin + length, dtype=float)
         cdf = np.cumsum((support / xmin) ** -alpha / norm)
-        if cdf[-1] >= u_max or length > 50_000_000:
+        if cdf[-1] >= u_max or length >= 2**20:
             break
         length *= 4
     out = xmin + np.searchsorted(cdf, u, side="left")
@@ -468,3 +468,27 @@ def collection_doc(*operations: dict, service: str = "svc", domain: str | None =
     if domain is not None:
         entry["domain"] = domain
     return {"services": [entry]}
+
+
+def sawsdl_concept_reference(part: dict, elements: dict[str, dict], types: dict[str, dict]) -> str | None:
+    """The concept of a SAWSDL message part, looked up as the reader has
+    always done: the part's own annotation, else that of the element the
+    part references, else that of the element's type, or of the part's
+    type when the part references no declared element. A declared element
+    without a type ends the lookup there. Parts and declarations are dicts
+    whose optional "element", "type" and "concept" keys hold local names
+    and annotations."""
+    if part.get("concept") is not None:
+        return part["concept"]
+    type_name = part.get("type")
+    if part.get("element") is not None:
+        decl = elements.get(part["element"])
+        if decl is not None:
+            if decl.get("concept") is not None:
+                return decl["concept"]
+            type_name = decl.get("type")
+    if type_name is not None:
+        decl = types.get(type_name)
+        if decl is not None:
+            return decl.get("concept")
+    return None

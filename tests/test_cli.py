@@ -238,6 +238,18 @@ def test_malformed_collection_exits_2(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_non_utf8_collection_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"services": [{"name": "caf\u00e9"}]}'.encode("latin-1"))
+    code = main(["extract", "--collection", str(bad), "--matcher", "syntactic-equal",
+                 "--out", str(tmp_path / "n.graphml")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith(f"wsdepnet: input error: cannot read {bad}: ")
+    assert "0xe9" in err
+
+
 def test_schema_violation_exits_2(tmp_path, write_collection, capsys):
     src = write_collection({"services": [{"operations": []}]})
     code = main(["extract", "--collection", str(src), "--matcher", "syntactic-equal",
@@ -322,6 +334,18 @@ REPORT_MUTATIONS = {
     "power-law-extra-tail": (_set_fit_entry("both", None), "power_law: unknown tail 'both'"),
     "degenerate-not-object": (_set("degenerate", 5), "degenerate: expected an object, got int"),
     "degenerate-reason-number": (_set("degenerate", {"x": 3}), "degenerate: x must be a string, got 3"),
+    "config-no-er-samples": (
+        _set("config", {"er_samples": 0, "bootstrap_n": 0, "walktrap_t": 4, "seed": 0}),
+        "config: er_samples must be >= 1, got 0",
+    ),
+    "config-few-replicates": (
+        _set("config", {"er_samples": 8, "bootstrap_n": 50, "walktrap_t": 4, "seed": 0}),
+        "config: bootstrap_n must be 0 or >= 100, got 50",
+    ),
+    "config-no-walk": (
+        _set("config", {"er_samples": 8, "bootstrap_n": 0, "walktrap_t": 0, "seed": 0}),
+        "config: walktrap_t must be >= 1, got 0",
+    ),
 }
 
 
@@ -380,6 +404,14 @@ def _drop_member_name(meta):
     del meta["archetypes"][0]["members"][0]["name"]
 
 
+def _set_member(key, value):
+    return _edited(lambda meta: meta["archetypes"][0]["members"][0].update({key: value}))
+
+
+def _set_witnesses(value):
+    return _edited(lambda meta: meta["links"][0].update(witnesses=value))
+
+
 # sidecar edit (meta -> new meta), (old, new) text replacement in the
 # GraphML, the file the message must name, a fragment naming the key or entry
 NETWORK_MUTATIONS = {
@@ -401,6 +433,18 @@ NETWORK_MUTATIONS = {
     "edge-without-source": (None, ('source="n0" ', ""), "k2.graphml:", "edge[0]"),
     "missing-node": (None, ('<node id="n5"><data key="label">f</data><data key="instance_count">1</data></node>', ""),
                      "k2.graphml:", "GraphML nodes"),
+    "weight-not-witness-count": (None, ('<data key="weight">1</data>', '<data key="weight">7</data>'), "k2.graphml:",
+                                 "edge[0]: link 0 -> 2 has weight 7, but "),
+    "witnesses-string": (_set_witnesses("abc"), None, "meta.json", "links[0]: witnesses must be a list of strings"),
+    "witness-number": (_set_witnesses([5]), None, "meta.json", "links[0]: witnesses must be a list of strings"),
+    "member-name-number": (_set_member("name", 5), None, "meta.json",
+                           "archetypes[0]: member name and operation must be strings, got 5,"),
+    "member-operation-list": (_set_member("operation", ["op"]), None, "meta.json",
+                              "archetypes[0]: member name and operation must be strings"),
+    "member-type-number": (_set_member("type", 3), None, "meta.json",
+                           "archetypes[0]: member type and concept must be strings or null, got 3,"),
+    "member-concept-object": (_set_member("concept", {}), None, "meta.json",
+                              "archetypes[0]: member type and concept must be strings or null"),
 }
 
 

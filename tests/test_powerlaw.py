@@ -235,6 +235,26 @@ def test_shared_table_draws_match_per_call_draws():
     assert fit_fresh >= 10
 
 
+def test_tail_table_stops_at_2_20_entries():
+    # At alpha = 1.85 one of these 90,000 draws lies past 2**20; the table
+    # stops there (8 MB) and that draw bisects the exact CDF instead of
+    # growing the table to 2**22 entries.
+    alpha, xmin = 1.85, 1
+    sampler = powerlaw._TailSampler(alpha, xmin)
+    rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+    past_table = 0
+    for _ in range(300):
+        drawn, u = sampler.draw(300, rng), twin.random(300)
+        assert sampler.cdf.size <= 2**20
+        inside = drawn < xmin + sampler.cdf.size
+        assert np.array_equal(drawn[inside], xmin + np.searchsorted(sampler.cdf, u[inside], side="left"))
+        for value, ui in zip(drawn[~inside], u[~inside]):
+            past_table += 1
+            assert value == powerlaw._quantile(alpha, xmin, float(ui))
+    assert sampler.cdf.size == 2**20
+    assert past_table >= 1
+
+
 # -- goodness of fit ----------------------------------------------------------
 
 

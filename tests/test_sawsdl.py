@@ -1,7 +1,9 @@
+import itertools
 import logging
 
 import pytest
 
+from helpers import sawsdl_concept_reference
 from wsdepnet.errors import CollectionError, UnsupportedConstructError
 from wsdepnet.model import Role
 from wsdepnet.sawsdl import load_sawsdl, load_sawsdl_file
@@ -90,6 +92,66 @@ def test_element_type_annotation_used_when_element_unannotated(tmp_path):
     svc = load_sawsdl_file(path)
     by_name = {p.name: p.concept for p in svc.operations[0].iter_instances()}
     assert by_name["book"] == "http://onto.example.org#Publication"
+
+
+def _declaration(tag: str, name: str, concept: str | None, type_name: str | None = None) -> str:
+    typed = f' type="tns:{type_name}"' if type_name else ""
+    annotated = f' sawsdl:modelReference="{concept}"' if concept else ""
+    return f'      <xsd:{tag} name="{name}"{typed}{annotated}/>\n'
+
+
+def test_concept_lookup_order_on_every_combination(tmp_path):
+    # Each case is one part in its own message and operation, with its own
+    # element E<i>, element type TE<i> and part type TP<i>. A type state is
+    # undeclared (None), declared without annotation (False) or annotated.
+    type_states = (None, False, True)
+    element_states = (None, *itertools.product((False, True), (False, True)))  # (annotated, typed)
+    cases = list(itertools.product(
+        (False, True), ("neither", "element", "type", "both"), element_states, type_states, type_states
+    ))
+    decls, messages, operations, expected = [], [], [], []
+    for i, (part_annotated, refs, element_state, part_type_state, element_type_state) in enumerate(cases):
+        part = {"concept": f"urn:part{i}" if part_annotated else None}
+        if refs in ("element", "both"):
+            part["element"] = f"E{i}"
+        if refs in ("type", "both"):
+            part["type"] = f"TP{i}"
+        elements, types = {}, {}
+        if element_state is not None:
+            annotated, typed = element_state
+            element = {"concept": f"urn:element{i}" if annotated else None, "type": f"TE{i}" if typed else None}
+            elements[f"E{i}"] = element
+            decls.append(_declaration("element", f"E{i}", element["concept"], element["type"]))
+        type_decls = ((f"TP{i}", part_type_state, "simpleType"), (f"TE{i}", element_type_state, "complexType"))
+        for name, state, tag in type_decls:
+            if state is not None:
+                types[name] = {"concept": f"urn:{name}" if state else None}
+                decls.append(_declaration(tag, name, types[name]["concept"]))
+        attrs = "".join(f' {key}="tns:{part[key]}"' for key in ("element", "type") if key in part)
+        if part["concept"]:
+            attrs += f' sawsdl:modelReference="{part["concept"]}"'
+        messages.append(f'  <wsdl:message name="M{i}"><wsdl:part name="p{i}"{attrs}/></wsdl:message>\n')
+        operations.append(f'    <wsdl:operation name="op{i}"><wsdl:input message="tns:M{i}"/></wsdl:operation>\n')
+        concept = sawsdl_concept_reference(part, elements, types)
+        expected.append((f"p{i}", part.get("type") or part.get("element"), concept))
+    text = (
+        WSDL_TEMPLATE.split("  <wsdl:types>")[0]
+        + '  <wsdl:types>\n    <xsd:schema targetNamespace="http://example.org/bp">\n'
+        + "".join(decls)
+        + "    </xsd:schema>\n  </wsdl:types>\n"
+        + "".join(messages)
+        + '  <wsdl:portType name="P">\n' + "".join(operations) + "  </wsdl:portType>\n</wsdl:definitions>\n"
+    )
+    path = tmp_path / "combinations.wsdl"
+    path.write_text(text, encoding="utf-8")
+    service = load_sawsdl_file(path)
+    got = [(p.name, p.xsd_type, p.concept) for op in service.operations for p in op.iter_instances()]
+    assert len(cases) == 360
+    assert got == expected
+    # every source of a concept is exercised
+    assert {concept.split(":")[1].rstrip("0123456789") for _, _, concept in expected if concept} == {
+        "part", "element", "TP", "TE"
+    }
 
 
 def test_sawsdl_suffix_and_recursion(tmp_path):
