@@ -12,6 +12,11 @@ count for neither side). A gain stands when the change wins at least nine
 tenths of the pairs and the medians differ by more than the parent's
 interquartile range.
 
+The same figures go to `BENCH_<workload>.json` at the root of CHANGE: the
+seeds, which side ran first in each pair, and per side and metric the
+per-seed values, their median and quartiles, and for the change the pairs
+it won and lost.
+
 Both trees are byte-compiled first (`python -m compileall -q src`): with
 PYTHONDONTWRITEBYTECODE set, a fresh copy has no bytecode cache, and each
 start-up then compiles the package again, which reads as 20-40 ms more
@@ -73,26 +78,34 @@ def main(argv: list[str] | None = None) -> int:
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
 
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
+    first: list[str] = []
     print(f"{args.workload}: " + "  ".join(f"{m} parent -> change" for m in METRICS))
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        first.append(order[0])
         for side in order:
             runs[side].append(bench_once(trees[side], args.workload, seed))
         cells = [f"{runs['parent'][-1][m]:.3f} -> {runs['change'][-1][m]:.3f}" for m in METRICS]
         print(f"seed {seed} ({order[0]} first): " + "  ".join(cells), flush=True)
 
     pairs = len(runs["parent"])
+    trend = {"workload": args.workload, "seeds": list(args.seeds), "first": first, "parent": {}, "change": {}}
     for m in METRICS:
         parent = [run[m] for run in runs["parent"]]
         change = [run[m] for run in runs["change"]]
         (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
         wins = sum(c < p for p, c in zip(parent, change))
         losses = sum(c > p for p, c in zip(parent, change))
+        trend["parent"][m] = {"runs": parent, "median": pm, "q1": p1, "q3": p3}
+        trend["change"][m] = {"runs": change, "median": cm, "q1": c1, "q3": c3, "lower_in": wins, "higher_in": losses}
         print(
             f"{m}: parent {pm:.3f} [{p1:.3f}, {p3:.3f}], change {cm:.3f} [{c1:.3f}, {c3:.3f}], "
             f"{(cm - pm) / pm:+.1%}; change lower in {wins}/{pairs}, higher in {losses}/{pairs}; "
             f"|median gap| {abs(cm - pm):.3f} vs parent IQR {p3 - p1:.3f}"
         )
+    out = trees["change"] / f"BENCH_{args.workload}.json"
+    out.write_text(json.dumps(trend, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
     return 0
 
 

@@ -5,121 +5,50 @@ classes of operation inputs/outputs under a matching function) and whose
 links record input-to-output dependencies, then measure their topology:
 distances, transitivity, degree correlation, Erdos-Renyi baselines,
 power-law degree fits, and random-walk communities.
+
+The names below resolve on first use (PEP 562), so `import wsdepnet` loads
+no submodule, and loading a network does not pay for numpy.
 """
 
-from .errors import (
-    CollectionError,
-    DegenerateAnalysisError,
-    DuplicateIdError,
-    SchemaError,
-    UnsupportedConstructError,
-)
-from .matching import Archetype, MatcherKind, build_archetypes, instance_key, matches
-from .model import (
-    Operation,
-    ParameterInstance,
-    Role,
-    Service,
-    ServiceCollection,
-    collection_from_dict,
-    collection_stats,
-    load_canonical,
-    new_collection,
-    write_canonical,
-)
-from .network import (
-    DependencyNetwork,
-    Link,
-    build_network,
-    export,
-    load_network,
-    network_from_edges,
-    network_summary,
-    save_network,
-)
-from .community import CommunityPartition, WalktrapResult, modularity, walktrap
-from .powerlaw import PowerLawFit, fit_alpha, fit_power_law, hurwitz_zeta, select_xmin
-from .report import (
-    AnalysisConfig,
-    ComparisonReport,
-    MetricsReport,
-    analyze,
-    compare,
-    report_from_json,
-    report_to_json,
-)
-from .sawsdl import load_sawsdl
-from .topology import (
-    ComponentDecomposition,
-    DegreeStats,
-    DistanceStats,
-    ERBaseline,
-    components,
-    degree_correlation,
-    degree_stats,
-    distances,
-    er_baseline,
-    giant_subnetwork,
-    transitivity,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisConfig",
-    "Archetype",
-    "CollectionError",
-    "CommunityPartition",
-    "ComparisonReport",
-    "ComponentDecomposition",
-    "DegenerateAnalysisError",
-    "DegreeStats",
-    "DependencyNetwork",
-    "DistanceStats",
-    "DuplicateIdError",
-    "ERBaseline",
-    "Link",
-    "MatcherKind",
-    "MetricsReport",
-    "Operation",
-    "ParameterInstance",
-    "PowerLawFit",
-    "Role",
-    "SchemaError",
-    "Service",
-    "ServiceCollection",
-    "UnsupportedConstructError",
-    "WalktrapResult",
-    "analyze",
-    "build_archetypes",
-    "build_network",
-    "collection_from_dict",
-    "collection_stats",
-    "compare",
-    "components",
-    "degree_correlation",
-    "degree_stats",
-    "distances",
-    "er_baseline",
-    "export",
-    "fit_alpha",
-    "fit_power_law",
-    "giant_subnetwork",
-    "hurwitz_zeta",
-    "instance_key",
-    "load_canonical",
-    "load_network",
-    "load_sawsdl",
-    "matches",
-    "modularity",
-    "network_from_edges",
-    "network_summary",
-    "new_collection",
-    "report_from_json",
-    "report_to_json",
-    "save_network",
-    "select_xmin",
-    "transitivity",
-    "walktrap",
-    "write_canonical",
-]
+# Each exported name -> the submodule that defines it.
+_SOURCES = {
+    name: module
+    for module, names in {
+        "errors": "CollectionError DegenerateAnalysisError DuplicateIdError SchemaError UnsupportedConstructError",
+        "matching": "Archetype MatcherKind build_archetypes instance_key matches",
+        "model": (
+            "Operation ParameterInstance Role Service ServiceCollection collection_from_dict collection_stats "
+            "load_canonical new_collection write_canonical"
+        ),
+        "network": (
+            "DependencyNetwork Link build_network export load_network network_from_edges network_summary save_network"
+        ),
+        "community": "CommunityPartition WalktrapResult modularity walktrap",
+        "powerlaw": "PowerLawFit fit_alpha fit_power_law hurwitz_zeta select_xmin",
+        "report": "AnalysisConfig ComparisonReport MetricsReport analyze compare report_from_json report_to_json",
+        "sawsdl": "load_sawsdl",
+        "topology": (
+            "ComponentDecomposition DegreeStats DistanceStats ERBaseline components degree_correlation "
+            "degree_stats distances er_baseline giant_subnetwork transitivity"
+        ),
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -3,6 +3,9 @@
 Subcommands: extract, analyze, compare, communities, degree-dist, export.
 Exit codes: 0 success, 1 usage error, 2 input/parse error, 3 degenerate
 analysis (metric undefined on the given network).
+
+The analysis modules are imported by the commands that use them, so extract
+and export start without loading numpy.
 """
 
 from __future__ import annotations
@@ -12,24 +15,11 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .community import dendrogram_csv, partition_csv, walktrap
 from .errors import CollectionError, DegenerateAnalysisError
 from .matching import MatcherKind
 from .model import load_canonical
 from .network import EXPORT_FORMATS, build_network, export, load_network, save_network
-from .powerlaw import degree_distribution_rows
-from .report import (
-    AnalysisConfig,
-    analyze,
-    compare,
-    comparison_to_json,
-    render_comparison_text,
-    render_text,
-    report_from_json,
-    report_to_json,
-)
 from .sawsdl import load_sawsdl
-from .topology import degree_stats, giant_subnetwork
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,6 +70,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .report import AnalysisConfig, analyze, render_text, report_to_json
+
     network = load_network(args.net_file)
     config = AnalysisConfig(
         er_samples=args.er_samples,
@@ -94,6 +86,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .report import compare, comparison_to_json, render_comparison_text, report_from_json
+
     left = report_from_json(Path(args.report_a).read_bytes(), source=args.report_a)
     right = report_from_json(Path(args.report_b).read_bytes(), source=args.report_b)
     comparison = compare(left, right)
@@ -106,6 +100,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_communities(args) -> int:
+    from .community import dendrogram_csv, partition_csv, walktrap
+    from .topology import giant_subnetwork
+
     network = load_network(args.net_file)
     giant, _ = giant_subnetwork(network)
     result = walktrap(giant, t=args.t)
@@ -121,6 +118,9 @@ def _cmd_communities(args) -> int:
 
 
 def _cmd_degree_dist(args) -> int:
+    from .powerlaw import degree_distribution_rows
+    from .topology import degree_stats, giant_subnetwork
+
     network = load_network(args.net_file)
     if args.giant:
         network, _ = giant_subnetwork(network)

@@ -18,7 +18,6 @@ import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .errors import CollectionError
 from .matching import Archetype, MatcherKind, build_archetypes
@@ -163,6 +162,11 @@ def to_edgelist(n: DependencyNetwork) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _xml_escape(text: str) -> str:
+    # The same bytes as xml.sax.saxutils.escape, whose module imports urllib.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def to_graphml(n: DependencyNetwork) -> str:
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
@@ -175,7 +179,7 @@ def to_graphml(n: DependencyNetwork) -> str:
     for node in n.nodes:
         out.append(
             f'    <node id="n{node.id}">'
-            f'<data key="label">{escape(node.label)}</data>'
+            f'<data key="label">{_xml_escape(node.label)}</data>'
             f'<data key="instance_count">{node.instance_count}</data>'
             "</node>\n"
         )

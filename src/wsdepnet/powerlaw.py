@@ -101,29 +101,10 @@ def fit_alpha(data, xmin: int) -> float:
     return 1.0 + tail.size / log_sum
 
 
-def ks_statistic(empirical_cdf, model_cdf) -> float:
-    """Max absolute difference between two CDFs evaluated on the same points."""
-    empirical = np.asarray(empirical_cdf, dtype=float)
-    model = np.asarray(model_cdf, dtype=float)
-    return float(np.max(np.abs(empirical - model)))
-
-
 def model_tail_cdf(alpha: float, xmin: int, values) -> np.ndarray:
     """P(X <= v | X >= xmin) of the discrete power law, for integer v >= xmin."""
     values = np.asarray(values, dtype=float)
     return 1.0 - _scaled_zeta(alpha, values + 1.0, float(xmin)) / _scaled_zeta(alpha, float(xmin), float(xmin))
-
-
-def ks_distance(data, alpha: float, xmin: int) -> float:
-    """KS distance between the empirical tail CDF and the fitted model CDF,
-    evaluated at the distinct tail values."""
-    arr = _as_positive_ints(data)
-    tail = np.sort(arr[arr >= xmin])
-    if tail.size < 1:
-        raise DegenerateAnalysisError("power-law-fit", f"empty tail above {xmin}")
-    values, counts = np.unique(tail, return_counts=True)
-    empirical = np.cumsum(counts) / tail.size
-    return ks_statistic(empirical, model_tail_cdf(alpha, xmin, values))
 
 
 def _ks_scan(samples: np.ndarray, min_tail: int):

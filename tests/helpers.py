@@ -8,12 +8,18 @@ sums), so agreement is meaningful.
 from __future__ import annotations
 
 import heapq
+import json
+import os
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+import wsdepnet
 from wsdepnet import powerlaw
 from wsdepnet.community import CommunityPartition, MergeStep, WalktrapResult, modularity
 from wsdepnet.errors import DegenerateAnalysisError
@@ -23,6 +29,15 @@ from wsdepnet.network import DependencyNetwork, network_from_edges
 from wsdepnet.topology import weak_components_of
 
 INF = float("inf")
+
+
+def fresh_interpreter(code: str, *args: str):
+    """Run `code` with `args` in a new interpreter that imports this package;
+    return its last line of stdout, parsed as JSON."""
+    env = dict(os.environ, PYTHONPATH=str(Path(wsdepnet.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def floyd_warshall(adj: list[list[int]]) -> list[list[float]]:
@@ -266,6 +281,18 @@ def fit_alpha_continuous(data, xmin: int) -> float:
         raise DegenerateAnalysisError("power-law-fit", f"degenerate tail: fewer than 2 observations >= {xmin}")
     log_sum = float(np.sum(np.log(tail / xmin)))
     return 1.0 + tail.size / log_sum
+
+
+def ks_distance(data, alpha: float, xmin: int) -> float:
+    """KS distance between the empirical tail CDF and the model CDF, at the
+    distinct tail values, one sample at a time."""
+    arr = powerlaw._as_positive_ints(data)
+    tail = np.sort(arr[arr >= xmin])
+    if tail.size < 1:
+        raise DegenerateAnalysisError("power-law-fit", f"empty tail above {xmin}")
+    values, counts = np.unique(tail, return_counts=True)
+    empirical = np.cumsum(counts) / tail.size
+    return float(np.max(np.abs(empirical - powerlaw.model_tail_cdf(alpha, xmin, values))))
 
 
 def select_xmin_oracle(data, min_tail: int = 10) -> tuple[int, float, float]:

@@ -1,9 +1,10 @@
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from helpers import collection_doc, op, param
+from helpers import collection_doc, fresh_interpreter, op, param
 from wsdepnet.cli import main
 
 FAST_ANALYZE = ["--er-samples", "8", "--bootstrap", "0"]
@@ -193,6 +194,31 @@ def test_export_dot_and_edgelist(tmp_path, k2_net, capsys):
     out = tmp_path / "edges.tsv"
     assert main(["export", str(k2_net), "--format", "edgelist", "--out", str(out)]) == 0
     assert len(out.read_text(encoding="utf-8").strip().split("\n")) == 10
+
+
+STARTUP_PROBE = """
+import json, sys
+from wsdepnet.cli import main
+collection, net, edges = sys.argv[1:]
+heavy = ("numpy", "urllib.request")
+codes = [main(["extract", "--collection", collection, "--matcher", "syntactic-equal", "--out", net]),
+         main(["export", net, "--format", "edgelist", "--out", edges])]
+loaded = [m for m in heavy if m in sys.modules]
+codes.append(main(["analyze", net, "--er-samples", "5", "--bootstrap", "0", "--out", net + ".json"]))
+print(json.dumps({"codes": codes, "loaded": loaded, "after_analyze": [m for m in heavy if m in sys.modules]}))
+"""
+
+
+def test_extract_and_export_start_without_numpy_or_urllib(tmp_path):
+    """A fresh interpreter runs extract and export without importing numpy or
+    urllib.request; analyze in the same interpreter still works."""
+    collection = Path(__file__).parent / "data" / "golden" / "collection.json"
+    net, edges = tmp_path / "net.graphml", tmp_path / "edges.tsv"
+    result = fresh_interpreter(STARTUP_PROBE, str(collection), str(net), str(edges))
+    assert result["codes"] == [0, 0, 0]
+    assert result["loaded"] == []
+    assert "numpy" in result["after_analyze"]  # the probe does see what analyze loads
+    assert edges.read_text(encoding="utf-8")
 
 
 # -- exit codes ---------------------------------------------------------------

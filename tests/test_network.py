@@ -1,6 +1,8 @@
 import contextlib
 import json
+import re
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -117,16 +119,21 @@ def test_dot_format_quotes_labels():
     assert "n0 -> n1 [weight=1];" in dot
 
 
-def test_graphml_is_wellformed_and_escaped():
-    n = network_from_edges(2, [(0, 1)], labels=["a<&>", "b"])
+def test_graphml_is_wellformed_and_escaped(tmp_path):
+    names = ["a<&>", "b", "&amp;lt;", "say \"hi\" it's", "größe→ž"]
+    n = network_from_edges(len(names), [(0, 1)], labels=names)
     doc = ET.fromstring(to_graphml(n))
     ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
     nodes = doc.findall(".//g:node", ns)
     edges = doc.findall(".//g:edge", ns)
-    assert len(nodes) == 2
+    assert len(nodes) == len(names)
     assert len(edges) == 1
     labels = [node.find("g:data[@key='label']", ns).text for node in nodes]
-    assert labels == ["a<&>", "b"]
+    assert labels == names
+    path = tmp_path / "net.graphml"
+    save_network(n, path)
+    saved = re.findall(rb'<data key="label">(.*?)</data>', path.read_bytes())
+    assert saved == [escape(name).encode("utf-8") for name in names]
 
 
 def test_export_dispatch_and_unknown_format(k2_collection):

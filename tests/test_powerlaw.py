@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import zeta as scipy_zeta
 
-from helpers import fit_alpha_continuous, replicate_ks_oracle, sample_discrete_powerlaw_oracle, select_xmin_oracle
+from helpers import fit_alpha_continuous, ks_distance, replicate_ks_oracle, sample_discrete_powerlaw_oracle, select_xmin_oracle
 from wsdepnet import powerlaw
 from wsdepnet.errors import DegenerateAnalysisError
 from wsdepnet.powerlaw import (
@@ -15,7 +15,6 @@ from wsdepnet.powerlaw import (
     fit_power_law,
     gof_pvalue,
     hurwitz_zeta,
-    ks_distance,
     model_tail_cdf,
     pvalue_from_replicates,
     sample_discrete_powerlaw,
