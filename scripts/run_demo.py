@@ -1,148 +1,38 @@
 #!/usr/bin/env python3
-"""End-to-end demo on a synthetic service collection.
+"""End-to-end demo: the corpus study on a paper-sized synthetic collection.
 
-Generates a seeded random collection whose parameter names follow a Zipf
-law and whose concept annotations both merge name variants and split
-generic names, extracts the syntactic and semantic dependency networks,
-analyzes both, and writes every artifact (collection, networks, reports,
-partitions, degree distributions, comparison) under --out.
+Generates the seeded collection of the paper-pair benchmark, whose
+syntactic giant has the paper's 269 nodes and 633 links (within 1%) and
+whose concept annotations both merge name variants and split generic
+names, writes it as collection.json, and runs the study of
+run_sawsdl_corpus.py on it: both networks, their reports, community
+partitions, dendrograms and degree distributions, and the comparison, all
+under --out. A bad argument exits 1.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from wsdepnet.community import partition_csv, walktrap
-from wsdepnet.matching import MatcherKind
-from wsdepnet.model import collection_from_dict, collection_stats, write_canonical
-from wsdepnet.network import build_network, save_network
-from wsdepnet.powerlaw import degree_distribution_rows
-from wsdepnet.report import (
-    AnalysisConfig,
-    analyze,
-    compare,
-    comparison_to_json,
-    render_comparison_text,
-    report_to_json,
-)
-from wsdepnet.topology import degree_stats, giant_subnetwork
-
-
-def synthetic_collection(rng: np.random.Generator, services: int) -> dict:
-    """Collection generator with annotation pathologies found in real corpora.
-
-    Concepts are Zipf-distributed so a few parameters recur in many
-    operations. A third of the instances use a numbered name variant of
-    their concept's base name (syntactic split, semantic merge), a few
-    reuse one generic name across concepts (syntactic merge, semantic
-    split), and a few stay unannotated (semantic singleton).
-    """
-    vocab_size = 50
-    concepts = [f"http://onto.example.org#C{v}" for v in range(vocab_size)]
-
-    def draw(k: int) -> list[dict]:
-        picks = rng.zipf(1.7, size=4 * k)
-        picks = [int(p) - 1 for p in picks if p <= vocab_size][:k]
-        out = []
-        for v in picks:
-            roll = rng.random()
-            if roll < 0.30:
-                name = f"param{v}_v{int(rng.integers(1, 3))}"
-            elif roll < 0.35:
-                name = "PARAMETER"
-            else:
-                name = f"param{v}"
-            entry: dict = {"name": name, "concept": concepts[v]}
-            if rng.random() < 0.03:
-                del entry["concept"]
-            out.append(entry)
-        return out or [{"name": "param0", "concept": concepts[0]}]
-
-    doc_services = []
-    for s in range(services):
-        operations = []
-        for o in range(int(rng.integers(1, 4))):
-            operations.append(
-                {
-                    "name": f"op{o}",
-                    "inputs": draw(int(rng.integers(1, 5))),
-                    "outputs": draw(int(rng.integers(1, 5))),
-                }
-            )
-        doc_services.append({"name": f"service{s}", "operations": operations})
-    return {"services": doc_services}
-
-
-def run_matcher(collection, kind: MatcherKind, config: AnalysisConfig, out: Path):
-    tag = kind.value
-    network = build_network(collection, kind)
-    save_network(network, out / f"{tag}.graphml")
-    report = analyze(network, config)
-    (out / f"{tag}.report.json").write_text(report_to_json(report), encoding="utf-8")
-
-    giant, _ = giant_subnetwork(network)
-    result = walktrap(giant, t=config.walktrap_t)
-    (out / f"{tag}.communities.csv").write_text(
-        partition_csv(giant, result.partition), encoding="utf-8"
-    )
-    rows = ["degree,count,ccdf\n"]
-    for degree, count, ccdf in degree_distribution_rows(degree_stats(giant).total_degrees):
-        rows.append(f"{degree},{count},{ccdf!r}\n")
-    (out / f"{tag}.degree-dist.csv").write_text("".join(rows), encoding="utf-8")
-
-    print(
-        f"{report.label}: {network.node_count} nodes, {network.link_count} links, "
-        f"giant {giant.node_count}/{giant.link_count}, "
-        f"communities {result.partition.community_count} "
-        f"(Q={result.partition.modularity:.3f})"
-    )
-    return report
+from generators import paper_collection
+from run_sawsdl_corpus import analysis_parser, config_of, study
+from wsdepnet.model import collection_from_dict, write_canonical
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = analysis_parser(__doc__, er_samples=50, bootstrap=200)
     parser.add_argument("--out", default="demo_out", help="output directory")
-    parser.add_argument("--services", type=int, default=120)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--er-samples", type=int, default=50)
-    parser.add_argument("--bootstrap", type=int, default=200)
-    parser.add_argument("--walktrap-t", type=int, default=4)
     args = parser.parse_args(argv)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
-    collection = collection_from_dict(synthetic_collection(rng, args.services))
+    collection = collection_from_dict(paper_collection(args.seed, 269, 633, 1500))
     write_canonical(collection, out / "collection.json")
-    stats = collection_stats(collection)
-    print(
-        f"collection: {stats.services} services, {stats.operations} operations, "
-        f"{stats.instance_count} instances, {stats.distinct_names} names, "
-        f"{stats.distinct_concepts} concepts"
-    )
-
-    config = AnalysisConfig(
-        er_samples=args.er_samples,
-        bootstrap_n=args.bootstrap,
-        walktrap_t=args.walktrap_t,
-        seed=args.seed,
-    )
-    syntactic = run_matcher(collection, MatcherKind.SYNTACTIC_EQUAL, config, out)
-    semantic = run_matcher(collection, MatcherKind.SEMANTIC_EXACT, config, out)
-
-    comparison = compare(syntactic, semantic)
-    (out / "comparison.json").write_text(comparison_to_json(comparison), encoding="utf-8")
-    text = render_comparison_text(comparison)
-    (out / "comparison.txt").write_text(text, encoding="utf-8")
-    print()
-    print(text, end="")
-    print(f"\nartifacts in {out}/")
+    study(collection, config_of(args), casefold=False, out=out)
     return 0
 
 

@@ -118,7 +118,7 @@ def _cmd_communities(args) -> int:
 
 
 def _cmd_degree_dist(args) -> int:
-    from .powerlaw import degree_distribution_rows
+    from .powerlaw import degree_distribution_csv
     from .topology import degree_stats, giant_subnetwork
 
     network = load_network(args.net_file)
@@ -130,10 +130,7 @@ def _cmd_degree_dist(args) -> int:
         "out": stats.out_degrees,
         "all": stats.total_degrees,
     }[args.which]
-    lines = ["degree,count,ccdf\n"]
-    for degree, count, ccdf in degree_distribution_rows(series):
-        lines.append(f"{degree},{count},{ccdf!r}\n")
-    _write_output("".join(lines), args.out)
+    _write_output(degree_distribution_csv(series), args.out)
     return 0
 
 

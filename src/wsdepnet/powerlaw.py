@@ -297,3 +297,9 @@ def degree_distribution_rows(degrees) -> list[tuple[int, int, float]]:
     values, counts = np.unique(arr, return_counts=True)
     ccdf = 1.0 - np.concatenate([[0], np.cumsum(counts)[:-1]]) / arr.size
     return [(int(v), int(c), float(f)) for v, c, f in zip(values, counts, ccdf)]
+
+
+def degree_distribution_csv(degrees) -> str:
+    """The `degree,count,ccdf` CSV of degree_distribution_rows, ccdf at full precision."""
+    rows = degree_distribution_rows(degrees)
+    return "degree,count,ccdf\n" + "".join(f"{degree},{count},{ccdf!r}\n" for degree, count, ccdf in rows)

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import CollectionError, DegenerateAnalysisError
-from .community import walktrap
+from .community import WalktrapResult, walktrap
 from .network import DependencyNetwork, network_summary
 from .powerlaw import _BLOCK_CELLS, _MIN_TAIL, PowerLawFit, _replicate_ks, fit_power_law, pvalue_from_replicates
 from .topology import (
@@ -201,7 +201,19 @@ def analyze(
     config: AnalysisConfig | None = None,
     label: str | None = None,
 ) -> MetricsReport:
-    """Full metric bundle for the giant component of `n`.
+    """Full metric bundle for the giant component of `n`: the report of
+    `analyze_with_communities`, which also hands back the giant and its
+    Walktrap result."""
+    return analyze_with_communities(n, config, label)[0]
+
+
+def analyze_with_communities(
+    n: DependencyNetwork,
+    config: AnalysisConfig | None = None,
+    label: str | None = None,
+) -> tuple[MetricsReport, DependencyNetwork, WalktrapResult | None]:
+    """(report, giant, Walktrap result) for the giant component of `n`; the
+    result is None where Walktrap was degenerate, as `degenerate["communities"]` says.
 
     Metrics that are undefined on the given network (zero degree variance,
     too small a power-law tail, a linkless giant) are reported as None with
@@ -214,13 +226,13 @@ def analyze(
     The rest are stages of one queue, in this order: Walktrap, the
     Erdos-Renyi baseline, the bootstrap blocks of the in, out and all fits,
     directed and undirected distances, and transitivity. This process
-    takes Walktrap, so its n x n matrices stay here; then it and, where
-    `os.fork` exists and a second CPU is usable, one forked helper process
-    each take the next stage until none is left. Every stage draws from
-    its own seeded RNG stream and results are merged by stage index, so the
-    report does not depend on which process ran what. The helper's memory
-    and CPU time show in `resource.RUSAGE_CHILDREN`, not in `RUSAGE_SELF`.
-    If the helper fails, analyze raises RuntimeError.
+    takes Walktrap, so its n x n matrices and its result stay here; then
+    it and, where `os.fork` exists and a second CPU is usable, one forked
+    helper process each take the next stage until none is left. Every
+    stage draws from its own seeded RNG stream and results are merged by
+    stage index, so the report does not depend on which process ran what.
+    The helper's memory and CPU time show in `resource.RUSAGE_CHILDREN`,
+    not in `RUSAGE_SELF`. If the helper fails, this raises RuntimeError.
     """
     config = _checked(config or AnalysisConfig())
     if n.node_count == 0:
@@ -249,7 +261,7 @@ def analyze(
 
     def communities():
         try:
-            return walktrap(giant, t=config.walktrap_t).partition
+            return walktrap(giant, t=config.walktrap_t)
         except DegenerateAnalysisError as err:
             return err.reason
 
@@ -281,15 +293,16 @@ def analyze(
         functools.partial(transitivity, giant),
     ]
     results = _run_stages(stages)
-    partition, er, *_, directed, undirected, clustering = results
+    walked, er, *_, directed, undirected, clustering = results
 
     for tail, indices in blocks.items():
         fit = power_law[tail]
         fit.bootstrap_n = replicates
         fit.p_value = pvalue_from_replicates(fit.ks_statistic, np.concatenate([results[i] for i in indices]))
-    if isinstance(partition, str):
-        degenerate["communities"] = partition
-        partition = None
+    if isinstance(walked, str):
+        degenerate["communities"] = walked
+        walked = None
+    partition = walked.partition if walked else None
     if isinstance(er, str):
         degenerate["er_baseline"] = er
         er = None
@@ -333,7 +346,7 @@ def analyze(
         modularity=partition.modularity if partition else None,
         degenerate=degenerate,
         config=config,
-    )
+    ), giant, walked
 
 
 # Scalar fields differenced by compare(); power-law deltas are added per tail.

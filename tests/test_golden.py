@@ -3,7 +3,10 @@
 `data/golden/collection.json` is `bench/generators.write_paper_pair(dir,
 seed=0, nodes=60, links=140, vocab=300)`; each `<matcher>.report.json` is
 its `wsdepnet extract` + `wsdepnet analyze --er-samples 5 --bootstrap 100`.
-Any change to a reported number, down to the last bit of a float, fails.
+Each `<matcher>.communities.csv` and `.dendrogram.csv` is `wsdepnet
+communities --dendrogram` of that network, and each `.degree-<which>.csv` is
+`wsdepnet degree-dist --giant --which <which>`. Any change to a reported
+number, down to the last bit of a float, fails.
 """
 
 from pathlib import Path
@@ -35,3 +38,17 @@ def test_in_memory_report_matches_golden(matcher):
     network = build_network(load_canonical(GOLDEN / "collection.json"), MatcherKind(matcher))
     text = report_to_json(analyze(network, CONFIG))
     assert text == (GOLDEN / f"{matcher}.report.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("matcher", MATCHERS)
+def test_cli_csvs_match_golden(tmp_path, matcher):
+    graphml = tmp_path / "net.graphml"
+    assert main(["extract", "--collection", str(GOLDEN / "collection.json"),
+                 "--matcher", matcher, "--out", str(graphml)]) == 0
+    assert main(["communities", str(graphml), "--out", str(tmp_path / "communities.csv"),
+                 "--dendrogram", str(tmp_path / "dendrogram.csv")]) == 0
+    for which in ("in", "out", "all"):
+        assert main(["degree-dist", str(graphml), "--giant", "--which", which,
+                     "--out", str(tmp_path / f"degree-{which}.csv")]) == 0
+    for name in ("communities", "dendrogram", "degree-in", "degree-out", "degree-all"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == (GOLDEN / f"{matcher}.{name}.csv").read_bytes(), name

@@ -5,6 +5,7 @@ import os
 import random
 import signal
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,13 +13,14 @@ from helpers import collection_doc, op, param
 from wsdepnet.errors import DegenerateAnalysisError
 from wsdepnet.community import walktrap
 from wsdepnet.matching import MatcherKind
-from wsdepnet.model import collection_from_dict
+from wsdepnet.model import collection_from_dict, load_canonical
 from wsdepnet.network import build_network, network_from_edges
 from wsdepnet.powerlaw import PowerLawFit
 from wsdepnet.report import (
     _DELTA_FIELDS,
     AnalysisConfig,
     analyze,
+    analyze_with_communities,
     compare,
     comparison_to_dict,
     comparison_to_json,
@@ -322,6 +324,33 @@ def test_failing_stage_reaps_the_er_child(k2_collection, monkeypatch, cpus, fork
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("matcher", ["syntactic-equal", "semantic-exact"])
+def test_analyze_with_communities_hands_back_its_walktrap(cpus, deadline, count, matcher):
+    golden = Path(__file__).parent / "data" / "golden" / "collection.json"
+    net = build_network(load_canonical(golden), MatcherKind(matcher))
+    config = AnalysisConfig(er_samples=5, bootstrap_n=100)
+    cpus(count)
+    report, giant, result = analyze_with_communities(net, config)
+    assert report_to_json(report) == report_to_json(analyze(net, config))
+    fresh = walktrap(giant, t=config.walktrap_t)
+    assert result.merges == fresh.merges  # MergeStep equality includes each delta_sigma
+    assert result.partition == fresh.partition
+    assert (result.cut_modularities, result.best_cut) == (fresh.cut_modularities, fresh.best_cut)
+    assert (report.communities, report.modularity) == (result.partition.community_count, result.partition.modularity)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_analyze_with_communities_on_a_linkless_giant(cpus, deadline, count):
+    net = network_from_edges(3, [], MatcherKind.SYNTACTIC_EQUAL)
+    cpus(count)
+    report, giant, result = analyze_with_communities(net, FAST)
+    assert result is None
+    assert (giant.node_count, giant.link_count) == (1, 0)
+    assert report.degenerate["communities"] == "no links"
+    assert report.communities is None
 
 
 # -- compare ------------------------------------------------------------------
