@@ -12,10 +12,16 @@ count for neither side). A gain stands when the change wins at least nine
 tenths of the pairs and the medians differ by more than the parent's
 interquartile range.
 
+Each metric also gets a no-regression verdict against its `bound` in
+PARENT's `BENCHMARK.json`, a fraction of the parent's median: `unresolved`
+where the parent's interquartile range exceeds that fraction of its median,
+else `worse` where the change's median is worse than the parent's by more
+than the bound, else `within`.
+
 The same figures go to `BENCH_<workload>.json` at the root of CHANGE: the
-seeds, which side ran first in each pair, and per side and metric the
-per-seed values, their median and quartiles, and for the change the pairs
-it won and lost.
+seeds, which side ran first in each pair, per side and metric the per-seed
+values, their median and quartiles, for the change the pairs it won and
+lost, and per metric the bound and the verdict.
 
 Both trees are byte-compiled first (`python -m compileall -q src`): with
 PYTHONDONTWRITEBYTECODE set, a fresh copy has no bytecode cache, and each
@@ -63,6 +69,16 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(parent: list[float], change: list[float], bound: float, better: str = "lower") -> str:
+    """`unresolved`, `worse` or `within`: the change's median against the
+    parent's, with `bound` a fraction of the parent's median."""
+    p1, pm, p3 = quartiles(parent)
+    if pm <= 0 or (p3 - p1) / pm > bound:
+        return "unresolved"
+    worse_by = (quartiles(change)[1] - pm) / pm * (1 if better == "lower" else -1)
+    return "worse" if worse_by > bound else "within"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent", type=Path)
@@ -76,6 +92,8 @@ def main(argv: list[str] | None = None) -> int:
         if not (tree / "bench" / "run.py").is_file():
             parser.error(f"{tree} has no bench/run.py")
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
+    declared = json.loads((trees["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    bounds = {metric["name"]: metric for metric in declared}
 
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
     first: list[str] = []
@@ -89,7 +107,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"seed {seed} ({order[0]} first): " + "  ".join(cells), flush=True)
 
     pairs = len(runs["parent"])
-    trend = {"workload": args.workload, "seeds": list(args.seeds), "first": first, "parent": {}, "change": {}}
+    trend = {
+        "workload": args.workload, "seeds": list(args.seeds), "first": first, "parent": {}, "change": {}, "verdict": {}
+    }
     for m in METRICS:
         parent = [run[m] for run in runs["parent"]]
         change = [run[m] for run in runs["change"]]
@@ -98,10 +118,14 @@ def main(argv: list[str] | None = None) -> int:
         losses = sum(c > p for p, c in zip(parent, change))
         trend["parent"][m] = {"runs": parent, "median": pm, "q1": p1, "q3": p3}
         trend["change"][m] = {"runs": change, "median": cm, "q1": c1, "q3": c3, "lower_in": wins, "higher_in": losses}
+        bound = bounds[m]["bound"]
+        judged = verdict(parent, change, bound, bounds[m]["better"])
+        trend["verdict"][m] = {"bound": bound, "verdict": judged}
         print(
             f"{m}: parent {pm:.3f} [{p1:.3f}, {p3:.3f}], change {cm:.3f} [{c1:.3f}, {c3:.3f}], "
             f"{(cm - pm) / pm:+.1%}; change lower in {wins}/{pairs}, higher in {losses}/{pairs}; "
-            f"|median gap| {abs(cm - pm):.3f} vs parent IQR {p3 - p1:.3f}"
+            f"|median gap| {abs(cm - pm):.3f} vs parent IQR {p3 - p1:.3f}; "
+            f"{judged} (bound {bound:.0%})"
         )
     out = trees["change"] / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(trend, indent=1) + "\n", encoding="utf-8")

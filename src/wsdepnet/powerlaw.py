@@ -18,6 +18,7 @@ underflow to 0/0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,6 +252,16 @@ def _replicate_ks(
         rows, _, _, ks = _ks_scan(samples, min_tail)
         np.minimum.at(ks_values, first - start + rows, ks)
     return ks_values
+
+
+def bootstrap_blocks(arr: np.ndarray, fit: PowerLawFit, replicates: int, seed: int, most: int) -> list:
+    """At most `most` zero-argument calls whose arrays, joined in order, are the
+    replicate KS distances of gof_pvalue(arr, fit, replicates, seed)."""
+    step = max(1, _BLOCK_CELLS // arr.size, -(-replicates // most))
+    return [
+        functools.partial(_replicate_ks, arr, fit, min(start + step, replicates), seed, _MIN_TAIL, start)
+        for start in range(0, replicates, step)
+    ]
 
 
 def gof_pvalue(data, fit: PowerLawFit, replicates: int, seed: int, min_tail: int = _MIN_TAIL) -> float:

@@ -24,8 +24,9 @@ import numpy as np
 from .errors import CollectionError, DegenerateAnalysisError
 from .community import WalktrapResult, walktrap
 from .network import DependencyNetwork, network_summary
-from .powerlaw import _BLOCK_CELLS, _MIN_TAIL, PowerLawFit, _replicate_ks, fit_power_law, pvalue_from_replicates
+from .powerlaw import PowerLawFit, bootstrap_blocks, fit_power_law, pvalue_from_replicates
 from .topology import (
+    ERBaseline,
     degree_correlation,
     degree_stats,
     distances,
@@ -216,10 +217,12 @@ def analyze_with_communities(
     result is None where Walktrap was degenerate, as `degenerate["communities"]` says.
 
     Metrics that are undefined on the given network (zero degree variance,
-    too small a power-law tail, a linkless giant) are reported as None with
-    the reason recorded under `degenerate`; an empty network is an error,
-    and so is a config with er_samples < 1, bootstrap_n neither 0 nor
-    >= 100, or walktrap_t < 1 (ValueError, raised before any work).
+    too small a power-law tail, a linkless or single-node giant, an ER link
+    count beyond n(n - 1)/2) are reported as None with the reason recorded
+    under `degenerate`, so no field is None without one; an empty network
+    is an error, and so is a config with er_samples < 1, bootstrap_n
+    neither 0 nor >= 100, or walktrap_t < 1 (ValueError, raised before any
+    work).
 
     The summary, the giant, the degrees, the degree correlation and the
     power-law cutoffs take milliseconds and run first, in this process.
@@ -241,79 +244,41 @@ def analyze_with_communities(
         label = _DEFAULT_LABELS.get(n.matcher.value, n.matcher.value)
     summary = network_summary(n)
     giant, _ = giant_subnetwork(n)
-    degenerate: dict[str, str] = {}
-
-    def guarded(metric: str, compute):
-        try:
-            return compute()
-        except DegenerateAnalysisError as err:
-            degenerate[metric] = err.reason
-            return None
-
-    correlation = guarded("degree_correlation", lambda: degree_correlation(giant))
     degrees = degree_stats(giant)
     tails = {"in": degrees.in_degrees, "out": degrees.out_degrees, "all": degrees.total_degrees}
     positive = {tail: np.array([v for v in values if v > 0], dtype=np.int64) for tail, values in tails.items()}
-    power_law = {
-        tail: guarded(f"power_law_{tail}", lambda: fit_power_law(positive[tail], replicates=0))
-        for tail in tails
+    # metric -> (value, None) or (None, the reason it is undefined)
+    outcomes = {"degree_correlation": _outcome(degree_correlation, giant)}
+    outcomes |= {f"power_law_{tail}": _outcome(fit_power_law, positive[tail], replicates=0) for tail in _TAILS}
+
+    fits = {tail: outcomes[f"power_law_{tail}"][0] for tail in _TAILS}
+    blocks = {  # each fit takes at most a quarter of the queue
+        tail: bootstrap_blocks(positive[tail], fit, config.bootstrap_n, config.seed, _QUEUE_SLOTS // 4)
+        for tail, fit in fits.items()
+        if fit and config.bootstrap_n
     }
-
-    def communities():
-        try:
-            return walktrap(giant, t=config.walktrap_t)
-        except DegenerateAnalysisError as err:
-            return err.reason
-
-    def baseline():
-        try:
-            return er_baseline(giant.node_count, giant.link_count, config.er_samples, config.seed)
-        except ValueError as err:
-            return str(err)
-
-    stages: list[Callable[[], object]] = [communities, baseline]
-    replicates = config.bootstrap_n
-    blocks: dict[str, range] = {}
-    for tail, fit in power_law.items():
-        if fit is None or not replicates:
-            continue
-        # the scan blocks of _replicate_ks; each fit takes at most a quarter of the queue
-        step = max(1, _BLOCK_CELLS // positive[tail].size, -(-replicates // (_QUEUE_SLOTS // 4)))
-        starts = range(0, replicates, step)
-        blocks[tail] = range(len(stages), len(stages) + len(starts))
-        stages += [
-            functools.partial(
-                _replicate_ks, positive[tail], fit, min(start + step, replicates), config.seed, _MIN_TAIL, start
-            )
-            for start in starts
-        ]
-    stages += [
+    stages = [
+        functools.partial(_outcome, walktrap, giant, t=config.walktrap_t),
+        functools.partial(_outcome, _er_baseline, giant, config),
+        *(call for calls in blocks.values() for call in calls),
         functools.partial(distances, giant, "directed"),
         functools.partial(distances, giant, "undirected"),
         functools.partial(transitivity, giant),
     ]
-    results = _run_stages(stages)
-    walked, er, *_, directed, undirected, clustering = results
+    results = iter(_run_stages(stages))
+    outcomes["communities"], outcomes["er_baseline"] = next(results), next(results)
+    for tail, calls in blocks.items():
+        fit = fits[tail]
+        fit.bootstrap_n = config.bootstrap_n
+        fit.p_value = pvalue_from_replicates(fit.ks_statistic, np.concatenate([next(results) for _ in calls]))
+    directed, undirected, clustering = results
 
-    for tail, indices in blocks.items():
-        fit = power_law[tail]
-        fit.bootstrap_n = replicates
-        fit.p_value = pvalue_from_replicates(fit.ks_statistic, np.concatenate([results[i] for i in indices]))
-    if isinstance(walked, str):
-        degenerate["communities"] = walked
-        walked = None
+    for mode, stats in (("directed", directed), ("undirected", undirected)):
+        outcomes[f"avg_distance_{mode}"] = _outcome(_defined, stats.average, "fewer than 2 nodes")
+    walked, er = outcomes["communities"][0], outcomes["er_baseline"][0]
+    if er:
+        outcomes["er_analytic_distance"] = _outcome(_defined, er.analytic_distance, "mean degree <= 1")
     partition = walked.partition if walked else None
-    if isinstance(er, str):
-        degenerate["er_baseline"] = er
-        er = None
-    if directed.average is None:
-        degenerate["avg_distance_directed"] = "fewer than 2 nodes"
-    if undirected.average is None:
-        degenerate["avg_distance_undirected"] = "fewer than 2 nodes"
-
-    def _clean(x: float | None) -> float | None:
-        return None if x is None or not math.isfinite(x) else x
-
     return MetricsReport(
         label=label,
         matcher=n.matcher.value,
@@ -324,54 +289,91 @@ def analyze_with_communities(
         giant_link_fraction=giant.link_count / summary.links if summary.links else 1.0,
         nodes=giant.node_count,
         links=giant.link_count,
-        avg_distance_directed=directed.average,
-        avg_distance_undirected=undirected.average,
+        avg_distance_directed=outcomes["avg_distance_directed"][0],
+        avg_distance_undirected=outcomes["avg_distance_undirected"][0],
         diameter_directed=directed.diameter,
         diameter_undirected=undirected.diameter,
         finite_directed_pairs=directed.finite_pairs,
         transitivity=clustering,
-        degree_correlation=correlation,
+        degree_correlation=outcomes["degree_correlation"][0],
         avg_in_degree=degrees.avg_in,
         avg_out_degree=degrees.avg_out,
         avg_total_degree=degrees.avg_total,
         max_total_degree=degrees.max_total,
-        er_avg_distance=_clean(er.avg_distance_mean) if er else None,
-        er_avg_distance_sd=_clean(er.avg_distance_sd) if er else None,
-        er_transitivity=_clean(er.transitivity_mean) if er else None,
-        er_transitivity_sd=_clean(er.transitivity_sd) if er else None,
-        er_analytic_distance=_clean(er.analytic_distance) if er else None,
-        er_analytic_transitivity=_clean(er.analytic_transitivity) if er else None,
-        power_law=power_law,
+        # `er and ...` is None where the baseline is undefined
+        er_avg_distance=er and er.avg_distance_mean,
+        er_avg_distance_sd=er and er.avg_distance_sd,
+        er_transitivity=er and er.transitivity_mean,
+        er_transitivity_sd=er and er.transitivity_sd,
+        er_analytic_distance=er and outcomes["er_analytic_distance"][0],
+        er_analytic_transitivity=er and er.analytic_transitivity,
+        power_law=fits,
         communities=partition.community_count if partition else None,
         modularity=partition.modularity if partition else None,
-        degenerate=degenerate,
+        degenerate={metric: reason for metric, (_, reason) in outcomes.items() if reason is not None},
         config=config,
     ), giant, walked
 
 
+def _outcome(compute: Callable, *args, **kwargs) -> tuple[object, str | None]:
+    """(compute(...), None), or (None, reason) where it raised DegenerateAnalysisError."""
+    try:
+        return compute(*args, **kwargs), None
+    except DegenerateAnalysisError as err:
+        return None, err.reason
+
+
+def _defined(value: float | None, reason: str) -> float:
+    """`value` where it is a finite number; else DegenerateAnalysisError(reason)."""
+    if value is None or not math.isfinite(value):
+        raise DegenerateAnalysisError("analyze", reason)
+    return value
+
+
+def _er_baseline(giant: DependencyNetwork, config: AnalysisConfig) -> ERBaseline:
+    """er_baseline of the giant's node and link counts; DegenerateAnalysisError
+    on a single node, and for the ValueError of an infeasible link count."""
+    if giant.node_count < 2:
+        raise DegenerateAnalysisError("er-baseline", "fewer than 2 nodes")
+    try:
+        return er_baseline(giant.node_count, giant.link_count, config.er_samples, config.seed)
+    except ValueError as err:
+        raise DegenerateAnalysisError("er-baseline", str(err)) from None
+
+
+# Report rows of the text renderings, (title, field), in order.
+_TEXT_ROWS = (
+    ("Nodes (giant)", "nodes"),
+    ("Links (giant)", "links"),
+    ("Network nodes", "network_nodes"),
+    ("Network links", "network_links"),
+    ("Isolated fraction", "isolated_fraction"),
+    ("Giant node fraction", "giant_node_fraction"),
+    ("Giant link fraction", "giant_link_fraction"),
+    ("Avg distance (directed)", "avg_distance_directed"),
+    ("Avg distance (undirected)", "avg_distance_undirected"),
+    ("Diameter (directed)", "diameter_directed"),
+    ("Diameter (undirected)", "diameter_undirected"),
+    ("Finite directed pairs", "finite_directed_pairs"),
+    ("Transitivity", "transitivity"),
+    ("Degree correlation", "degree_correlation"),
+    ("Avg in-degree", "avg_in_degree"),
+    ("Avg out-degree", "avg_out_degree"),
+    ("Avg total degree", "avg_total_degree"),
+    ("Max total degree", "max_total_degree"),
+    ("ER avg distance", "er_avg_distance"),
+    ("ER transitivity", "er_transitivity"),
+    ("ER analytic distance", "er_analytic_distance"),
+    ("ER analytic transitivity", "er_analytic_transitivity"),
+    ("Communities", "communities"),
+    ("Modularity", "modularity"),
+)
+
 # Scalar fields differenced by compare(); power-law deltas are added per tail.
-_DELTA_FIELDS = (
-    "network_nodes",
-    "network_links",
-    "isolated_fraction",
-    "giant_node_fraction",
-    "giant_link_fraction",
-    "nodes",
-    "links",
-    "avg_distance_directed",
-    "avg_distance_undirected",
-    "diameter_directed",
-    "diameter_undirected",
-    "transitivity",
-    "degree_correlation",
-    "avg_in_degree",
-    "avg_out_degree",
-    "avg_total_degree",
-    "max_total_degree",
-    "er_avg_distance",
-    "er_transitivity",
-    "communities",
-    "modularity",
+_DELTA_FIELDS = tuple(
+    name
+    for _, name in _TEXT_ROWS
+    if name not in ("finite_directed_pairs", "er_analytic_distance", "er_analytic_transitivity")
 )
 
 
@@ -395,10 +397,8 @@ def compare(a: MetricsReport, b: MetricsReport) -> ComparisonReport:
         left, right = getattr(a, name), getattr(b, name)
         deltas[name] = None if left is None or right is None else right - left
     for key in _TAILS:
-        fit_a, fit_b = a.power_law.get(key), b.power_law.get(key)
         for attr in ("alpha", "p_value"):
-            va = getattr(fit_a, attr) if fit_a else None
-            vb = getattr(fit_b, attr) if fit_b else None
+            va, vb = getattr(a.power_law.get(key), attr, None), getattr(b.power_law.get(key), attr, None)
             deltas[f"power_law_{key}_{attr}"] = None if va is None or vb is None else vb - va
     flags = {
         "smaller_semantic_diameter": b.diameter_directed < a.diameter_directed,
@@ -409,24 +409,16 @@ def compare(a: MetricsReport, b: MetricsReport) -> ComparisonReport:
 
 
 def _jsonable(value):
+    """`value` with every dict recursed into and every non-finite float made null."""
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 
 
-def fit_to_dict(fit: PowerLawFit | None) -> dict | None:
-    if fit is None:
-        return None
-    return {k: _jsonable(v) for k, v in asdict(fit).items()}
-
-
 def report_to_dict(r: MetricsReport) -> dict:
-    out = {}
-    for name, value in asdict(r).items():
-        out[name] = _jsonable(value)
-    out["power_law"] = {k: fit_to_dict(f) for k, f in r.power_law.items()}
-    out["config"] = asdict(r.config)
-    return out
+    return _jsonable(asdict(r))
 
 
 def report_to_json(r: MetricsReport) -> str:
@@ -520,12 +512,7 @@ def report_from_json(text: str | bytes, source: str = "report") -> MetricsReport
 
 
 def comparison_to_dict(c: ComparisonReport) -> dict:
-    return {
-        "left": report_to_dict(c.left),
-        "right": report_to_dict(c.right),
-        "deltas": {k: _jsonable(v) for k, v in c.deltas.items()},
-        "narrative_flags": dict(c.narrative_flags),
-    }
+    return _jsonable(asdict(c))
 
 
 def comparison_to_json(c: ComparisonReport) -> str:
@@ -549,34 +536,6 @@ def _fmt_fit(fit: PowerLawFit | None) -> str:
         f"alpha={_fmt(fit.alpha)} xmin={fit.xmin} ks={_fmt(fit.ks_statistic)} "
         f"p={_fmt(fit.p_value)} tail={fit.n_tail}"
     )
-
-
-_TEXT_ROWS = (
-    ("Nodes (giant)", "nodes"),
-    ("Links (giant)", "links"),
-    ("Network nodes", "network_nodes"),
-    ("Network links", "network_links"),
-    ("Isolated fraction", "isolated_fraction"),
-    ("Giant node fraction", "giant_node_fraction"),
-    ("Giant link fraction", "giant_link_fraction"),
-    ("Avg distance (directed)", "avg_distance_directed"),
-    ("Avg distance (undirected)", "avg_distance_undirected"),
-    ("Diameter (directed)", "diameter_directed"),
-    ("Diameter (undirected)", "diameter_undirected"),
-    ("Finite directed pairs", "finite_directed_pairs"),
-    ("Transitivity", "transitivity"),
-    ("Degree correlation", "degree_correlation"),
-    ("Avg in-degree", "avg_in_degree"),
-    ("Avg out-degree", "avg_out_degree"),
-    ("Avg total degree", "avg_total_degree"),
-    ("Max total degree", "max_total_degree"),
-    ("ER avg distance", "er_avg_distance"),
-    ("ER transitivity", "er_transitivity"),
-    ("ER analytic distance", "er_analytic_distance"),
-    ("ER analytic transitivity", "er_analytic_transitivity"),
-    ("Communities", "communities"),
-    ("Modularity", "modularity"),
-)
 
 
 def render_text(r: MetricsReport) -> str:
@@ -607,9 +566,8 @@ def render_comparison_text(c: ComparisonReport) -> str:
         lines.append(f"  {title:<{width}}{left:>12}{right:>12}{delta:>12}")
     for key in _TAILS:
         for attr in ("alpha", "p_value"):
-            fit_l, fit_r = c.left.power_law.get(key), c.right.power_law.get(key)
-            left = _fmt(getattr(fit_l, attr)) if fit_l else "n/a"
-            right = _fmt(getattr(fit_r, attr)) if fit_r else "n/a"
+            left = _fmt(getattr(c.left.power_law.get(key), attr, None))
+            right = _fmt(getattr(c.right.power_law.get(key), attr, None))
             delta = _fmt(c.deltas.get(f"power_law_{key}_{attr}"))
             lines.append(f"  {f'Power law {key} {attr}':<{width}}{left:>12}{right:>12}{delta:>12}")
     for flag, value in c.narrative_flags.items():

@@ -13,14 +13,11 @@ documents, policy elements and top-level WSDL imports are rejected by name.
 
 from __future__ import annotations
 
-import logging
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from .errors import CollectionError, UnsupportedConstructError
 from .model import Operation, ParameterInstance, Role, Service, ServiceCollection, SourceFormat, new_collection, nogc
-
-log = logging.getLogger(__name__)
 
 WSDL11_NS = "http://schemas.xmlsoap.org/wsdl/"
 WSDL20_NS = "http://www.w3.org/ns/wsdl"
@@ -62,7 +59,8 @@ def _annotation(elem: ET.Element) -> str | None:
 
 @nogc
 def load_sawsdl(directory: str | Path) -> ServiceCollection:
-    """Load every description file under `directory` (recursively) into one collection."""
+    """Load every description file under `directory` (recursively) into one
+    collection; a directory holding none is a CollectionError naming it."""
     directory = Path(directory)
     if not directory.is_dir():
         raise CollectionError(f"not a directory: {directory}")
@@ -71,8 +69,7 @@ def load_sawsdl(directory: str | Path) -> ServiceCollection:
         key=lambda item: item[0].as_posix(),
     )
     if not files:
-        log.warning("no service description files found under %s", directory)
-        return new_collection([], SourceFormat.SAWSDL)
+        raise CollectionError(f"no service description files (.wsdl, .sawsdl) under {directory}")
     services = []
     for rel, path in files:
         domain = rel.parts[0] if len(rel.parts) > 1 else None

@@ -121,6 +121,16 @@ def test_extract_sawsdl_directory(tmp_path, capsys):
     assert "extracted 4 nodes, 4 links" in capsys.readouterr().out
 
 
+def test_extract_sawsdl_empty_directory_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    net = tmp_path / "net.graphml"
+    assert main(["extract", "--collection", str(corpus), "--format", "sawsdl",
+                 "--matcher", "semantic-exact", "--out", str(net)]) == 2
+    assert f"input error: no service description files (.wsdl, .sawsdl) under {corpus}" in capsys.readouterr().err
+    assert not net.exists()
+
+
 # -- auxiliary commands -------------------------------------------------------
 
 

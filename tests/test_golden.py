@@ -5,8 +5,10 @@ seed=0, nodes=60, links=140, vocab=300)`; each `<matcher>.report.json` is
 its `wsdepnet extract` + `wsdepnet analyze --er-samples 5 --bootstrap 100`.
 Each `<matcher>.communities.csv` and `.dendrogram.csv` is `wsdepnet
 communities --dendrogram` of that network, and each `.degree-<which>.csv` is
-`wsdepnet degree-dist --giant --which <which>`. Any change to a reported
-number, down to the last bit of a float, fails.
+`wsdepnet degree-dist --giant --which <which>`. `comparison.json` and
+`comparison.txt` are `wsdepnet compare` of the two reports, syntactic on the
+left, in each report format. Any change to a reported number, down to the
+last bit of a float, fails.
 """
 
 from pathlib import Path
@@ -52,3 +54,11 @@ def test_cli_csvs_match_golden(tmp_path, matcher):
                      "--out", str(tmp_path / f"degree-{which}.csv")]) == 0
     for name in ("communities", "dendrogram", "degree-in", "degree-out", "degree-all"):
         assert (tmp_path / f"{name}.csv").read_bytes() == (GOLDEN / f"{matcher}.{name}.csv").read_bytes(), name
+
+
+@pytest.mark.parametrize("form, name", [("json", "comparison.json"), ("text", "comparison.txt")])
+def test_cli_comparison_matches_golden(tmp_path, form, name):
+    out = tmp_path / name
+    reports = [str(GOLDEN / f"{matcher}.report.json") for matcher in MATCHERS]
+    assert main(["compare", *reports, "--report", form, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -351,6 +352,42 @@ def test_analyze_with_communities_on_a_linkless_giant(cpus, deadline, count):
     assert (giant.node_count, giant.link_count) == (1, 0)
     assert report.degenerate["communities"] == "no links"
     assert report.communities is None
+
+
+def _loop_free_digraphs(max_nodes):
+    """(nodes, links) of every digraph without self-loops on 1, ..., max_nodes labelled nodes."""
+    for nodes in range(1, max_nodes + 1):
+        pairs = list(itertools.permutations(range(nodes), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            yield nodes, [pair for pair, keep in zip(pairs, chosen) if keep]
+
+
+def _reason_keys(name):
+    """The `degenerate` keys that may explain a null report field."""
+    if name in ("communities", "modularity"):
+        return {"communities"}
+    if name == "er_analytic_distance":
+        return {"er_baseline", "er_analytic_distance"}
+    return {"er_baseline"} if name.startswith("er_") else {name}
+
+
+def test_no_field_is_null_without_a_reason(cpus):
+    cpus(1)
+    config = AnalysisConfig(er_samples=2, bootstrap_n=100)
+    digraphs = list(_loop_free_digraphs(3))
+    assert len(digraphs) == 1 + 4 + 64
+    for nodes, links in digraphs:
+        net = network_from_edges(nodes, links, MatcherKind.SYNTACTIC_EQUAL)
+        data = json.loads(report_to_json(analyze(net, config)))
+        unexplained = [
+            name for name, value in data.items() if value is None and not _reason_keys(name) & set(data["degenerate"])
+        ]
+        for tail, fit in data["power_law"].items():
+            if fit is None and f"power_law_{tail}" not in data["degenerate"]:
+                unexplained.append(f"power_law.{tail}")
+            elif fit is not None:
+                unexplained += [f"power_law.{tail}.{key}" for key, value in fit.items() if value is None]
+        assert unexplained == [], (nodes, links, data["degenerate"])
 
 
 # -- compare ------------------------------------------------------------------

@@ -1,5 +1,5 @@
 import itertools
-import logging
+import re
 
 import pytest
 
@@ -171,11 +171,10 @@ def test_file_order_is_deterministic(tmp_path):
     assert all(s.domain_label is None for s in c.services)
 
 
-def test_empty_directory_warns(tmp_path, caplog):
-    with caplog.at_level(logging.WARNING):
-        c = load_sawsdl(tmp_path)
-    assert c.instance_count == 0
-    assert any("no service description files" in r.message for r in caplog.records)
+def test_empty_directory_is_collection_error(tmp_path):
+    (tmp_path / "notes.txt").write_text("not a description", encoding="utf-8")
+    with pytest.raises(CollectionError, match=f"no service description files .* under {re.escape(str(tmp_path))}$"):
+        load_sawsdl(tmp_path)
 
 
 def test_not_a_directory(tmp_path):

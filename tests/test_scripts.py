@@ -1,4 +1,4 @@
-"""The study scripts: one Walktrap per network, the CLI's bytes, the CLI's exit codes."""
+"""The scripts: one Walktrap per network, the CLI's bytes and exit codes, the benchmark verdict."""
 
 import sys
 from pathlib import Path
@@ -9,6 +9,7 @@ from wsdepnet import community, report, topology
 from wsdepnet.cli import main as cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+import bench_pairs  # noqa: E402
 import run_demo  # noqa: E402
 import run_sawsdl_corpus  # noqa: E402
 
@@ -90,6 +91,14 @@ def test_missing_corpus_exits_2_and_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_empty_corpus_exits_2_and_writes_nothing(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    assert run_sawsdl_corpus.main([str(corpus), "--out", str(tmp_path / "out")]) == 2
+    assert f"cannot read corpus: no service description files (.wsdl, .sawsdl) under {corpus}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [corpus]
+
+
 def test_linkless_collection_exits_3(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -99,3 +108,21 @@ def test_linkless_collection_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == "degenerate analysis: walktrap: no links\n"
     assert (out / "syntactic-equal.report.json").is_file()
     assert not (out / "syntactic-equal.communities.csv").exists()
+
+
+PARENT = [1.00, 0.98, 1.02, 0.99, 1.01]  # median 1.00, interquartile range 0.02
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, expected",
+    [
+        (PARENT, [1.20, 1.22, 1.18, 1.24, 1.21], "lower", "within"),  # +21% against a 25% bound
+        (PARENT, [0.60, 0.61, 0.59, 0.62, 0.58], "lower", "within"),  # a gain is no regression
+        (PARENT, [1.30, 1.31, 1.29, 1.28, 1.32], "lower", "worse"),  # +30%
+        (PARENT, [0.70, 0.71, 0.69, 0.72, 0.68], "higher", "worse"),  # -30% where higher is better
+        ([1.0, 0.5, 1.5, 0.6, 1.4], [1.0] * 5, "lower", "unresolved"),  # parent IQR 0.8 > 25% of 1.0
+        ([0.0] * 5, [0.0] * 5, "lower", "unresolved"),
+    ],
+)
+def test_bench_pairs_verdict(parent, change, better, expected):
+    assert bench_pairs.verdict(parent, change, 0.25, better) == expected
