@@ -10,7 +10,7 @@ and `peak_rss_mb`, then per metric each side's median and quartiles, the
 change in the medians and the pairs the change won (lower is better; ties
 count for neither side). A gain stands when the change wins at least nine
 tenths of the pairs and the medians differ by more than the parent's
-interquartile range.
+interquartile range (`gain`).
 
 Each metric also gets a no-regression verdict against its `bound` in
 PARENT's `BENCHMARK.json`, a fraction of the parent's median: `unresolved`
@@ -21,7 +21,7 @@ than the bound, else `within`.
 The same figures go to `BENCH_<workload>.json` at the root of CHANGE: the
 seeds, which side ran first in each pair, per side and metric the per-seed
 values, their median and quartiles, for the change the pairs it won and
-lost, and per metric the bound and the verdict.
+lost, and per metric the bound, the verdict and whether a gain stands.
 
 Both trees are byte-compiled first (`python -m compileall -q src`): with
 PYTHONDONTWRITEBYTECODE set, a fresh copy has no bytecode cache, and each
@@ -79,6 +79,15 @@ def verdict(parent: list[float], change: list[float], bound: float, better: str 
     return "worse" if worse_by > bound else "within"
 
 
+def gain(parent: list[float], change: list[float], better: str = "lower") -> bool:
+    """Whether the change wins at least nine tenths of the pairs and its
+    median beats the parent's by more than the parent's interquartile range."""
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    p1, pm, p3 = quartiles(parent)
+    return 10 * wins >= 9 * len(parent) and sign * (pm - quartiles(change)[1]) > p3 - p1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent", type=Path)
@@ -108,7 +117,8 @@ def main(argv: list[str] | None = None) -> int:
 
     pairs = len(runs["parent"])
     trend = {
-        "workload": args.workload, "seeds": list(args.seeds), "first": first, "parent": {}, "change": {}, "verdict": {}
+        "workload": args.workload, "seeds": list(args.seeds), "first": first,
+        "parent": {}, "change": {}, "verdict": {}, "gain": {},
     }
     for m in METRICS:
         parent = [run[m] for run in runs["parent"]]
@@ -121,11 +131,12 @@ def main(argv: list[str] | None = None) -> int:
         bound = bounds[m]["bound"]
         judged = verdict(parent, change, bound, bounds[m]["better"])
         trend["verdict"][m] = {"bound": bound, "verdict": judged}
+        trend["gain"][m] = gained = gain(parent, change, bounds[m]["better"])
         print(
             f"{m}: parent {pm:.3f} [{p1:.3f}, {p3:.3f}], change {cm:.3f} [{c1:.3f}, {c3:.3f}], "
             f"{(cm - pm) / pm:+.1%}; change lower in {wins}/{pairs}, higher in {losses}/{pairs}; "
             f"|median gap| {abs(cm - pm):.3f} vs parent IQR {p3 - p1:.3f}; "
-            f"{judged} (bound {bound:.0%})"
+            f"{judged} (bound {bound:.0%}); {'gain' if gained else 'no gain'}"
         )
     out = trees["change"] / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(trend, indent=1) + "\n", encoding="utf-8")

@@ -174,9 +174,9 @@ class _TailSampler:
     """Discrete power-law draws through one CDF table over [xmin, xmin + L).
 
     The table is kept between draws and grows x4 only when a draw needs it,
-    up to _MAX_TABLE entries (8 MB); a draw beyond the table bisects the
-    exact CDF instead. cumsum is sequential, so a longer table has the same
-    prefix and gives every draw the index a shorter one would.
+    up to _MAX_TABLE entries (8 MB); draws beyond the table bisect the
+    exact CDF instead (_quantile). cumsum is sequential, so a longer table
+    has the same prefix and gives every draw the index a shorter one would.
     """
 
     def __init__(self, alpha: float, xmin: int):
@@ -189,17 +189,21 @@ class _TailSampler:
         support = np.arange(self.xmin, self.xmin + length, dtype=float)
         return np.cumsum((support / self.xmin) ** -self.alpha / self.norm)
 
-    def draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        if size == 0:
+    def values(self, u: np.ndarray) -> np.ndarray:
+        """The draws of the uniforms `u`: for each, the least x >= xmin whose CDF reaches it."""
+        if u.size == 0:
             return np.zeros(0, dtype=np.int64)
-        u = rng.random(size)
         u_max = float(u.max())
         while self.cdf[-1] < u_max and self.cdf.size < _MAX_TABLE:
             self.cdf = self._table(4 * self.cdf.size)
         out = self.xmin + np.searchsorted(self.cdf, u, side="left")
-        for i in np.flatnonzero(out >= self.xmin + self.cdf.size):  # extreme tail, bisect on the exact CDF
-            out[i] = _quantile(self.alpha, self.xmin, float(u[i]))
+        past = out >= self.xmin + self.cdf.size  # extreme tail, bisected on the exact CDF
+        if past.any():
+            out[past] = _quantile(self.alpha, self.xmin, u[past])
         return out.astype(np.int64)
+
+    def draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        return self.values(rng.random(size))
 
 
 def sample_discrete_powerlaw(alpha: float, xmin: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -207,18 +211,29 @@ def sample_discrete_powerlaw(alpha: float, xmin: int, size: int, rng: np.random.
     return _TailSampler(alpha, xmin).draw(size, rng)
 
 
-def _quantile(alpha: float, xmin: int, u: float) -> int:
-    lo = xmin
-    hi = xmin
-    while float(model_tail_cdf(alpha, xmin, [hi])[0]) < u:
-        hi = 2 * hi + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if float(model_tail_cdf(alpha, xmin, [mid])[0]) >= u:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def _quantile(alpha: float, xmin: int, u) -> np.ndarray:
+    """For each uniform of `u`, the least x >= xmin with model_tail_cdf(x) >= u,
+    all bisected together: hi doubles (h -> 2h + 1) from xmin until its CDF
+    reaches u, then [xmin, hi] is halved. Each uniform takes the steps it
+    would take alone, so its result does not depend on the others."""
+    shape = np.shape(u)
+    u = np.asarray(u, dtype=float).reshape(-1)
+    lo = np.full(u.shape, xmin, dtype=np.int64)
+    hi = lo.copy()
+    short = model_tail_cdf(alpha, xmin, hi) < u
+    while short.any():
+        if hi[short].max() >= 2**62:
+            raise OverflowError("a power-law draw lies past the int64 range")
+        hi[short] = 2 * hi[short] + 1
+        short[short] = model_tail_cdf(alpha, xmin, hi[short]) < u[short]
+    open_ = lo < hi
+    while open_.any():
+        mid = (lo[open_] + hi[open_]) // 2
+        reached = model_tail_cdf(alpha, xmin, mid) >= u[open_]
+        hi[open_] = np.where(reached, mid, hi[open_])
+        lo[open_] = np.where(reached, lo[open_], mid + 1)
+        open_ = lo < hi
+    return lo.reshape(shape)
 
 
 def pvalue_from_replicates(observed_ks: float, replicate_ks) -> float:
@@ -228,26 +243,46 @@ def pvalue_from_replicates(observed_ks: float, replicate_ks) -> float:
 
 
 def _replicate_ks(
-    arr: np.ndarray, fit: PowerLawFit, stop: int, seed: int, min_tail: int, start: int = 0
+    arr: np.ndarray,
+    fit: PowerLawFit,
+    stop: int,
+    seed: int,
+    min_tail: int,
+    start: int = 0,
+    sampler: _TailSampler | None = None,
 ) -> np.ndarray:
     """Minimum KS distance of bootstrap replicates start, ..., stop - 1 (inf
     where one collapsed to one value), scanned in blocks of at most
     _BLOCK_CELLS samples. Replicate r draws from the stream (seed, r), so
-    the arrays of consecutive ranges join into the array of their union."""
+    the arrays of consecutive ranges join into the array of their union.
+    Calls may share the fit's `sampler` (bootstrap_blocks).
+
+    A replicate's own work is its RNG calls: which of its n values come
+    from the tail, their uniforms, and the indices of the values below
+    xmin (the draws of choice(below, replace=True)). The tail uniforms of
+    a whole block go through the sampler at once.
+    """
+    sampler = sampler or _TailSampler(fit.alpha, fit.xmin)
     n = arr.size
     below = arr[arr < fit.xmin]
     p_tail = (n - below.size) / n
-    sampler = _TailSampler(fit.alpha, fit.xmin)
     block = max(1, _BLOCK_CELLS // n)
     ks_values = np.full(stop - start, np.inf)
     for first in range(start, stop, block):
-        samples = np.empty((min(block, stop - first), n), dtype=np.int64)
-        for i, r in enumerate(range(first, first + len(samples))):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-            k = int((rng.random(n) < p_tail).sum())
-            samples[i, :k] = sampler.draw(k, rng)
-            if n - k > 0:
-                samples[i, k:] = rng.choice(below, size=n - k, replace=True)
+        count = min(block, stop - first)
+        tail_sizes = np.empty(count, dtype=np.int64)
+        uniforms, picks = [], []
+        for i, r in enumerate(range(first, first + count)):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(r,))))
+            k = tail_sizes[i] = np.count_nonzero(rng.random(n) < p_tail)
+            uniforms.append(rng.random(k))
+            if n > k:
+                picks.append(rng.integers(0, below.size, n - k))
+        samples = np.empty((count, n), dtype=np.int64)
+        in_tail = np.arange(n) < tail_sizes[:, None]  # row i: its k tail draws first
+        samples[in_tail] = sampler.values(np.concatenate(uniforms))
+        if picks:
+            samples[~in_tail] = below[np.concatenate(picks)]
         samples.sort(axis=1)
         rows, _, _, ks = _ks_scan(samples, min_tail)
         np.minimum.at(ks_values, first - start + rows, ks)
@@ -256,10 +291,12 @@ def _replicate_ks(
 
 def bootstrap_blocks(arr: np.ndarray, fit: PowerLawFit, replicates: int, seed: int, most: int) -> list:
     """At most `most` zero-argument calls whose arrays, joined in order, are the
-    replicate KS distances of gof_pvalue(arr, fit, replicates, seed)."""
+    replicate KS distances of gof_pvalue(arr, fit, replicates, seed). They
+    share one sampler, so a process that runs several grows one CDF table."""
+    sampler = _TailSampler(fit.alpha, fit.xmin)
     step = max(1, _BLOCK_CELLS // arr.size, -(-replicates // most))
     return [
-        functools.partial(_replicate_ks, arr, fit, min(start + step, replicates), seed, _MIN_TAIL, start)
+        functools.partial(_replicate_ks, arr, fit, min(start + step, replicates), seed, _MIN_TAIL, start, sampler)
         for start in range(0, replicates, step)
     ]
 

@@ -158,10 +158,10 @@ def _drain_beside_helper(stages: list[Callable[[], object]], queue: int, claimed
         # The helper is fork-safe although BLAS threads did not survive the
         # fork: no queued stage makes a BLAS call (degree_correlation, whose
         # np.corrcoef does, runs before the fork), and the stages run only
-        # numpy elementwise and sorting kernels, its RNG and pure Python. So
-        # the helper takes no lock another thread may hold, logs nothing and
-        # does no I/O but its pipes. os._exit skips the atexit handlers and
-        # the buffered output it shares with this process.
+        # numpy elementwise, gather and sorting kernels, its RNG and pure
+        # Python. So the helper takes no lock another thread may hold, logs
+        # nothing and does no I/O but its pipes. os._exit skips the atexit
+        # handlers and the buffered output it shares with this process.
         status = 1
         try:
             os.close(back)

@@ -9,6 +9,7 @@ triangle ratio).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -46,61 +47,84 @@ def weak_components_of(undirected: Adjacency) -> list[list[int]]:
     return components
 
 
-def triangle_ratio(undirected: Adjacency) -> float:
-    """3 * triangles / connected triples; 0.0 when there are no triples."""
-    neighbor_sets = [set(neighbors) for neighbors in undirected]
-    closed = 0  # each triangle counted once per edge, i.e. 3 * triangles
-    for u in range(len(undirected)):
-        for v in undirected[u]:
-            if v > u:
-                closed += len(neighbor_sets[u] & neighbor_sets[v])
-    triples = sum(d * (d - 1) // 2 for d in (len(ns) for ns in undirected))
-    return closed / triples if triples else 0.0
+# -- the BFS kernel -----------------------------------------------------------
+
+# uint64 words in one plane of a batch of ER samples (256 KB), at least one
+# sample a batch; a batch's BFS holds about seven planes
+_PLANE_WORDS = 1 << 15
 
 
-def distance_stats_of(pred: Adjacency, require_all_pairs: bool) -> tuple[float, int, int]:
-    """(average over finite ordered pairs, max finite distance, finite pair count)
-    of the graph whose predecessor lists are `pred`; an undirected adjacency
-    is its own.
+def _links(pred: Adjacency) -> tuple[np.ndarray, np.ndarray]:
+    """(dst, src) arrays of the links u -> v, u in pred[v]."""
+    counts = [len(sources) for sources in pred]
+    dst = np.repeat(np.arange(len(pred)), counts)
+    return dst, np.fromiter(itertools.chain.from_iterable(pred), dtype=np.intp, count=dst.size)
 
-    Bit-parallel multi-source BFS (Then et al., "The More the Merrier",
-    PVLDB 8(4), 2014): bit s of reach[v] means v has been reached from s,
-    and each level is one pull sweep over the predecessor lists.
 
-    With require_all_pairs, an unreachable ordered pair raises (undirected
-    mode on a connected component never has one); the first such pair in
-    (source, target) order is named.
+def _pull_columns(dst: np.ndarray, src: np.ndarray, size: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(row, columns): the predecessor lists of the links src -> dst over
+    nodes 0..size-1 in jagged-diagonal layout. Node v is row row[v] of a
+    plane, rows in descending order of predecessor count, so the rows with
+    more than k predecessors are a prefix; columns[k] holds, for each row of
+    that prefix, the row of its k-th predecessor (in any order)."""
+    degree = np.bincount(dst, minlength=size)
+    order = np.argsort(-degree)
+    row = np.empty(size, dtype=np.intp)
+    row[order] = np.arange(size)
+    target = row[dst]
+    by_target = np.argsort(target)
+    target = target[by_target]
+    sorted_degree = degree[order]
+    rank = np.arange(target.size) - (np.cumsum(sorted_degree) - sorted_degree)[target]
+    longer = size - np.cumsum(np.bincount(degree))[:-1]  # rows with more than k predecessors
+    start = np.concatenate([[0], np.cumsum(longer)])
+    flat = np.empty(target.size, dtype=np.intp)
+    flat[start[rank] + target] = row[src[by_target]]
+    return row, [flat[a:b] for a, b in zip(start[:-1], start[1:])]
+
+
+def _source_plane(row: np.ndarray, local: np.ndarray, words: int) -> np.ndarray:
+    """(rows, words) uint64 plane in which node v holds bit local[v] alone."""
+    plane = np.zeros((row.size, words), dtype=np.uint64)
+    plane[row, local >> 6] = np.uint64(1) << (local & 63).astype(np.uint64)
+    return plane
+
+
+def _pull_levels(reach: np.ndarray, columns: list[np.ndarray]):
+    """Bit-parallel multi-source BFS (Then et al., "The More the Merrier",
+    PVLDB 8(4), 2014) from the bits of the plane `reach`, which grows in
+    place: bit s of a row's words means that row has been reached from
+    source s. Disjoint graphs stacked in one plane, each numbering its own
+    sources, run at once. A level pulls into every row the frontier of its
+    predecessors, one take and one in-place OR per column of `columns`
+    (_pull_columns). Yields, for each level that reaches a new pair, the
+    plane of the bits it set; the first is each row's set of predecessors.
     """
-    n = len(pred)
-    reach = [1 << v for v in range(n)]
-    frontier = reach[:]
-    total = finite_pairs = diameter = 0
+    frontier = reach.copy()
+    spare = np.empty_like(reach)
     while True:
-        found = 0
-        new_frontier = [0] * n
-        for v in range(n):
-            bits = 0
-            for u in pred[v]:
-                bits |= frontier[u]
-            bits &= ~reach[v]
-            if bits:
-                new_frontier[v] = bits
-                reach[v] |= bits
-                found += bits.bit_count()
-        if not found:
-            break
-        diameter += 1
-        total += diameter * found
-        finite_pairs += found
-        frontier = new_frontier
-    if require_all_pairs and finite_pairs < n * (n - 1):
-        full = (1 << n) - 1
-        unreached = [full & ~bits for bits in reach]  # bit s: no path s -> v
-        source = min((bits & -bits).bit_length() - 1 for bits in unreached if bits)
-        target = next(t for t, bits in enumerate(unreached) if bits >> source & 1)
-        raise DegenerateAnalysisError("average-distance", f"no path {source} -> {target}")
-    average = total / finite_pairs if finite_pairs else float("nan")
-    return average, diameter, finite_pairs
+        pulled = np.zeros_like(reach)
+        for column in columns:
+            gathered, into = spare[: column.size], pulled[: column.size]
+            np.take(frontier, column, axis=0, out=gathered, mode="clip")  # "clip" writes `out` unbuffered
+            np.bitwise_or(into, gathered, out=into)
+        np.bitwise_and(pulled, reach, out=spare)
+        pulled ^= spare
+        if not pulled.any():
+            return
+        reach |= pulled
+        yield pulled
+        frontier = pulled
+
+
+def _common_neighbors(adjacent: np.ndarray, row: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Common neighbours of each pair (a[i], b[i]), from the neighbour sets
+    of the first level of _pull_levels, one word at a time."""
+    first, second = row[a], row[b]
+    common = np.zeros(a.size, dtype=np.int64)
+    for word in adjacent.T:
+        common += np.bitwise_count(word[first] & word[second])
+    return common
 
 
 # -- metric operations over dependency networks ---------------------------------
@@ -160,18 +184,40 @@ def distances(n: DependencyNetwork, mode: str = "directed") -> DistanceStats:
     """
     if mode not in ("directed", "undirected"):
         raise ValueError(f"unknown mode {mode!r}")
-    if n.node_count == 0:
+    size = n.node_count
+    if size == 0:
         raise DegenerateAnalysisError("average-distance", "empty network")
-    pred = n.predecessors if mode == "directed" else n.neighbors
-    average, diameter, finite_pairs = distance_stats_of(pred, require_all_pairs=(mode == "undirected"))
+    row, columns = _pull_columns(*_links(n.predecessors if mode == "directed" else n.neighbors), size)
+    reach = _source_plane(row, np.arange(size), -(-size // 64))
+    total = finite_pairs = diameter = 0
+    for pulled in _pull_levels(reach, columns):
+        found = int(np.bitwise_count(pulled).sum())
+        diameter += 1
+        total += diameter * found
+        finite_pairs += found
+    if mode == "undirected" and finite_pairs < size * (size - 1):
+        # every node misses some node, so the first unreachable pair starts at 0
+        target = int(np.flatnonzero((reach[row, 0] & np.uint64(1)) == 0)[0])
+        raise DegenerateAnalysisError("average-distance", f"no path 0 -> {target}")
     if finite_pairs == 0:
         return DistanceStats(average=None, diameter=0, finite_pairs=0)
-    return DistanceStats(average=average, diameter=diameter, finite_pairs=finite_pairs)
+    return DistanceStats(average=total / finite_pairs, diameter=diameter, finite_pairs=finite_pairs)
 
 
 def transitivity(n: DependencyNetwork) -> float:
-    """Global triangle density of the undirected simple projection."""
-    return triangle_ratio(n.neighbors)
+    """Global triangle density of the undirected simple projection:
+    3 * triangles / connected triples, 0.0 when there are no triples."""
+    size = n.node_count
+    dst, src = _links(n.neighbors)
+    row, columns = _pull_columns(dst, src, size)
+    adjacent = next(_pull_levels(_source_plane(row, np.arange(size), -(-size // 64)), columns), None)
+    if adjacent is None:
+        return 0.0
+    once = src < dst
+    closed = int(_common_neighbors(adjacent, row, src[once], dst[once]).sum())  # 3 * triangles
+    degree = np.bincount(dst, minlength=size)
+    triples = int((degree * (degree - 1) // 2).sum())
+    return closed / triples if triples else 0.0
 
 
 @dataclass
@@ -257,47 +303,74 @@ class ERBaseline:
     analytic_transitivity: float
 
 
-def sample_gnm_adjacency(n: int, m: int, rng: np.random.Generator) -> Adjacency:
-    """Uniform random simple undirected graph with exactly m edges."""
-    possible = n * (n - 1) // 2
-    if m > possible:
-        raise ValueError(f"infeasible link count: {m} > {possible}")
-    chosen = rng.choice(possible, size=m, replace=False)
-    # row i of the upper triangle starts at i*(n-1) - i*(i-1)/2
-    i = np.arange(n, dtype=np.int64)
-    offsets = i * (n - 1) - i * (i - 1) // 2
-    rows = np.searchsorted(offsets, chosen, side="right") - 1
-    cols = rows + 1 + (chosen - offsets[rows])
-    adj: Adjacency = [[] for _ in range(n)]
-    for u, v in zip(rows.tolist(), cols.tolist()):
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
+def _er_samples(nodes: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(average distance, transitivity) on the giant of each sample of
+    G(nodes, m), whose m edges (rows[i, e], cols[i, e]) are row i of the
+    (samples, m) arrays; all samples go through one BFS.
+
+    A sample's giant is the component of its first node with the most
+    nodes reaching it. Distance totals, pair counts, closed and connected
+    triples are integers summed over the giant, then divided.
+    """
+    count = rows.shape[0]
+    base = (np.arange(count) * nodes)[:, None]
+    u, v = (rows + base).ravel(), (cols + base).ravel()
+    ends = np.concatenate([u, v])
+    row, columns = _pull_columns(ends, np.concatenate([v, u]), count * nodes)
+    reach = _source_plane(row, np.arange(count * nodes) % nodes, -(-nodes // 64))
+    total = np.zeros(reach.shape, dtype=np.int64)  # distance totals per row and word
+    for level, pulled in enumerate(_pull_levels(reach, columns), 1):
+        if level == 1:
+            adjacent = pulled
+        total += np.multiply(np.bitwise_count(pulled), level, dtype=np.int64)
+    node_row = row.reshape(count, nodes)
+    reached = np.bitwise_count(reach).sum(axis=1, dtype=np.int64)[node_row]
+    first = np.argmax(reached, axis=1)  # the first node of the first largest component
+    bit = (np.uint64(1) << (first & 63).astype(np.uint64))[:, None]
+    giant = (reach[node_row, (first >> 6)[:, None]] & bit) != 0
+    size = giant.sum(axis=1)
+    pairs = size * (size - 1)
+    distance = np.where(giant, total.sum(axis=1)[node_row], 0).sum(axis=1)
+    degree = np.bincount(ends, minlength=count * nodes).reshape(count, nodes)
+    triples = np.where(giant, degree * (degree - 1) // 2, 0).sum(axis=1)
+    closed = np.zeros(count, dtype=np.int64)  # 3 * triangles
+    if rows.shape[1]:
+        common = _common_neighbors(adjacent, row, u, v)
+        edge_in_giant = np.take_along_axis(giant, rows, axis=1)
+        closed = np.where(edge_in_giant, common.reshape(rows.shape), 0).sum(axis=1)
+    average = np.divide(distance, pairs, out=np.full(count, np.nan), where=pairs > 0)
+    return average, np.divide(closed, triples, out=np.zeros(count), where=triples > 0)
 
 
 def er_baseline(nodes: int, links: int, samples: int, seed: int) -> ERBaseline:
     """Monte Carlo G(n,m) baseline; per-sample metrics on the giant component.
 
-    Sample i draws from an RNG stream derived from (seed, i), so the result
-    does not depend on evaluation order.
+    Sample i draws its links from an RNG stream derived from (seed, i), so
+    the result does not depend on evaluation order. The samples go through
+    the BFS in batches of at most _PLANE_WORDS words a plane.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     possible = nodes * (nodes - 1) // 2
     if links > possible:
         raise ValueError(f"infeasible link count: {links} > {possible}")
+    # row i of the upper triangle starts at i*(n-1) - i*(i-1)/2
+    r = np.arange(nodes, dtype=np.int64)
+    offsets = r * (nodes - 1) - r * (r - 1) // 2
     distances_mc = np.empty(samples)
     transitivity_mc = np.empty(samples)
-    for i in range(samples):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        adj = sample_gnm_adjacency(nodes, links, rng)
-        giant = max(weak_components_of(adj), key=len)
-        index = {old: new for new, old in enumerate(giant)}
-        giant_adj: Adjacency = [[] for _ in giant]
-        for old in giant:
-            giant_adj[index[old]] = [index[v] for v in adj[old]]
-        distances_mc[i] = distance_stats_of(giant_adj, require_all_pairs=True)[0]
-        transitivity_mc[i] = triangle_ratio(giant_adj)
+    batch = max(1, _PLANE_WORDS // max(1, nodes * -(-nodes // 64)))
+    for first in range(0, samples, batch):
+        last = min(first + batch, samples)
+        chosen = np.stack([
+            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,))).choice(
+                possible, size=links, replace=False
+            )
+            for i in range(first, last)
+        ])
+        rows = np.searchsorted(offsets, chosen, side="right") - 1
+        cols = rows + 1 + (chosen - offsets[rows])
+        distances_mc[first:last], transitivity_mc[first:last] = _er_samples(nodes, rows, cols)
     mean_degree = 2 * links / nodes if nodes else float("nan")
     analytic_distance = math.log(nodes) / math.log(mean_degree) if mean_degree > 1 else float("nan")
     return ERBaseline(

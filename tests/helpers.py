@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from wsdepnet.errors import DegenerateAnalysisError
 from wsdepnet.matching import MatcherKind
 from wsdepnet.model import ParameterInstance
 from wsdepnet.network import DependencyNetwork, network_from_edges
-from wsdepnet.topology import weak_components_of
+from wsdepnet.topology import ERBaseline, weak_components_of
 
 INF = float("inf")
 
@@ -73,6 +74,110 @@ def bfs_lengths(adj: list[list[int]], source: int) -> list[int]:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def distance_stats_of(pred: list[list[int]], require_all_pairs: bool) -> tuple[float, int, int]:
+    """(average over finite ordered pairs, max finite distance, finite pair count)
+    of the graph whose predecessor lists are `pred`; an undirected adjacency
+    is its own.
+
+    Bit-parallel multi-source BFS over Python ints, the kernel that
+    `topology` ran before its numpy planes: bit s of reach[v] means v has
+    been reached from s, and each level is one pull sweep over the
+    predecessor lists. With require_all_pairs, an unreachable ordered pair
+    raises; the first such pair in (source, target) order is named.
+    """
+    n = len(pred)
+    reach = [1 << v for v in range(n)]
+    frontier = reach[:]
+    total = finite_pairs = diameter = 0
+    while True:
+        found = 0
+        new_frontier = [0] * n
+        for v in range(n):
+            bits = 0
+            for u in pred[v]:
+                bits |= frontier[u]
+            bits &= ~reach[v]
+            if bits:
+                new_frontier[v] = bits
+                reach[v] |= bits
+                found += bits.bit_count()
+        if not found:
+            break
+        diameter += 1
+        total += diameter * found
+        finite_pairs += found
+        frontier = new_frontier
+    if require_all_pairs and finite_pairs < n * (n - 1):
+        full = (1 << n) - 1
+        unreached = [full & ~bits for bits in reach]  # bit s: no path s -> v
+        source = min((bits & -bits).bit_length() - 1 for bits in unreached if bits)
+        target = next(t for t, bits in enumerate(unreached) if bits >> source & 1)
+        raise DegenerateAnalysisError("average-distance", f"no path {source} -> {target}")
+    average = total / finite_pairs if finite_pairs else float("nan")
+    return average, diameter, finite_pairs
+
+
+def triangle_ratio(undirected: list[list[int]]) -> float:
+    """3 * triangles / connected triples over neighbour sets; 0.0 when there are no triples."""
+    neighbor_sets = [set(neighbors) for neighbors in undirected]
+    closed = 0  # each triangle counted once per edge, i.e. 3 * triangles
+    for u in range(len(undirected)):
+        for v in undirected[u]:
+            if v > u:
+                closed += len(neighbor_sets[u] & neighbor_sets[v])
+    triples = sum(d * (d - 1) // 2 for d in (len(ns) for ns in undirected))
+    return closed / triples if triples else 0.0
+
+
+def sample_gnm_adjacency(n: int, m: int, rng: np.random.Generator) -> list[list[int]]:
+    """Uniform random simple undirected graph with exactly m edges, drawn as
+    `topology.er_baseline` draws each sample."""
+    possible = n * (n - 1) // 2
+    if m > possible:
+        raise ValueError(f"infeasible link count: {m} > {possible}")
+    chosen = rng.choice(possible, size=m, replace=False)
+    # row i of the upper triangle starts at i*(n-1) - i*(i-1)/2
+    i = np.arange(n, dtype=np.int64)
+    offsets = i * (n - 1) - i * (i - 1) // 2
+    rows = np.searchsorted(offsets, chosen, side="right") - 1
+    cols = rows + 1 + (chosen - offsets[rows])
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(rows.tolist(), cols.tolist()):
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def er_baseline_oracle(nodes: int, links: int, samples: int, seed: int) -> ERBaseline:
+    """`topology.er_baseline` one sample at a time: each sample's giant is
+    re-indexed and goes through distance_stats_of and triangle_ratio."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    distances_mc = np.empty(samples)
+    transitivity_mc = np.empty(samples)
+    for i in range(samples):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        adj = sample_gnm_adjacency(nodes, links, rng)
+        giant = max(weak_components_of(adj), key=len)
+        index = {old: new for new, old in enumerate(giant)}
+        giant_adj = [[index[v] for v in adj[old]] for old in giant]
+        distances_mc[i] = distance_stats_of(giant_adj, require_all_pairs=True)[0]
+        transitivity_mc[i] = triangle_ratio(giant_adj)
+    mean_degree = 2 * links / nodes if nodes else float("nan")
+    return ERBaseline(
+        nodes=nodes,
+        links=links,
+        samples=samples,
+        seed=seed,
+        avg_distance_mean=float(np.mean(distances_mc)),
+        avg_distance_sd=float(np.std(distances_mc, ddof=1)) if samples > 1 else 0.0,
+        transitivity_mean=float(np.mean(transitivity_mc)),
+        transitivity_sd=float(np.std(transitivity_mc, ddof=1)) if samples > 1 else 0.0,
+        analytic_distance=math.log(nodes) / math.log(mean_degree) if mean_degree > 1 else float("nan"),
+        analytic_transitivity=mean_degree / nodes if nodes else float("nan"),
+    )
 
 
 def average_local_clustering(undirected: list[list[int]]) -> float:
@@ -334,6 +439,22 @@ def select_xmin_oracle(data, min_tail: int = 10) -> tuple[int, float, float]:
     return int(values[cand[best]]), float(alphas[best]), float(ks[best])
 
 
+def quantile_oracle(alpha: float, xmin: int, u: float) -> int:
+    """The least x >= xmin with model_tail_cdf(x) >= u, bisected for this
+    uniform alone: hi doubles (h -> 2h + 1) until its CDF reaches u, then
+    [xmin, hi] is halved, one model_tail_cdf call per step."""
+    lo = hi = xmin
+    while float(powerlaw.model_tail_cdf(alpha, xmin, [hi])[0]) < u:
+        hi = 2 * hi + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if float(powerlaw.model_tail_cdf(alpha, xmin, [mid])[0]) >= u:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def sample_discrete_powerlaw_oracle(alpha: float, xmin: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF draws through a CDF table built for this call alone."""
     if size == 0:
@@ -350,7 +471,7 @@ def sample_discrete_powerlaw_oracle(alpha: float, xmin: int, size: int, rng: np.
         length *= 4
     out = xmin + np.searchsorted(cdf, u, side="left")
     for i in np.flatnonzero(out >= xmin + length):
-        out[i] = powerlaw._quantile(alpha, xmin, float(u[i]))
+        out[i] = quantile_oracle(alpha, xmin, float(u[i]))
     return out.astype(np.int64)
 
 

@@ -254,6 +254,22 @@ def test_tail_table_stops_at_2_20_entries():
     assert past_table >= 1
 
 
+def test_extreme_tail_draws_equal_per_draw_bisection():
+    # At alpha = 1.3 about 1.6% of the mass lies past 2**20, so dozens of
+    # these draws bisect the exact CDF together; the oracle bisects each
+    # draw on its own
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    drawn = sample_discrete_powerlaw(1.3, 1, 3000, rng)
+    assert np.array_equal(drawn, sample_discrete_powerlaw_oracle(1.3, 1, 3000, twin))
+    assert np.count_nonzero(drawn >= 1 + 2**20) >= 20
+
+
+def test_draw_past_int64_raises():
+    # at alpha = 1.05 the quantile of 1 - 1e-12 lies near 1e240
+    with pytest.raises(OverflowError):
+        powerlaw._TailSampler(1.05, 1).values(np.array([0.5, 1 - 1e-12]))
+
+
 # -- goodness of fit ----------------------------------------------------------
 
 

@@ -126,3 +126,19 @@ PARENT = [1.00, 0.98, 1.02, 0.99, 1.01]  # median 1.00, interquartile range 0.02
 )
 def test_bench_pairs_verdict(parent, change, better, expected):
     assert bench_pairs.verdict(parent, change, 0.25, better) == expected
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, expected",
+    [
+        (PARENT, [0.60, 0.61, 0.59, 0.62, 0.58], "lower", True),  # 5/5, gap 0.40 > IQR 0.02
+        (PARENT, [1.20, 1.22, 1.18, 1.24, 1.21], "lower", False),
+        (PARENT, [1.20, 1.22, 1.18, 1.24, 1.21], "higher", True),
+        (PARENT, [0.60, 0.61, 0.59, 0.62, 1.50], "lower", False),  # 4/5 pairs won
+        (PARENT, [1.00, 0.60, 0.60, 0.60, 0.60], "lower", False),  # a tie counts for neither side
+        ([1.0, 0.5, 1.5, 0.6, 1.4], [0.9, 0.4, 1.4, 0.5, 1.3], "lower", False),  # gap 0.1 < IQR 0.8
+        ([1.0] * 9 + [0.5], [0.9] * 10, "lower", True),  # 9/10 pairs won, gap 0.1 > IQR 0
+    ],
+)
+def test_bench_pairs_gain(parent, change, better, expected):
+    assert bench_pairs.gain(parent, change, better) is expected

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +9,15 @@ from helpers import (
     INF,
     average_local_clustering,
     bfs_lengths,
+    distance_stats_of,
+    er_baseline_oracle,
     floyd_warshall,
     random_directed_network,
+    sample_gnm_adjacency,
     triangle_count_trace,
+    triangle_ratio,
 )
+from wsdepnet import topology
 from wsdepnet.errors import DegenerateAnalysisError
 from wsdepnet.matching import MatcherKind
 from wsdepnet.network import network_from_edges
@@ -19,13 +25,10 @@ from wsdepnet.topology import (
     components,
     degree_correlation,
     degree_stats,
-    distance_stats_of,
     distances,
     er_baseline,
     giant_subnetwork,
-    sample_gnm_adjacency,
     transitivity,
-    triangle_ratio,
     weak_components_of,
 )
 
@@ -133,6 +136,32 @@ def test_distance_kernel_matches_floyd_warshall(n):
                 distance_stats_of(pred, require_all_pairs=True)
         else:
             assert distance_stats_of(pred, require_all_pairs=True)[1:] == (diameter, finite_pairs)
+
+
+@st.composite
+def _word_nets(draw):
+    """Sparse directed graphs of 1 to 140 nodes, across uint64 word boundaries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = int(rng.integers(1, 141))
+    pairs = rng.integers(0, size, size=(int(rng.integers(0, 3 * size + 1)), 2))
+    return _net(size, sorted({(int(u), int(v)) for u, v in pairs if u != v}))
+
+
+@given(st.one_of(_sparse_nets(), _word_nets()))
+@settings(max_examples=80)
+def test_kernel_equals_python_int_oracles(n):
+    # the numpy planes against the Python-int kernel, bit for bit
+    for mode, pred in (("directed", n.predecessors), ("undirected", n.neighbors)):
+        try:
+            average, diameter, finite_pairs = distance_stats_of(pred, require_all_pairs=(mode == "undirected"))
+        except DegenerateAnalysisError as err:
+            with pytest.raises(DegenerateAnalysisError, match=f"^{re.escape(str(err))}$"):
+                distances(n, mode)
+            continue
+        got = distances(n, mode)
+        assert (got.diameter, got.finite_pairs) == (diameter, finite_pairs)
+        assert got.average == (average if finite_pairs else None)
+    assert transitivity(n) == triangle_ratio(n.neighbors)
 
 
 @given(_directed_nets())
@@ -338,6 +367,43 @@ def test_er_single_sample_sd_zero():
     er = er_baseline(20, 30, samples=1, seed=1)
     assert er.avg_distance_sd == 0.0
     assert er.transitivity_sd == 0.0
+
+
+def _giant_size_ties(nodes, links, samples, seed):
+    """Samples of er_baseline(nodes, links, samples, seed) whose two largest components tie."""
+    ties = 0
+    for i in range(samples):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        sizes = sorted(map(len, weak_components_of(sample_gnm_adjacency(nodes, links, rng))), reverse=True)
+        ties += len(sizes) > 1 and sizes[0] == sizes[1]
+    return ties
+
+
+@pytest.mark.parametrize(
+    "nodes, links, samples, seed",
+    [
+        (12, 8, 20, 1),  # mean degree 4/3: disconnected, the giant tied in 5 samples
+        (30, 20, 20, 5),
+        (64, 100, 6, 2),  # one word of sources
+        (65, 100, 6, 2),  # one source past the first word
+        (269, 633, 30, 0),  # more than one batch, as the next test checks
+    ],
+)
+def test_er_baseline_equals_per_sample_oracle(nodes, links, samples, seed):
+    assert er_baseline(nodes, links, samples, seed) == er_baseline_oracle(nodes, links, samples, seed)
+
+
+def test_er_oracle_cases_hold_ties_and_several_batches():
+    assert _giant_size_ties(12, 8, 20, 1) == 5
+    assert _giant_size_ties(30, 20, 20, 5) == 2
+    assert topology._PLANE_WORDS // (269 * 5) < 30
+
+
+@pytest.mark.parametrize("per_batch", [1, 2, 3])
+def test_er_batches_join_into_one_run(monkeypatch, per_batch):
+    whole = er_baseline(65, 100, 7, 4)
+    monkeypatch.setattr(topology, "_PLANE_WORDS", per_batch * 65 * 2)  # n = 65 takes 2 words
+    assert er_baseline(65, 100, 7, 4) == whole == er_baseline_oracle(65, 100, 7, 4)
 
 
 def test_er_rejects_bad_arguments():
