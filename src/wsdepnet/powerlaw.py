@@ -19,6 +19,7 @@ underflow to 0/0.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,7 +178,14 @@ class _TailSampler:
     up to _MAX_TABLE entries (8 MB); draws beyond the table bisect the
     exact CDF instead (_quantile). cumsum is sequential, so a longer table
     has the same prefix and gives every draw the index a shorter one would.
+
+    A process keeps one grown table: when a sampler grows its table, the
+    last sampler that grew one goes back to its first 1024 entries. The
+    bootstrap blocks of a fit share a sampler, and a process runs the
+    blocks of one fit before those of the next, so none regrows.
     """
+
+    _grown = None  # weak reference to the last sampler that grew its table
 
     def __init__(self, alpha: float, xmin: int):
         self.alpha = alpha
@@ -194,6 +202,11 @@ class _TailSampler:
         if u.size == 0:
             return np.zeros(0, dtype=np.int64)
         u_max = float(u.max())
+        if self.cdf[-1] < u_max and self.cdf.size < _MAX_TABLE:
+            last = _TailSampler._grown and _TailSampler._grown()
+            if last is not None and last is not self:
+                last.cdf = last._table(1024)
+            _TailSampler._grown = weakref.ref(self)
         while self.cdf[-1] < u_max and self.cdf.size < _MAX_TABLE:
             self.cdf = self._table(4 * self.cdf.size)
         out = self.xmin + np.searchsorted(self.cdf, u, side="left")
@@ -228,7 +241,7 @@ def _quantile(alpha: float, xmin: int, u) -> np.ndarray:
         short[short] = model_tail_cdf(alpha, xmin, hi[short]) < u[short]
     open_ = lo < hi
     while open_.any():
-        mid = (lo[open_] + hi[open_]) // 2
+        mid = lo[open_] + (hi[open_] - lo[open_]) // 2  # (lo + hi) // 2 may pass 2**63
         reached = model_tail_cdf(alpha, xmin, mid) >= u[open_]
         hi[open_] = np.where(reached, mid, hi[open_])
         lo[open_] = np.where(reached, lo[open_], mid + 1)
@@ -245,24 +258,24 @@ def pvalue_from_replicates(observed_ks: float, replicate_ks) -> float:
 def _replicate_ks(
     arr: np.ndarray,
     fit: PowerLawFit,
+    sampler: _TailSampler,
     stop: int,
     seed: int,
     min_tail: int,
     start: int = 0,
-    sampler: _TailSampler | None = None,
 ) -> np.ndarray:
     """Minimum KS distance of bootstrap replicates start, ..., stop - 1 (inf
     where one collapsed to one value), scanned in blocks of at most
     _BLOCK_CELLS samples. Replicate r draws from the stream (seed, r), so
     the arrays of consecutive ranges join into the array of their union.
-    Calls may share the fit's `sampler` (bootstrap_blocks).
+    Tail values are drawn through `sampler`, the _TailSampler of the fit;
+    calls may share it (bootstrap_blocks).
 
     A replicate's own work is its RNG calls: which of its n values come
     from the tail, their uniforms, and the indices of the values below
     xmin (the draws of choice(below, replace=True)). The tail uniforms of
     a whole block go through the sampler at once.
     """
-    sampler = sampler or _TailSampler(fit.alpha, fit.xmin)
     n = arr.size
     below = arr[arr < fit.xmin]
     p_tail = (n - below.size) / n
@@ -296,7 +309,7 @@ def bootstrap_blocks(arr: np.ndarray, fit: PowerLawFit, replicates: int, seed: i
     sampler = _TailSampler(fit.alpha, fit.xmin)
     step = max(1, _BLOCK_CELLS // arr.size, -(-replicates // most))
     return [
-        functools.partial(_replicate_ks, arr, fit, min(start + step, replicates), seed, _MIN_TAIL, start, sampler)
+        functools.partial(_replicate_ks, arr, fit, sampler, min(start + step, replicates), seed, _MIN_TAIL, start)
         for start in range(0, replicates, step)
     ]
 
@@ -313,7 +326,8 @@ def gof_pvalue(data, fit: PowerLawFit, replicates: int, seed: int, min_tail: int
     """
     if replicates < 100:
         raise ValueError("replicates must be >= 100")
-    ks_values = _replicate_ks(_as_positive_ints(data), fit, replicates, seed, min_tail)
+    sampler = _TailSampler(fit.alpha, fit.xmin)
+    ks_values = _replicate_ks(_as_positive_ints(data), fit, sampler, replicates, seed, min_tail)
     return pvalue_from_replicates(fit.ks_statistic, ks_values)
 
 

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import zeta as scipy_zeta
 
-from helpers import fit_alpha_continuous, ks_distance, replicate_ks_oracle, sample_discrete_powerlaw_oracle, select_xmin_oracle
+from helpers import (
+    fit_alpha_continuous,
+    ks_distance,
+    quantile_oracle,
+    replicate_ks_oracle,
+    sample_discrete_powerlaw_oracle,
+    select_xmin_oracle,
+)
 from wsdepnet import powerlaw
 from wsdepnet.errors import DegenerateAnalysisError
 from wsdepnet.powerlaw import (
@@ -214,19 +221,27 @@ def test_shared_table_draws_match_per_call_draws():
     # At alpha = 2 about 6e-4 of the mass lies beyond the first 1024-entry
     # table, so the large first draw grows it; the small later draws would
     # fit in a fresh table but are looked up in the grown one.
+    # The per-call draws come first: a per-call sampler that grew its table
+    # would put the shared one back to its first table.
     alpha, xmin = 2.0, 1
+    sizes = [5000] + [5] * 40 + [0, 1, 200]
+    per_call = []
+    for r, size in enumerate(sizes):
+        call_rng, oracle_rng = (np.random.default_rng((7, r)) for _ in range(2))
+        drawn = sample_discrete_powerlaw(alpha, xmin, size, call_rng)
+        assert np.array_equal(drawn, sample_discrete_powerlaw_oracle(alpha, xmin, size, oracle_rng))
+        assert call_rng.random() == oracle_rng.random()
+        per_call.append(drawn)
     sampler = powerlaw._TailSampler(alpha, xmin)
     fresh_top = float(sampler.cdf[-1])
-    sizes = [5000] + [5] * 40 + [0, 1, 200]
     fit_fresh = 0
     for r, size in enumerate(sizes):
-        shared_rng, call_rng, oracle_rng = (np.random.default_rng((7, r)) for _ in range(3))
+        shared_rng, twin = np.random.default_rng((7, r)), np.random.default_rng((7, r))
         shared = sampler.draw(size, shared_rng)
-        per_call = sample_discrete_powerlaw(alpha, xmin, size, call_rng)
-        assert shared.dtype == per_call.dtype == np.int64
-        assert np.array_equal(shared, per_call)
-        assert np.array_equal(shared, sample_discrete_powerlaw_oracle(alpha, xmin, size, oracle_rng))
-        assert shared_rng.random() == call_rng.random() == oracle_rng.random()
+        assert shared.dtype == per_call[r].dtype == np.int64
+        assert np.array_equal(shared, per_call[r])
+        twin.random(size)
+        assert shared_rng.random() == twin.random()
         if r == 0:
             assert sampler.cdf.size > 1024
         elif size:
@@ -264,6 +279,32 @@ def test_extreme_tail_draws_equal_per_draw_bisection():
     assert np.count_nonzero(drawn >= 1 + 2**20) >= 20
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_draw_just_below_int64_max_equals_bisection():
+    # at alpha = 1.05 these quantiles lie in (2**62, 2**63 - 1]: the doubling
+    # stops at hi = 2**63 - 1, and lo + hi would wrap
+    alpha, xmin = 1.05, 1
+    low, high = powerlaw.model_tail_cdf(alpha, xmin, [2**62, 2**63 - 1])
+    u = np.linspace(low, high, 7)[1:]
+    drawn = powerlaw._TailSampler(alpha, xmin).values(u)
+    assert drawn.min() > 2**62
+    assert drawn.tolist() == [quantile_oracle(alpha, xmin, float(ui)) for ui in u]
+
+
+def test_one_grown_table_per_process():
+    # a sampler that grows its table puts the last one that grew back to
+    # its first 1024 entries; that one regrows when a draw needs it
+    first, second = powerlaw._TailSampler(2.0, 1), powerlaw._TailSampler(1.8, 2)
+    u = np.random.default_rng(3).random(5000)
+    drawn = first.values(u)
+    assert first.cdf.size > 1024
+    second.values(u)
+    assert second.cdf.size > 1024
+    assert first.cdf.size == 1024
+    assert np.array_equal(first.values(u), drawn)
+    assert second.cdf.size == 1024
+
+
 def test_draw_past_int64_raises():
     # at alpha = 1.05 the quantile of 1 - 1e-12 lies near 1e240
     with pytest.raises(OverflowError):
@@ -293,7 +334,8 @@ def _check_against_oracle(data, replicates, seed, min_tail, rows_per_block, tied
         expected = replicate_ks_oracle(data, fit, replicates, seed, min_tail=min_tail)
         arr = np.asarray(data, dtype=np.int64)
         with mock.patch.object(powerlaw, "_BLOCK_CELLS", rows_per_block * arr.size):
-            got = powerlaw._replicate_ks(arr, fit, replicates, seed, min_tail)
+            sampler = powerlaw._TailSampler(fit.alpha, fit.xmin)
+            got = powerlaw._replicate_ks(arr, fit, sampler, replicates, seed, min_tail)
             p_value = gof_pvalue(data, fit, replicates=replicates, seed=seed, min_tail=min_tail)
     assert np.array_equal(got, expected)
     assert p_value == pvalue_from_replicates(fit.ks_statistic, expected)
@@ -339,8 +381,11 @@ def test_replicate_ranges_join_into_one_range(data, replicates, cuts, seed, min_
     arr = np.asarray(data, dtype=np.int64)
     bounds = sorted({0, replicates, *(c for c in cuts if c < replicates)})
     with mock.patch.object(powerlaw, "_BLOCK_CELLS", rows_per_block * arr.size):
-        whole = powerlaw._replicate_ks(arr, fit, replicates, seed, min_tail)
-        parts = [powerlaw._replicate_ks(arr, fit, stop, seed, min_tail, start) for start, stop in zip(bounds, bounds[1:])]
+        sampler = powerlaw._TailSampler(fit.alpha, fit.xmin)
+        whole = powerlaw._replicate_ks(arr, fit, sampler, replicates, seed, min_tail)
+        parts = [
+            powerlaw._replicate_ks(arr, fit, sampler, stop, seed, min_tail, start) for start, stop in zip(bounds, bounds[1:])
+        ]
     assert [part.size for part in parts] == [stop - start for start, stop in zip(bounds, bounds[1:])]
     assert np.array_equal(np.concatenate(parts), whole)
 
