@@ -10,13 +10,16 @@ For each workload and input variant (all three workloads and variants
 sizes, then runs the workload's CLI commands, the argv that `bench/run.py`
 times, as `python -m wsdepnet` in each tree. It lists every output file
 whose bytes differ between the trees and every command whose exit status
-differs, and exits 1 if there is any. Inputs and outputs go to one
+differs, and exits 1 if there is any. Under a `.json` output whose bytes
+differ it prints each differing value as a dotted path with both sides,
+e.g. `power_law.all.p_value 0.821 -> 0.816`. Inputs and outputs go to one
 temporary directory, removed at the end; neither tree is written to.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -27,6 +30,29 @@ from pathlib import Path
 from bench_pairs import seed_range
 
 WORKLOADS = ("paper-pair", "scale-10x", "corpus-extract")
+_ABSENT = object()  # the side of a key or list item that one document lacks
+
+
+def json_differences(parent, change, path: str = "") -> list[str]:
+    """Each value where two decoded JSON documents differ, as `dotted.path
+    parent -> change` in JSON notation (list items by index); a key or item
+    that one side lacks reads `<absent>` there. Values of different types
+    differ, so 1 and 1.0 do."""
+    if isinstance(parent, dict) and isinstance(change, dict):
+        keys = [*parent, *(key for key in change if key not in parent)]
+        pairs = [(key, parent.get(key, _ABSENT), change.get(key, _ABSENT)) for key in keys]
+    elif isinstance(parent, list) and isinstance(change, list):
+        pad = [_ABSENT] * abs(len(parent) - len(change))
+        pairs = list(zip(range(max(len(parent), len(change))), parent + pad, change + pad))
+    else:
+        if type(parent) is type(change) and parent == change:
+            return []
+        return [f"{path or '(document)'} {_shown(parent)} -> {_shown(change)}"]
+    return [line for key, p, c in pairs for line in json_differences(p, c, f"{path}.{key}" if path else str(key))]
+
+
+def _shown(value) -> str:
+    return "<absent>" if value is _ABSENT else json.dumps(value)
 
 
 def run_ops(tree: Path, ops, env: dict[str, str]) -> list[int]:
@@ -78,14 +104,20 @@ def main(argv: list[str] | None = None) -> int:
                     for op, p, c in zip(ops["parent"], codes["parent"], codes["change"]) if p != c
                 ]
                 files = [path.relative_to(workdir / "parent") for op in ops["parent"] for path in op.outputs]
+                details = []
                 for rel in files:
                     left, right = workdir / "parent" / rel, workdir / "change" / rel
                     if not (left.is_file() and right.is_file() and left.read_bytes() == right.read_bytes()):
                         problems.append(f"{rel}: bytes differ")
+                        if rel.suffix == ".json" and left.is_file() and right.is_file():
+                            found = json_differences(json.loads(left.read_bytes()), json.loads(right.read_bytes()))
+                            details += [f"  {rel}: {line}" for line in found]
                 compared += len(files)
                 differing += len(problems)
                 print(f"{name} variant {variant}: {len(files)} files, "
                       + ("identical" if not problems else "; ".join(problems)), flush=True)
+                for line in details:
+                    print(line, flush=True)
                 shutil.rmtree(workdir)
     print(f"{compared} output files compared, {differing} differences")
     return 1 if differing else 0

@@ -6,9 +6,10 @@ approximation alpha = 1 + n / sum(ln(x_i / (xmin - 1/2))). The lower cutoff
 is chosen among observed values by minimizing the Kolmogorov-Smirnov
 distance between the empirical tail CDF and the fitted model CDF. The
 p-value refits every bootstrap replicate, so it measures the whole
-procedure, not just the final exponent. Replicates are drawn through one
-CDF table per fit and go through the KS scan in blocks of rows;
-select_xmin is the one-row case of the same scan.
+procedure, not just the final exponent. Replicates are drawn in chunks of
+eight, one RNG stream and three RNG calls per chunk, through one CDF table
+per fit that grows in pieces; they go through the KS scan in blocks of
+rows, and select_xmin is the one-row case of the same scan.
 
 Hurwitz zeta values (the discrete normalization) are computed by direct
 summation with an Euler-Maclaurin tail correction, accurate to ~1e-12
@@ -28,6 +29,7 @@ from .errors import DegenerateAnalysisError
 
 _EM_TERMS = 28  # direct-sum terms before the tail correction
 _BLOCK_CELLS = 1 << 14  # bootstrap samples scanned at once; bounds the scan's memory
+_CHUNK = 8  # bootstrap replicates drawn from one RNG stream
 _MIN_TAIL = 10  # default least tail size of a candidate cutoff
 
 
@@ -169,6 +171,7 @@ def select_xmin(data, min_tail: int = _MIN_TAIL) -> tuple[int, float, float]:
 
 
 _MAX_TABLE = 2**20
+_PIECE = 1 << 16  # table entries computed at once while a table grows
 
 
 class _TailSampler:
@@ -176,8 +179,11 @@ class _TailSampler:
 
     The table is kept between draws and grows x4 only when a draw needs it,
     up to _MAX_TABLE entries (8 MB); draws beyond the table bisect the
-    exact CDF instead (_quantile). cumsum is sequential, so a longer table
-    has the same prefix and gives every draw the index a shorter one would.
+    exact CDF instead (_quantile). A grown table keeps its prefix and
+    continues it in pieces of _PIECE entries, each piece's cumsum starting
+    from the last entry. cumsum is sequential, so every table equals the
+    one-shot cumsum of its length, and a longer table gives every draw the
+    index a shorter one would.
 
     A process keeps one grown table: when a sampler grows its table, the
     last sampler that grew one goes back to its first 1024 entries. The
@@ -191,11 +197,26 @@ class _TailSampler:
         self.alpha = alpha
         self.xmin = xmin
         self.norm = float(_scaled_zeta(alpha, float(xmin), float(xmin)))
+        self.cdf = np.zeros(0)  # _table continues it to the first 1024 entries
         self.cdf = self._table(1024)
 
     def _table(self, length: int) -> np.ndarray:
-        support = np.arange(self.xmin, self.xmin + length, dtype=float)
-        return np.cumsum((support / self.xmin) ** -self.alpha / self.norm)
+        """The CDF table of `length` entries: the current table, continued piece by piece."""
+        cdf = np.empty(length)
+        done = self.cdf.size
+        cdf[:done] = self.cdf
+        for first in range(done, length, _PIECE):
+            stop = min(first + _PIECE, length)
+            # / and + round exactly in place, as in _scaled_zeta; the power
+            # writes to the table, a buffer apart from its input
+            ratio = np.arange(self.xmin + first, self.xmin + stop, dtype=float)
+            ratio /= self.xmin
+            piece = np.power(ratio, -self.alpha, out=cdf[first:stop])
+            piece /= self.norm
+            if first:
+                piece[0] += cdf[first - 1]
+            np.cumsum(piece, out=piece)
+        return cdf
 
     def values(self, u: np.ndarray) -> np.ndarray:
         """The draws of the uniforms `u`: for each, the least x >= xmin whose CDF reaches it."""
@@ -205,7 +226,7 @@ class _TailSampler:
         if self.cdf[-1] < u_max and self.cdf.size < _MAX_TABLE:
             last = _TailSampler._grown and _TailSampler._grown()
             if last is not None and last is not self:
-                last.cdf = last._table(1024)
+                last.cdf = last.cdf[:1024].copy()
             _TailSampler._grown = weakref.ref(self)
         while self.cdf[-1] < u_max and self.cdf.size < _MAX_TABLE:
             self.cdf = self._table(4 * self.cdf.size)
@@ -255,6 +276,12 @@ def pvalue_from_replicates(observed_ks: float, replicate_ks) -> float:
     return float(np.mean(replicate_ks >= observed_ks))
 
 
+def _block_rows(n: int) -> int:
+    """Replicates of n values scanned at once: whole chunks, at most
+    max(_BLOCK_CELLS, _CHUNK * n) samples."""
+    return _CHUNK * max(1, _BLOCK_CELLS // (_CHUNK * n))
+
+
 def _replicate_ks(
     arr: np.ndarray,
     fit: PowerLawFit,
@@ -265,49 +292,58 @@ def _replicate_ks(
     start: int = 0,
 ) -> np.ndarray:
     """Minimum KS distance of bootstrap replicates start, ..., stop - 1 (inf
-    where one collapsed to one value), scanned in blocks of at most
-    _BLOCK_CELLS samples. Replicate r draws from the stream (seed, r), so
-    the arrays of consecutive ranges join into the array of their union.
-    Tail values are drawn through `sampler`, the _TailSampler of the fit;
-    calls may share it (bootstrap_blocks).
+    where one collapsed to one value), scanned in blocks of _block_rows(n)
+    replicates. Replicates 8c, ..., 8c + 7 (chunk c, _CHUNK = 8) draw from
+    the stream (seed, c); a range draws every chunk it overlaps and keeps
+    its own rows, so the arrays of consecutive ranges join into the array
+    of their union. Tail values are drawn through `sampler`, the
+    _TailSampler of the fit; calls may share it (bootstrap_blocks).
 
-    A replicate's own work is its RNG calls: which of its n values come
-    from the tail, their uniforms, and the indices of the values below
-    xmin (the draws of choice(below, replace=True)). The tail uniforms of
-    a whole block go through the sampler at once.
+    A chunk makes three RNG calls: binomial(n, n_tail/n) tail sizes k of
+    its rows, the uniforms of all its tail draws, and the indices of its
+    values below xmin (the draws of choice(below, replace=True)), made
+    only when there is one. Row i takes its k[i] tail draws first. The
+    tail uniforms of a whole block go through the sampler at once; a draw
+    past the int64 range raises DegenerateAnalysisError.
     """
     n = arr.size
     below = arr[arr < fit.xmin]
     p_tail = (n - below.size) / n
-    block = max(1, _BLOCK_CELLS // n)
+    chunks, end = _block_rows(n) // _CHUNK, -(-stop // _CHUNK)
     ks_values = np.full(stop - start, np.inf)
-    for first in range(start, stop, block):
-        count = min(block, stop - first)
-        tail_sizes = np.empty(count, dtype=np.int64)
-        uniforms, picks = [], []
-        for i, r in enumerate(range(first, first + count)):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(r,))))
-            k = tail_sizes[i] = np.count_nonzero(rng.random(n) < p_tail)
-            uniforms.append(rng.random(k))
-            if n > k:
-                picks.append(rng.integers(0, below.size, n - k))
-        samples = np.empty((count, n), dtype=np.int64)
-        in_tail = np.arange(n) < tail_sizes[:, None]  # row i: its k tail draws first
-        samples[in_tail] = sampler.values(np.concatenate(uniforms))
+    for first in range(start // _CHUNK, end, chunks):
+        tail_sizes, uniforms, picks = [], [], []
+        for chunk in range(first, min(first + chunks, end)):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,))))
+            k = rng.binomial(n, p_tail, _CHUNK)
+            tail_sizes.append(k)
+            uniforms.append(rng.random(k.sum()))
+            if below_count := _CHUNK * n - k.sum():
+                picks.append(rng.integers(0, below.size, below_count))
+        sizes = np.concatenate(tail_sizes)
+        lo, hi = max(start - first * _CHUNK, 0), min(stop - first * _CHUNK, sizes.size)  # rows in range
+        before, through = int(sizes[:lo].sum()), int(sizes[:hi].sum())  # their tail draws
+        in_tail = np.arange(n) < sizes[lo:hi, None]
+        samples = np.empty(in_tail.shape, dtype=np.int64)
+        try:
+            samples[in_tail] = sampler.values(np.concatenate(uniforms)[before:through])
+        except OverflowError:
+            raise DegenerateAnalysisError("power-law-fit", "a bootstrap draw lies past the int64 range") from None
         if picks:
-            samples[~in_tail] = below[np.concatenate(picks)]
+            samples[~in_tail] = below[np.concatenate(picks)[lo * n - before : hi * n - through]]
         samples.sort(axis=1)
         rows, _, _, ks = _ks_scan(samples, min_tail)
-        np.minimum.at(ks_values, first - start + rows, ks)
+        np.minimum.at(ks_values, first * _CHUNK + lo - start + rows, ks)
     return ks_values
 
 
 def bootstrap_blocks(arr: np.ndarray, fit: PowerLawFit, replicates: int, seed: int, most: int) -> list:
     """At most `most` zero-argument calls whose arrays, joined in order, are the
-    replicate KS distances of gof_pvalue(arr, fit, replicates, seed). They
+    replicate KS distances of gof_pvalue(arr, fit, replicates, seed). Each
+    takes whole chunks and at least one scan block of replicates. They
     share one sampler, so a process that runs several grows one CDF table."""
     sampler = _TailSampler(fit.alpha, fit.xmin)
-    step = max(1, _BLOCK_CELLS // arr.size, -(-replicates // most))
+    step = max(_block_rows(arr.size), -(-replicates // (most * _CHUNK)) * _CHUNK)
     return [
         functools.partial(_replicate_ks, arr, fit, sampler, min(start + step, replicates), seed, _MIN_TAIL, start)
         for start in range(0, replicates, step)
@@ -319,10 +355,12 @@ def gof_pvalue(data, fit: PowerLawFit, replicates: int, seed: int, min_tail: int
 
     Each replicate draws len(data) values, from the fitted model above xmin
     with probability n_tail/n and uniformly from the empirical values below
-    xmin otherwise, then reruns the whole cutoff selection. Replicate r uses
-    an RNG stream derived from (seed, r), so the result is independent of
-    evaluation order and of how replicates are grouped into blocks. A
-    replicate that collapsed to one value counts as extreme (KS = inf).
+    xmin otherwise, then reruns the whole cutoff selection. Replicates
+    8c, ..., 8c + 7 draw from one RNG stream derived from (seed, c), so the
+    result is independent of evaluation order and of how replicates are
+    grouped into blocks. A replicate that collapsed to one value counts as
+    extreme (KS = inf). A draw past the int64 range (alpha near 1) raises
+    DegenerateAnalysisError.
     """
     if replicates < 100:
         raise ValueError("replicates must be >= 100")

@@ -218,7 +218,8 @@ def analyze_with_communities(
 
     Metrics that are undefined on the given network (zero degree variance,
     too small a power-law tail, a linkless or single-node giant, an ER link
-    count beyond n(n - 1)/2) are reported as None with the reason recorded
+    count beyond n(n - 1)/2, a bootstrap draw past the int64 range for a
+    fit's p_value) are reported as None with the reason recorded
     under `degenerate`, so no field is None without one; an empty network
     is an error, and so is a config with er_samples < 1, bootstrap_n
     neither 0 nor >= 100, or walktrap_t < 1 (ValueError, raised before any
@@ -253,7 +254,10 @@ def analyze_with_communities(
 
     fits = {tail: outcomes[f"power_law_{tail}"][0] for tail in _TAILS}
     blocks = {  # each fit takes at most a quarter of the queue
-        tail: bootstrap_blocks(positive[tail], fit, config.bootstrap_n, config.seed, _QUEUE_SLOTS // 4)
+        tail: [
+            functools.partial(_outcome, call)
+            for call in bootstrap_blocks(positive[tail], fit, config.bootstrap_n, config.seed, _QUEUE_SLOTS // 4)
+        ]
         for tail, fit in fits.items()
         if fit and config.bootstrap_n
     }
@@ -270,7 +274,12 @@ def analyze_with_communities(
     for tail, calls in blocks.items():
         fit = fits[tail]
         fit.bootstrap_n = config.bootstrap_n
-        fit.p_value = pvalue_from_replicates(fit.ks_statistic, np.concatenate([next(results) for _ in calls]))
+        parts, reasons = zip(*(next(results) for _ in calls))
+        reason = next(filter(None, reasons), None)
+        if reason is None:
+            fit.p_value = pvalue_from_replicates(fit.ks_statistic, np.concatenate(parts))
+        else:
+            outcomes[f"power_law_{tail}_p_value"] = (None, reason)
     directed, undirected, clustering = results
 
     for mode, stats in (("directed", directed), ("undirected", undirected)):

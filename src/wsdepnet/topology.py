@@ -247,12 +247,11 @@ def degree_stats(n: DependencyNetwork) -> DegreeStats:
     )
 
 
-def degree_correlation(n: DependencyNetwork, mode: str = "total") -> float:
+def degree_correlation(n: DependencyNetwork) -> float:
     """Pearson correlation of endpoint degrees over links (Newman's r).
 
-    The default correlates total degrees on the undirected projection, each
-    link contributing both orientations; "out-in" and "in-out" are directed
-    variants over the directed links. Links are taken in (src, dst) order,
+    Correlates total degrees on the undirected projection, each link
+    contributing both orientations. Links are taken in (src, dst) order,
     as np.corrcoef's last bits depend on the order of its samples.
     """
     if n.link_count == 0:
@@ -261,25 +260,14 @@ def degree_correlation(n: DependencyNetwork, mode: str = "total") -> float:
     links = n.sorted_links()
     xs: list[int] = []
     ys: list[int] = []
-    if mode == "total":
-        seen = set()
-        for src, dst in links:
-            edge = (min(src, dst), max(src, dst))
-            if edge in seen:
-                continue
-            seen.add(edge)
-            xs.extend((stats.total_degrees[edge[0]], stats.total_degrees[edge[1]]))
-            ys.extend((stats.total_degrees[edge[1]], stats.total_degrees[edge[0]]))
-    elif mode == "out-in":
-        for src, dst in links:
-            xs.append(stats.out_degrees[src])
-            ys.append(stats.in_degrees[dst])
-    elif mode == "in-out":
-        for src, dst in links:
-            xs.append(stats.in_degrees[src])
-            ys.append(stats.out_degrees[dst])
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    seen = set()
+    for src, dst in links:
+        edge = (min(src, dst), max(src, dst))
+        if edge in seen:
+            continue
+        seen.add(edge)
+        xs.extend((stats.total_degrees[edge[0]], stats.total_degrees[edge[1]]))
+        ys.extend((stats.total_degrees[edge[1]], stats.total_degrees[edge[0]]))
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if np.ptp(x) == 0 or np.ptp(y) == 0:

@@ -455,11 +455,10 @@ def quantile_oracle(alpha: float, xmin: int, u: float) -> int:
     return lo
 
 
-def sample_discrete_powerlaw_oracle(alpha: float, xmin: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws through a CDF table built for this call alone."""
-    if size == 0:
+def powerlaw_values_oracle(alpha: float, xmin: int, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws of the uniforms `u` through a CDF table built for them alone."""
+    if u.size == 0:
         return np.zeros(0, dtype=np.int64)
-    u = rng.random(size)
     norm = float(powerlaw._scaled_zeta(alpha, float(xmin), float(xmin)))
     length = 1024
     u_max = float(u.max())
@@ -475,23 +474,42 @@ def sample_discrete_powerlaw_oracle(alpha: float, xmin: int, size: int, rng: np.
     return out.astype(np.int64)
 
 
+def sample_discrete_powerlaw_oracle(alpha: float, xmin: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF draws through a CDF table built for this call alone."""
+    return powerlaw_values_oracle(alpha, xmin, rng.random(size))
+
+
 def replicate_ks_oracle(data, fit: powerlaw.PowerLawFit, replicates: int, seed: int, min_tail: int = 10) -> np.ndarray:
-    """Bootstrap KS values one replicate at a time (inf where a replicate collapsed)."""
+    """Bootstrap KS values one replicate at a time (inf where a replicate collapsed).
+
+    Chunk c makes its three RNG calls from the stream (seed, c): the tail
+    sizes of its 8 replicates, all their tail uniforms, and all their picks
+    below xmin. Each replicate then takes its share of both, tail first,
+    and is scanned alone.
+    """
     arr = np.asarray(data, dtype=np.int64)
     n = arr.size
     below = arr[arr < fit.xmin]
     p_tail = (n - below.size) / n
     ks_values = np.empty(replicates)
-    for r in range(replicates):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        k = int((rng.random(n) < p_tail).sum())
-        parts = [sample_discrete_powerlaw_oracle(fit.alpha, fit.xmin, k, rng)]
-        if n - k > 0:
-            parts.append(rng.choice(below, size=n - k, replace=True))
-        try:
-            _, _, ks_values[r] = select_xmin_oracle(np.concatenate(parts), min_tail=min_tail)
-        except DegenerateAnalysisError:
-            ks_values[r] = np.inf
+    for chunk in range(-(-replicates // 8)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
+        sizes = rng.binomial(n, p_tail, 8)
+        uniforms = rng.random(sizes.sum())
+        picks = rng.integers(0, below.size, 8 * n - sizes.sum()) if 8 * n > sizes.sum() else None
+        tail_at = pick_at = 0
+        for i, k in enumerate(sizes.tolist()):
+            r = 8 * chunk + i
+            if r == replicates:
+                break
+            parts = [powerlaw_values_oracle(fit.alpha, fit.xmin, uniforms[tail_at : tail_at + k])]
+            if n > k:
+                parts.append(below[picks[pick_at : pick_at + n - k]])
+            tail_at, pick_at = tail_at + k, pick_at + n - k
+            try:
+                _, _, ks_values[r] = select_xmin_oracle(np.concatenate(parts), min_tail=min_tail)
+            except DegenerateAnalysisError:
+                ks_values[r] = np.inf
     return ks_values
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from helpers import (
 from wsdepnet import powerlaw
 from wsdepnet.errors import DegenerateAnalysisError
 from wsdepnet.powerlaw import (
+    PowerLawFit,
     degree_distribution_rows,
     fit_alpha,
     fit_power_law,
@@ -305,6 +307,36 @@ def test_one_grown_table_per_process():
     assert second.cdf.size == 1024
 
 
+@pytest.mark.parametrize("alpha, xmin", [(2.0, 1), (1.3, 4)])
+def test_table_grown_in_pieces_equals_one_shot_cumsum(alpha, xmin):
+    norm = float(powerlaw._scaled_zeta(alpha, float(xmin), float(xmin)))
+    one_shot = np.cumsum((np.arange(xmin, xmin + 2**20, dtype=float) / xmin) ** -alpha / norm)
+    in_one_step, in_steps = powerlaw._TailSampler(alpha, xmin), powerlaw._TailSampler(alpha, xmin)
+    assert np.array_equal(in_one_step.cdf, one_shot[:1024])
+    in_one_step.cdf = in_one_step._table(2**20)
+    while in_steps.cdf.size < 2**20:
+        in_steps.cdf = in_steps._table(4 * in_steps.cdf.size)
+        assert np.array_equal(in_steps.cdf, one_shot[: in_steps.cdf.size])
+    assert np.array_equal(in_one_step.cdf, one_shot)
+
+
+def test_table_growth_to_2_20_entries_stays_under_12_mb():
+    # the old table (2 MiB), the new one (8 MiB) and one piece of ratios (0.5 MiB);
+    # the one-shot cumsum of all 2**20 entries took 26 MiB
+    alpha, xmin = 2.0, 1
+    u = powerlaw.model_tail_cdf(alpha, xmin, [2**19 + 5])
+    sampler = powerlaw._TailSampler(alpha, xmin)
+    tracemalloc.start()
+    try:
+        drawn = sampler.values(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sampler.cdf.size == 2**20
+    assert drawn.tolist() == [quantile_oracle(alpha, xmin, float(u[0]))]
+    assert peak <= 12 * 2**20
+
+
 def test_draw_past_int64_raises():
     # at alpha = 1.05 the quantile of 1 - 1e-12 lies near 1e240
     with pytest.raises(OverflowError):
@@ -331,10 +363,15 @@ def _check_against_oracle(data, replicates, seed, min_tail, rows_per_block, tied
     with mock.patch.object(powerlaw, "_scaled_zeta", _constant_zeta if tied else powerlaw._scaled_zeta):
         fit = fit_power_law(data, replicates=0, min_tail=min_tail)
         assert (fit.xmin, fit.alpha, fit.ks_statistic) == select_xmin_oracle(data, min_tail=min_tail)
-        expected = replicate_ks_oracle(data, fit, replicates, seed, min_tail=min_tail)
         arr = np.asarray(data, dtype=np.int64)
         with mock.patch.object(powerlaw, "_BLOCK_CELLS", rows_per_block * arr.size):
             sampler = powerlaw._TailSampler(fit.alpha, fit.xmin)
+            try:
+                expected = replicate_ks_oracle(data, fit, replicates, seed, min_tail=min_tail)
+            except OverflowError:  # a rare draw past the int64 range, possible where alpha < 1.3
+                with pytest.raises(DegenerateAnalysisError, match="past the int64 range"):
+                    powerlaw._replicate_ks(arr, fit, sampler, replicates, seed, min_tail)
+                return None
             got = powerlaw._replicate_ks(arr, fit, sampler, replicates, seed, min_tail)
             p_value = gof_pvalue(data, fit, replicates=replicates, seed=seed, min_tail=min_tail)
     assert np.array_equal(got, expected)
@@ -388,6 +425,25 @@ def test_replicate_ranges_join_into_one_range(data, replicates, cuts, seed, min_
         ]
     assert [part.size for part in parts] == [stop - start for start, stop in zip(bounds, bounds[1:])]
     assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("most", [1, 3, 32])
+def test_bootstrap_blocks_join_into_one_range(most):
+    rng = np.random.default_rng(4)
+    arr = np.concatenate([sample_discrete_powerlaw(2.3, 3, 200, rng), rng.integers(1, 3, size=70)])
+    fit = fit_power_law(arr, replicates=0)
+    whole = powerlaw._replicate_ks(arr, fit, powerlaw._TailSampler(fit.alpha, fit.xmin), 1000, 11, 10)
+    blocks = powerlaw.bootstrap_blocks(arr, fit, 1000, 11, most)
+    assert len(blocks) <= most
+    assert all(block.args[-1] % powerlaw._CHUNK == 0 for block in blocks)  # each starts a chunk
+    assert np.array_equal(np.concatenate([block() for block in blocks]), whole)
+
+
+def test_bootstrap_draw_past_int64_is_degenerate():
+    # at alpha = 1.1 and xmin = 1 about 1.3% of the draws lie past 2**62
+    fit = PowerLawFit(alpha=1.1, xmin=1, ks_statistic=0.1, p_value=None, n_tail=300, bootstrap_n=0)
+    with pytest.raises(DegenerateAnalysisError, match="a bootstrap draw lies past the int64 range"):
+        gof_pvalue(np.arange(1, 301), fit, 100, 0)
 
 
 @pytest.mark.parametrize("replicates", [100, 101, 257])

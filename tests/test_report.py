@@ -16,7 +16,7 @@ from wsdepnet.community import walktrap
 from wsdepnet.matching import MatcherKind
 from wsdepnet.model import collection_from_dict, load_canonical
 from wsdepnet.network import build_network, network_from_edges
-from wsdepnet.powerlaw import PowerLawFit
+from wsdepnet.powerlaw import PowerLawFit, fit_power_law
 from wsdepnet.report import (
     _DELTA_FIELDS,
     AnalysisConfig,
@@ -217,6 +217,32 @@ def _random_tree(nodes, seed):
     return network_from_edges(nodes, links, MatcherKind.SYNTACTIC_EQUAL)
 
 
+def _heavy_tailed_fit(data, **kwargs):
+    # at alpha = 1.1 and xmin = 1 about 1.3% of the draws lie past 2**62
+    return dataclasses.replace(fit_power_law(data, **kwargs), alpha=1.1, xmin=1)
+
+
+def test_bootstrap_draw_past_int64_nulls_only_the_p_value(monkeypatch, cpus, forks, deadline):
+    monkeypatch.setattr("wsdepnet.report.fit_power_law", _heavy_tailed_fit)
+    net = _random_tree(400, seed=3)
+    config = AnalysisConfig(er_samples=2, bootstrap_n=100, walktrap_t=4, seed=7)
+    cpus(1)
+    inline = analyze(net, config)
+    assert forks == []
+    cpus(2)
+    forked = analyze(net, config)
+    assert len(forks) == 1
+    assert report_to_json(forked) == report_to_json(inline)
+    assert render_text(forked) == render_text(inline)
+    assert forked.degenerate["power_law_in"] == "fewer than 2 distinct values"
+    for tail in ("out", "all"):
+        fit = forked.power_law[tail]
+        assert (fit.alpha, fit.xmin, fit.p_value, fit.bootstrap_n) == (1.1, 1, None, 100)
+        assert fit.ks_statistic > 0
+        assert forked.degenerate[f"power_law_{tail}_p_value"] == "a bootstrap draw lies past the int64 range"
+    assert forked.communities is not None and forked.er_avg_distance is not None
+
+
 @pytest.mark.parametrize("case", ["k2", "reciprocal-pair", "degenerate-tail"])
 def test_er_baseline_path_leaves_report_bytes_unchanged(k2_collection, cpus, forks, deadline, case):
     config = AnalysisConfig(er_samples=20, bootstrap_n=100, walktrap_t=4, seed=7)
@@ -386,7 +412,10 @@ def test_no_field_is_null_without_a_reason(cpus):
             if fit is None and f"power_law_{tail}" not in data["degenerate"]:
                 unexplained.append(f"power_law.{tail}")
             elif fit is not None:
-                unexplained += [f"power_law.{tail}.{key}" for key, value in fit.items() if value is None]
+                explained = {"p_value"} if f"power_law_{tail}_p_value" in data["degenerate"] else set()
+                unexplained += [
+                    f"power_law.{tail}.{key}" for key, value in fit.items() if value is None and key not in explained
+                ]
         assert unexplained == [], (nodes, links, data["degenerate"])
 
 

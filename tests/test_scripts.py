@@ -1,4 +1,5 @@
-"""The scripts: one Walktrap per network, the CLI's bytes and exit codes, the benchmark verdict."""
+"""The scripts: one Walktrap per network, the CLI's bytes and exit codes, the benchmark verdict,
+the differing JSON values of two outputs."""
 
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 import bench_pairs  # noqa: E402
 import run_demo  # noqa: E402
 import run_sawsdl_corpus  # noqa: E402
+import same_outputs  # noqa: E402
 
 MATCHERS = ("syntactic-equal", "semantic-exact")
 
@@ -142,3 +144,32 @@ def test_bench_pairs_verdict(parent, change, better, expected):
 )
 def test_bench_pairs_gain(parent, change, better, expected):
     assert bench_pairs.gain(parent, change, better) is expected
+
+
+REPORT = {"power_law": {"all": {"alpha": 2.1, "p_value": 0.821}, "in": None}, "degenerate": {}, "rows": [1, 2]}
+
+
+@pytest.mark.parametrize(
+    "change, expected",
+    [
+        (REPORT, []),
+        (
+            {**REPORT, "power_law": {"all": {"alpha": 2.1, "p_value": 0.816}, "in": None}},
+            ["power_law.all.p_value 0.821 -> 0.816"],
+        ),
+        (
+            {**REPORT, "degenerate": {"power_law_all_p_value": "past int64"}},
+            ['degenerate.power_law_all_p_value <absent> -> "past int64"'],
+        ),
+        ({**REPORT, "power_law": {"all": None, "in": None}}, ['power_law.all {"alpha": 2.1, "p_value": 0.821} -> null']),
+        ({**REPORT, "rows": [1, 2.0, 3]}, ["rows.1 2 -> 2.0", "rows.2 <absent> -> 3"]),
+        ({k: v for k, v in REPORT.items() if k != "rows"}, ["rows [1, 2] -> <absent>"]),
+    ],
+)
+def test_same_outputs_names_differing_json_values(change, expected):
+    assert same_outputs.json_differences(REPORT, change) == expected
+
+
+def test_same_outputs_names_a_differing_document():
+    assert same_outputs.json_differences([1], {"a": 1}) == ['(document) [1] -> {"a": 1}']
+    assert same_outputs.json_differences(True, 1) == ["(document) true -> 1"]

@@ -260,13 +260,6 @@ def test_degree_correlation_bounded(n):
     assert -1.0 - 1e-12 <= r <= 1.0 + 1e-12
 
 
-def test_directed_correlation_modes_exist():
-    n = _net(4, [(0, 1), (0, 2), (3, 0), (1, 2)])
-    for mode in ("total", "out-in", "in-out"):
-        value = degree_correlation(n, mode=mode)
-        assert -1.0 <= value <= 1.0
-
-
 # -- components ---------------------------------------------------------------
 
 
