@@ -8,8 +8,9 @@ distance between the empirical tail CDF and the fitted model CDF. The
 p-value refits every bootstrap replicate, so it measures the whole
 procedure, not just the final exponent. Replicates are drawn in chunks of
 eight, one RNG stream and three RNG calls per chunk, through one CDF table
-per fit that grows in pieces; they go through the KS scan in blocks of
-rows, and select_xmin is the one-row case of the same scan.
+per process that grows in pieces and belongs to the last law drawn from;
+they go through the KS scan in blocks of rows, and select_xmin is the
+one-row case of the same scan.
 
 Hurwitz zeta values (the discrete normalization) are computed by direct
 summation with an Euler-Maclaurin tail correction, accurate to ~1e-12
@@ -20,7 +21,6 @@ underflow to 0/0.
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,93 +172,76 @@ def select_xmin(data, min_tail: int = _MIN_TAIL) -> tuple[int, float, float]:
 
 _MAX_TABLE = 2**20
 _PIECE = 1 << 16  # table entries computed at once while a table grows
+_INT64_MAX = 2**63 - 1
+# ((alpha, xmin), zeta normalization, CDF table) of the last law drawn from:
+# a process keeps one table, whichever laws it draws from and in what order
+_slot = (None, None, None)
 
 
-class _TailSampler:
-    """Discrete power-law draws through one CDF table over [xmin, xmin + L).
+def _tail_values(alpha: float, xmin: int, u: np.ndarray) -> np.ndarray:
+    """The draws of the uniforms `u` from the discrete power law on {xmin,
+    xmin+1, ...}: for each, the least x >= xmin whose CDF reaches it.
 
-    The table is kept between draws and grows x4 only when a draw needs it,
-    up to _MAX_TABLE entries (8 MB); draws beyond the table bisect the
-    exact CDF instead (_quantile). A grown table keeps its prefix and
-    continues it in pieces of _PIECE entries, each piece's cumsum starting
-    from the last entry. cumsum is sequential, so every table equals the
-    one-shot cumsum of its length, and a longer table gives every draw the
-    index a shorter one would.
-
-    A process keeps one grown table: when a sampler grows its table, the
-    last sampler that grew one goes back to its first 1024 entries. The
-    bootstrap blocks of a fit share a sampler, and a process runs the
-    blocks of one fit before those of the next, so none regrows.
+    They are looked up in the CDF table over [xmin, xmin + L) that _slot
+    keeps for the last law drawn from; another law replaces it. L starts at
+    1024 and grows x4 only when a draw needs it, up to _MAX_TABLE entries
+    (8 MB); draws beyond the table bisect the exact CDF instead (_quantile).
+    A grown table keeps its prefix and continues it in pieces of _PIECE
+    entries, each piece's cumsum starting from the last entry. cumsum is
+    sequential, so every table equals the one-shot cumsum of its length,
+    and a longer table gives every draw the index a shorter one would.
     """
-
-    _grown = None  # weak reference to the last sampler that grew its table
-
-    def __init__(self, alpha: float, xmin: int):
-        self.alpha = alpha
-        self.xmin = xmin
-        self.norm = float(_scaled_zeta(alpha, float(xmin), float(xmin)))
-        self.cdf = np.zeros(0)  # _table continues it to the first 1024 entries
-        self.cdf = self._table(1024)
-
-    def _table(self, length: int) -> np.ndarray:
-        """The CDF table of `length` entries: the current table, continued piece by piece."""
-        cdf = np.empty(length)
-        done = self.cdf.size
-        cdf[:done] = self.cdf
-        for first in range(done, length, _PIECE):
-            stop = min(first + _PIECE, length)
+    global _slot
+    if u.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    law, norm, cdf = _slot  # one read, so a table always goes with its own law
+    if law != (alpha, xmin):
+        law, norm, cdf = (alpha, xmin), float(_scaled_zeta(alpha, float(xmin), float(xmin))), np.zeros(0)
+    u_max = float(u.max())
+    while cdf.size == 0 or (cdf[-1] < u_max and cdf.size < _MAX_TABLE):
+        table = np.empty(4 * cdf.size or 1024)
+        table[: cdf.size] = cdf
+        for first in range(cdf.size, table.size, _PIECE):
+            stop = min(first + _PIECE, table.size)
             # / and + round exactly in place, as in _scaled_zeta; the power
             # writes to the table, a buffer apart from its input
-            ratio = np.arange(self.xmin + first, self.xmin + stop, dtype=float)
-            ratio /= self.xmin
-            piece = np.power(ratio, -self.alpha, out=cdf[first:stop])
-            piece /= self.norm
+            ratio = np.arange(xmin + first, xmin + stop, dtype=float)
+            ratio /= xmin
+            piece = np.power(ratio, -alpha, out=table[first:stop])
+            piece /= norm
             if first:
-                piece[0] += cdf[first - 1]
+                piece[0] += table[first - 1]
             np.cumsum(piece, out=piece)
-        return cdf
-
-    def values(self, u: np.ndarray) -> np.ndarray:
-        """The draws of the uniforms `u`: for each, the least x >= xmin whose CDF reaches it."""
-        if u.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        u_max = float(u.max())
-        if self.cdf[-1] < u_max and self.cdf.size < _MAX_TABLE:
-            last = _TailSampler._grown and _TailSampler._grown()
-            if last is not None and last is not self:
-                last.cdf = last.cdf[:1024].copy()
-            _TailSampler._grown = weakref.ref(self)
-        while self.cdf[-1] < u_max and self.cdf.size < _MAX_TABLE:
-            self.cdf = self._table(4 * self.cdf.size)
-        out = self.xmin + np.searchsorted(self.cdf, u, side="left")
-        past = out >= self.xmin + self.cdf.size  # extreme tail, bisected on the exact CDF
-        if past.any():
-            out[past] = _quantile(self.alpha, self.xmin, u[past])
-        return out.astype(np.int64)
-
-    def draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return self.values(rng.random(size))
+        cdf = table
+        _slot = law, norm, cdf  # a new law's first 1024 entries drop the old law's table
+    out = xmin + np.searchsorted(cdf, u, side="left")
+    past = out >= xmin + cdf.size  # extreme tail, bisected on the exact CDF
+    if past.any():
+        out[past] = _quantile(alpha, xmin, u[past])
+    return out.astype(np.int64)
 
 
 def sample_discrete_powerlaw(alpha: float, xmin: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF draws from the discrete power law on {xmin, xmin+1, ...}."""
-    return _TailSampler(alpha, xmin).draw(size, rng)
+    return _tail_values(alpha, xmin, rng.random(size))
 
 
 def _quantile(alpha: float, xmin: int, u) -> np.ndarray:
     """For each uniform of `u`, the least x >= xmin with model_tail_cdf(x) >= u,
-    all bisected together: hi doubles (h -> 2h + 1) from xmin until its CDF
-    reaches u, then [xmin, hi] is halved. Each uniform takes the steps it
-    would take alone, so its result does not depend on the others."""
+    all bisected together: hi doubles (h -> 2h + 1, capped at 2**63 - 1) from
+    xmin until its CDF reaches u, then [xmin, hi] is halved. Each uniform
+    takes the steps it would take alone, so its result does not depend on
+    the others. A u whose CDF at 2**63 - 1 is still short raises
+    DegenerateAnalysisError: its draw lies past the int64 range."""
     shape = np.shape(u)
     u = np.asarray(u, dtype=float).reshape(-1)
     lo = np.full(u.shape, xmin, dtype=np.int64)
     hi = lo.copy()
     short = model_tail_cdf(alpha, xmin, hi) < u
     while short.any():
-        if hi[short].max() >= 2**62:
-            raise OverflowError("a power-law draw lies past the int64 range")
-        hi[short] = 2 * hi[short] + 1
+        if hi[short].max() == _INT64_MAX:
+            raise DegenerateAnalysisError("power-law-fit", "a bootstrap draw lies past the int64 range")
+        hi[short] = 2 * np.minimum(hi[short], _INT64_MAX // 2) + 1
         short[short] = model_tail_cdf(alpha, xmin, hi[short]) < u[short]
     open_ = lo < hi
     while open_.any():
@@ -285,7 +268,6 @@ def _block_rows(n: int) -> int:
 def _replicate_ks(
     arr: np.ndarray,
     fit: PowerLawFit,
-    sampler: _TailSampler,
     stop: int,
     seed: int,
     min_tail: int,
@@ -296,14 +278,13 @@ def _replicate_ks(
     replicates. Replicates 8c, ..., 8c + 7 (chunk c, _CHUNK = 8) draw from
     the stream (seed, c); a range draws every chunk it overlaps and keeps
     its own rows, so the arrays of consecutive ranges join into the array
-    of their union. Tail values are drawn through `sampler`, the
-    _TailSampler of the fit; calls may share it (bootstrap_blocks).
+    of their union.
 
     A chunk makes three RNG calls: binomial(n, n_tail/n) tail sizes k of
     its rows, the uniforms of all its tail draws, and the indices of its
     values below xmin (the draws of choice(below, replace=True)), made
     only when there is one. Row i takes its k[i] tail draws first. The
-    tail uniforms of a whole block go through the sampler at once; a draw
+    tail uniforms of a whole block go through _tail_values at once; a draw
     past the int64 range raises DegenerateAnalysisError.
     """
     n = arr.size
@@ -325,10 +306,7 @@ def _replicate_ks(
         before, through = int(sizes[:lo].sum()), int(sizes[:hi].sum())  # their tail draws
         in_tail = np.arange(n) < sizes[lo:hi, None]
         samples = np.empty(in_tail.shape, dtype=np.int64)
-        try:
-            samples[in_tail] = sampler.values(np.concatenate(uniforms)[before:through])
-        except OverflowError:
-            raise DegenerateAnalysisError("power-law-fit", "a bootstrap draw lies past the int64 range") from None
+        samples[in_tail] = _tail_values(fit.alpha, fit.xmin, np.concatenate(uniforms)[before:through])
         if picks:
             samples[~in_tail] = below[np.concatenate(picks)[lo * n - before : hi * n - through]]
         samples.sort(axis=1)
@@ -340,12 +318,10 @@ def _replicate_ks(
 def bootstrap_blocks(arr: np.ndarray, fit: PowerLawFit, replicates: int, seed: int, most: int) -> list:
     """At most `most` zero-argument calls whose arrays, joined in order, are the
     replicate KS distances of gof_pvalue(arr, fit, replicates, seed). Each
-    takes whole chunks and at least one scan block of replicates. They
-    share one sampler, so a process that runs several grows one CDF table."""
-    sampler = _TailSampler(fit.alpha, fit.xmin)
+    takes whole chunks and at least one scan block of replicates."""
     step = max(_block_rows(arr.size), -(-replicates // (most * _CHUNK)) * _CHUNK)
     return [
-        functools.partial(_replicate_ks, arr, fit, sampler, min(start + step, replicates), seed, _MIN_TAIL, start)
+        functools.partial(_replicate_ks, arr, fit, min(start + step, replicates), seed, _MIN_TAIL, start)
         for start in range(0, replicates, step)
     ]
 
@@ -364,8 +340,7 @@ def gof_pvalue(data, fit: PowerLawFit, replicates: int, seed: int, min_tail: int
     """
     if replicates < 100:
         raise ValueError("replicates must be >= 100")
-    sampler = _TailSampler(fit.alpha, fit.xmin)
-    ks_values = _replicate_ks(_as_positive_ints(data), fit, sampler, replicates, seed, min_tail)
+    ks_values = _replicate_ks(_as_positive_ints(data), fit, replicates, seed, min_tail)
     return pvalue_from_replicates(fit.ks_statistic, ks_values)
 
 

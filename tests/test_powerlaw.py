@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.special import zeta as scipy_zeta
 from helpers import (
     fit_alpha_continuous,
     ks_distance,
+    powerlaw_values_oracle,
     quantile_oracle,
     replicate_ks_oracle,
     sample_discrete_powerlaw_oracle,
@@ -29,6 +31,16 @@ from wsdepnet.powerlaw import (
     sample_discrete_powerlaw,
     select_xmin,
 )
+
+EMPTY_SLOT = (None, None, None)
+
+
+@pytest.fixture(autouse=True)
+def empty_table_slot():
+    """Each test starts with no CDF table in powerlaw's slot and leaves none
+    behind: a table built under a patched _scaled_zeta must not outlive it."""
+    with mock.patch.object(powerlaw, "_slot", EMPTY_SLOT):
+        yield
 
 
 # -- Hurwitz zeta -------------------------------------------------------------
@@ -221,31 +233,21 @@ def test_sampler_marginal_frequencies():
 
 def test_shared_table_draws_match_per_call_draws():
     # At alpha = 2 about 6e-4 of the mass lies beyond the first 1024-entry
-    # table, so the large first draw grows it; the small later draws would
-    # fit in a fresh table but are looked up in the grown one.
-    # The per-call draws come first: a per-call sampler that grew its table
-    # would put the shared one back to its first table.
+    # table, so the large first draw grows the slot's table; the small later
+    # draws would fit in a fresh table but are looked up in the grown one.
     alpha, xmin = 2.0, 1
     sizes = [5000] + [5] * 40 + [0, 1, 200]
-    per_call = []
-    for r, size in enumerate(sizes):
-        call_rng, oracle_rng = (np.random.default_rng((7, r)) for _ in range(2))
-        drawn = sample_discrete_powerlaw(alpha, xmin, size, call_rng)
-        assert np.array_equal(drawn, sample_discrete_powerlaw_oracle(alpha, xmin, size, oracle_rng))
-        assert call_rng.random() == oracle_rng.random()
-        per_call.append(drawn)
-    sampler = powerlaw._TailSampler(alpha, xmin)
-    fresh_top = float(sampler.cdf[-1])
+    powerlaw._tail_values(alpha, xmin, np.zeros(1))
+    fresh_top = float(powerlaw._slot[2][-1])
     fit_fresh = 0
     for r, size in enumerate(sizes):
-        shared_rng, twin = np.random.default_rng((7, r)), np.random.default_rng((7, r))
-        shared = sampler.draw(size, shared_rng)
-        assert shared.dtype == per_call[r].dtype == np.int64
-        assert np.array_equal(shared, per_call[r])
-        twin.random(size)
-        assert shared_rng.random() == twin.random()
+        rng, twin = (np.random.default_rng((7, r)) for _ in range(2))
+        drawn = sample_discrete_powerlaw(alpha, xmin, size, rng)
+        assert drawn.dtype == np.int64
+        assert np.array_equal(drawn, sample_discrete_powerlaw_oracle(alpha, xmin, size, twin))
+        assert rng.random() == twin.random()
         if r == 0:
-            assert sampler.cdf.size > 1024
+            assert powerlaw._slot[2].size > 1024
         elif size:
             fit_fresh += float(np.random.default_rng((7, r)).random(size).max()) <= fresh_top
     assert fit_fresh >= 10
@@ -256,18 +258,18 @@ def test_tail_table_stops_at_2_20_entries():
     # stops there (8 MB) and that draw bisects the exact CDF instead of
     # growing the table to 2**22 entries.
     alpha, xmin = 1.85, 1
-    sampler = powerlaw._TailSampler(alpha, xmin)
     rng, twin = np.random.default_rng(0), np.random.default_rng(0)
     past_table = 0
     for _ in range(300):
-        drawn, u = sampler.draw(300, rng), twin.random(300)
-        assert sampler.cdf.size <= 2**20
-        inside = drawn < xmin + sampler.cdf.size
-        assert np.array_equal(drawn[inside], xmin + np.searchsorted(sampler.cdf, u[inside], side="left"))
+        drawn, u = sample_discrete_powerlaw(alpha, xmin, 300, rng), twin.random(300)
+        cdf = powerlaw._slot[2]
+        assert cdf.size <= 2**20
+        inside = drawn < xmin + cdf.size
+        assert np.array_equal(drawn[inside], xmin + np.searchsorted(cdf, u[inside], side="left"))
         for value, ui in zip(drawn[~inside], u[~inside]):
             past_table += 1
             assert value == powerlaw._quantile(alpha, xmin, float(ui))
-    assert sampler.cdf.size == 2**20
+    assert powerlaw._slot[2].size == 2**20
     assert past_table >= 1
 
 
@@ -288,36 +290,46 @@ def test_draw_just_below_int64_max_equals_bisection():
     alpha, xmin = 1.05, 1
     low, high = powerlaw.model_tail_cdf(alpha, xmin, [2**62, 2**63 - 1])
     u = np.linspace(low, high, 7)[1:]
-    drawn = powerlaw._TailSampler(alpha, xmin).values(u)
+    drawn = powerlaw._tail_values(alpha, xmin, u)
     assert drawn.min() > 2**62
     assert drawn.tolist() == [quantile_oracle(alpha, xmin, float(ui)) for ui in u]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quantile_past_2_62_within_int64_equals_bisection():
+    # for xmin > 1 hi runs (xmin + 1) * 2**k - 1, which passes 2**62 short of
+    # these quantiles; the doubling stops at 2**63 - 1 rather than raising
+    alpha = 1.05
+    for xmin in [2, 3, 5, 7]:
+        u = powerlaw.model_tail_cdf(alpha, xmin, [2**62 + 12345, 6.9e18, 8e18, 9.2e18])
+        drawn = powerlaw._quantile(alpha, xmin, u)
+        assert drawn.tolist() == [quantile_oracle(alpha, xmin, float(ui)) for ui in u]
+
+
 def test_one_grown_table_per_process():
-    # a sampler that grows its table puts the last one that grew back to
-    # its first 1024 entries; that one regrows when a draw needs it
-    first, second = powerlaw._TailSampler(2.0, 1), powerlaw._TailSampler(1.8, 2)
+    # the slot keeps the table of the last law drawn from: each law drops the
+    # table of the one before (B shares A's alpha, C shares B's xmin), and A's
+    # draws, repeated, regrow it
     u = np.random.default_rng(3).random(5000)
-    drawn = first.values(u)
-    assert first.cdf.size > 1024
-    second.values(u)
-    assert second.cdf.size > 1024
-    assert first.cdf.size == 1024
-    assert np.array_equal(first.values(u), drawn)
-    assert second.cdf.size == 1024
+    drawn, tables = [], []
+    for alpha, xmin in [(2.0, 1), (2.0, 2), (1.8, 2)]:
+        drawn.append(powerlaw._tail_values(alpha, xmin, u))
+        assert np.array_equal(drawn[-1], powerlaw_values_oracle(alpha, xmin, u))
+        law, _, cdf = powerlaw._slot
+        assert law == (alpha, xmin) and cdf.size > 1024
+        assert all(table() is None for table in tables)
+        tables.append(weakref.ref(cdf))
+    assert np.array_equal(powerlaw._tail_values(2.0, 1, u), drawn[0])
 
 
 @pytest.mark.parametrize("alpha, xmin", [(2.0, 1), (1.3, 4)])
 def test_table_grown_in_pieces_equals_one_shot_cumsum(alpha, xmin):
     norm = float(powerlaw._scaled_zeta(alpha, float(xmin), float(xmin)))
     one_shot = np.cumsum((np.arange(xmin, xmin + 2**20, dtype=float) / xmin) ** -alpha / norm)
-    in_one_step, in_steps = powerlaw._TailSampler(alpha, xmin), powerlaw._TailSampler(alpha, xmin)
-    assert np.array_equal(in_one_step.cdf, one_shot[:1024])
-    in_one_step.cdf = in_one_step._table(2**20)
-    while in_steps.cdf.size < 2**20:
-        in_steps.cdf = in_steps._table(4 * in_steps.cdf.size)
-        assert np.array_equal(in_steps.cdf, one_shot[: in_steps.cdf.size])
-    assert np.array_equal(in_one_step.cdf, one_shot)
+    for size in [1024, 4**6, 4**7, 4**8, 4**9, 4**10]:
+        # a draw of one_shot[size - 1] needs the first `size` entries
+        assert powerlaw._tail_values(alpha, xmin, one_shot[[size - 1]]).tolist() == [xmin + size - 1]
+        assert np.array_equal(powerlaw._slot[2], one_shot[:size])
 
 
 def test_table_growth_to_2_20_entries_stays_under_12_mb():
@@ -325,22 +337,21 @@ def test_table_growth_to_2_20_entries_stays_under_12_mb():
     # the one-shot cumsum of all 2**20 entries took 26 MiB
     alpha, xmin = 2.0, 1
     u = powerlaw.model_tail_cdf(alpha, xmin, [2**19 + 5])
-    sampler = powerlaw._TailSampler(alpha, xmin)
     tracemalloc.start()
     try:
-        drawn = sampler.values(u)
+        drawn = powerlaw._tail_values(alpha, xmin, u)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sampler.cdf.size == 2**20
+    assert powerlaw._slot[2].size == 2**20
     assert drawn.tolist() == [quantile_oracle(alpha, xmin, float(u[0]))]
     assert peak <= 12 * 2**20
 
 
 def test_draw_past_int64_raises():
     # at alpha = 1.05 the quantile of 1 - 1e-12 lies near 1e240
-    with pytest.raises(OverflowError):
-        powerlaw._TailSampler(1.05, 1).values(np.array([0.5, 1 - 1e-12]))
+    with pytest.raises(DegenerateAnalysisError, match="a bootstrap draw lies past the int64 range"):
+        powerlaw._tail_values(1.05, 1, np.array([0.5, 1 - 1e-12]))
 
 
 # -- goodness of fit ----------------------------------------------------------
@@ -360,19 +371,22 @@ def test_gof_requires_enough_replicates():
 
 
 def _check_against_oracle(data, replicates, seed, min_tail, rows_per_block, tied=False):
-    with mock.patch.object(powerlaw, "_scaled_zeta", _constant_zeta if tied else powerlaw._scaled_zeta):
+    # a fresh table slot, so no table outlives the zeta it was built with
+    with (
+        mock.patch.object(powerlaw, "_scaled_zeta", _constant_zeta if tied else powerlaw._scaled_zeta),
+        mock.patch.object(powerlaw, "_slot", EMPTY_SLOT),
+    ):
         fit = fit_power_law(data, replicates=0, min_tail=min_tail)
         assert (fit.xmin, fit.alpha, fit.ks_statistic) == select_xmin_oracle(data, min_tail=min_tail)
         arr = np.asarray(data, dtype=np.int64)
         with mock.patch.object(powerlaw, "_BLOCK_CELLS", rows_per_block * arr.size):
-            sampler = powerlaw._TailSampler(fit.alpha, fit.xmin)
             try:
                 expected = replicate_ks_oracle(data, fit, replicates, seed, min_tail=min_tail)
             except OverflowError:  # a rare draw past the int64 range, possible where alpha < 1.3
                 with pytest.raises(DegenerateAnalysisError, match="past the int64 range"):
-                    powerlaw._replicate_ks(arr, fit, sampler, replicates, seed, min_tail)
+                    powerlaw._replicate_ks(arr, fit, replicates, seed, min_tail)
                 return None
-            got = powerlaw._replicate_ks(arr, fit, sampler, replicates, seed, min_tail)
+            got = powerlaw._replicate_ks(arr, fit, replicates, seed, min_tail)
             p_value = gof_pvalue(data, fit, replicates=replicates, seed=seed, min_tail=min_tail)
     assert np.array_equal(got, expected)
     assert p_value == pvalue_from_replicates(fit.ks_statistic, expected)
@@ -418,10 +432,9 @@ def test_replicate_ranges_join_into_one_range(data, replicates, cuts, seed, min_
     arr = np.asarray(data, dtype=np.int64)
     bounds = sorted({0, replicates, *(c for c in cuts if c < replicates)})
     with mock.patch.object(powerlaw, "_BLOCK_CELLS", rows_per_block * arr.size):
-        sampler = powerlaw._TailSampler(fit.alpha, fit.xmin)
-        whole = powerlaw._replicate_ks(arr, fit, sampler, replicates, seed, min_tail)
+        whole = powerlaw._replicate_ks(arr, fit, replicates, seed, min_tail)
         parts = [
-            powerlaw._replicate_ks(arr, fit, sampler, stop, seed, min_tail, start) for start, stop in zip(bounds, bounds[1:])
+            powerlaw._replicate_ks(arr, fit, stop, seed, min_tail, start) for start, stop in zip(bounds, bounds[1:])
         ]
     assert [part.size for part in parts] == [stop - start for start, stop in zip(bounds, bounds[1:])]
     assert np.array_equal(np.concatenate(parts), whole)
@@ -432,7 +445,7 @@ def test_bootstrap_blocks_join_into_one_range(most):
     rng = np.random.default_rng(4)
     arr = np.concatenate([sample_discrete_powerlaw(2.3, 3, 200, rng), rng.integers(1, 3, size=70)])
     fit = fit_power_law(arr, replicates=0)
-    whole = powerlaw._replicate_ks(arr, fit, powerlaw._TailSampler(fit.alpha, fit.xmin), 1000, 11, 10)
+    whole = powerlaw._replicate_ks(arr, fit, 1000, 11, 10)
     blocks = powerlaw.bootstrap_blocks(arr, fit, 1000, 11, most)
     assert len(blocks) <= most
     assert all(block.args[-1] % powerlaw._CHUNK == 0 for block in blocks)  # each starts a chunk

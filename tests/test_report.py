@@ -19,7 +19,9 @@ from wsdepnet.network import build_network, network_from_edges
 from wsdepnet.powerlaw import PowerLawFit, fit_power_law
 from wsdepnet.report import (
     _DELTA_FIELDS,
+    _QUEUE_SLOTS,
     AnalysisConfig,
+    _run_stages,
     analyze,
     analyze_with_communities,
     compare,
@@ -207,6 +209,17 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+def test_stage_queue_refuses_more_stages_than_it_holds(cpus, forks):
+    # 128 four-byte indices fill one 512-byte pipe write; the 129th stage
+    # is refused before any stage runs or the helper forks
+    ran = []
+    stages = [lambda i=i: ran.append(i) for i in range(_QUEUE_SLOTS + 1)]
+    cpus(2)
+    with pytest.raises(ValueError, match="at most 128 stages fit in the queue, got 129"):
+        _run_stages(stages)
+    assert ran == [] and forks == []
 
 
 def _random_tree(nodes, seed):
