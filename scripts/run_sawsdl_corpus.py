@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wsdepnet.cli import _ER_SAMPLES, _REPLICATES, _WALK_LENGTH, _Parser
+from wsdepnet.cli import _ER_SAMPLES, _REPLICATES, _SEED, _WALK_LENGTH, _Parser
 from wsdepnet.community import dendrogram_csv, partition_csv
 from wsdepnet.errors import CollectionError, DegenerateAnalysisError
 from wsdepnet.matching import MatcherKind
@@ -93,7 +93,7 @@ def analysis_parser(description: str, er_samples: int, bootstrap: int) -> _Parse
     parser.add_argument("--er-samples", type=_ER_SAMPLES, default=er_samples)
     parser.add_argument("--bootstrap", type=_REPLICATES, default=bootstrap, help="0 skips the p-value bootstrap")
     parser.add_argument("--walktrap-t", type=_WALK_LENGTH, default=4)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_SEED, default=0)
     return parser
 
 

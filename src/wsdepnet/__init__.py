@@ -19,7 +19,7 @@ _SOURCES = {
     name: module
     for module, names in {
         "errors": "CollectionError DegenerateAnalysisError DuplicateIdError SchemaError UnsupportedConstructError",
-        "matching": "Archetype MatcherKind build_archetypes instance_key matches",
+        "matching": "Archetype MatcherKind build_archetypes instance_key",
         "model": (
             "Operation ParameterInstance Role Service ServiceCollection collection_from_dict collection_stats "
             "load_canonical new_collection write_canonical"
@@ -28,12 +28,12 @@ _SOURCES = {
             "DependencyNetwork Link build_network export load_network network_from_edges network_summary save_network"
         ),
         "community": "CommunityPartition WalktrapResult modularity walktrap",
-        "powerlaw": "PowerLawFit fit_alpha fit_power_law hurwitz_zeta select_xmin",
+        "powerlaw": "PowerLawFit fit_power_law select_xmin",
         "report": "AnalysisConfig ComparisonReport MetricsReport analyze compare report_from_json report_to_json",
         "sawsdl": "load_sawsdl",
         "topology": (
-            "ComponentDecomposition DegreeStats DistanceStats ERBaseline components degree_correlation "
-            "degree_stats distances er_baseline giant_subnetwork transitivity"
+            "DegreeStats DistanceStats ERBaseline components degree_correlation degree_stats distances "
+            "er_baseline giant_subnetwork transitivity"
         ),
     }.items()
     for name in names.split()

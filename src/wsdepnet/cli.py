@@ -46,6 +46,7 @@ def _int_where(valid, rule: str):
 _ER_SAMPLES = _int_where(lambda v: v >= 1, "samples must be >= 1")
 _REPLICATES = _int_where(lambda v: v == 0 or v >= 100, "replicates must be 0 or >= 100")
 _WALK_LENGTH = _int_where(lambda v: v >= 1, "t must be >= 1")
+_SEED = _int_where(lambda v: v >= 0, "seed must be >= 0")
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -158,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--er-samples", type=_ER_SAMPLES, default=100)
     p.add_argument("--bootstrap", type=_REPLICATES, default=1000, help="0 skips the p-value bootstrap")
     p.add_argument("--walktrap-t", type=_WALK_LENGTH, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--label", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)

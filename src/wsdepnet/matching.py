@@ -41,20 +41,6 @@ def instance_key(kind: MatcherKind, inst: ParameterInstance, casefold: bool = Fa
     return inst.normalized_concept()
 
 
-def matches(
-    kind: MatcherKind,
-    p1: ParameterInstance,
-    p2: ParameterInstance,
-    casefold: bool = False,
-) -> bool:
-    """Binary symmetric match. An instance missing the compared field matches only itself."""
-    k1 = instance_key(kind, p1, casefold=casefold)
-    k2 = instance_key(kind, p2, casefold=casefold)
-    if k1 is None or k2 is None:
-        return p1 is p2
-    return k1 == k2
-
-
 def _label_for(members: list[ParameterInstance]) -> str:
     """Most frequent member name, ties broken lexicographically."""
     counts = Counter(inst.name.strip() for inst in members)

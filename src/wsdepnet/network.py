@@ -321,10 +321,12 @@ def load_network(path: str | Path) -> DependencyNetwork:
                 if not (xsd_type is None or type(xsd_type) is str) or not (concept is None or type(concept) is str):
                     raise ValueError(f"member type and concept must be strings or null, got {xsd_type!r}, {concept!r}")
                 members.append(ParameterInstance(name, role, operation, xsd_type, concept))
-            label, key = entry["label"], entry["key"]
+            label, key, id_ = entry["label"], entry["key"], entry["id"]
             if type(label) is not str or type(key) is not str:
                 raise ValueError("label and key must be strings")
-            nodes.append(Archetype(id=entry["id"], label=label, key=key, members=members))
+            if type(id_) is not int:
+                raise ValueError(f"id must be an integer, got {id_!r}")
+            nodes.append(Archetype(id=id_, label=label, key=key, members=members))
         index = None
         nodes.sort(key=lambda a: a.id)
         if [a.id for a in nodes] != list(range(len(nodes))):
@@ -333,6 +335,8 @@ def load_network(path: str | Path) -> DependencyNetwork:
         witnesses: dict[tuple[int, int], list[str]] = {}
         for index, entry in enumerate(meta["links"]):
             pair = (entry["source"], entry["target"])
+            if type(pair[0]) is not int or type(pair[1]) is not int:
+                raise ValueError(f"source and target must be integers, got {pair[0]!r}, {pair[1]!r}")
             if pair in witnesses:
                 raise ValueError(f"duplicate link {pair}")
             ops = entry["witnesses"]

@@ -30,11 +30,12 @@ from .errors import DegenerateAnalysisError
 _EM_TERMS = 28  # direct-sum terms before the tail correction
 _BLOCK_CELLS = 1 << 14  # bootstrap samples scanned at once; bounds the scan's memory
 _CHUNK = 8  # bootstrap replicates drawn from one RNG stream
-_MIN_TAIL = 10  # default least tail size of a candidate cutoff
+_MIN_TAIL = 10  # least tail size of a candidate cutoff (2 where no cutoff keeps 10)
 
 
 def _scaled_zeta(alpha: np.ndarray | float, q: np.ndarray | float, scale: np.ndarray | float) -> np.ndarray:
-    """hurwitz_zeta(alpha, q) * scale**alpha, elementwise with broadcasting.
+    """The Hurwitz zeta sum over k >= 0 of (q + k)**-alpha (alpha > 1, q >= 1),
+    times scale**alpha, elementwise with broadcasting.
 
     Stable for large alpha when q >= scale >= 1: every power has a base
     ratio >= 1, so terms underflow to zero instead of overflowing.
@@ -62,11 +63,6 @@ def _scaled_zeta(alpha: np.ndarray | float, q: np.ndarray | float, scale: np.nda
     return total
 
 
-def hurwitz_zeta(alpha, q):
-    """Hurwitz zeta: sum over k >= 0 of (q + k)**-alpha, for alpha > 1, q >= 1."""
-    return _scaled_zeta(alpha, q, 1.0)
-
-
 @dataclass
 class PowerLawFit:
     alpha: float
@@ -87,40 +83,23 @@ def _as_positive_ints(data) -> np.ndarray:
     return arr
 
 
-def fit_alpha(data, xmin: int) -> float:
-    """Discrete ML exponent over the tail x >= xmin.
-
-    Uses the (xmin - 1/2) shifted approximation to the discrete MLE. It is
-    accurate for xmin >= 4 or so and biased low for tiny xmin; the KS stage
-    of select_xmin avoids those cutoffs in practice because the implied
-    model CDF fits poorly there.
-    """
-    arr = _as_positive_ints(data)
-    if xmin < 1:
-        raise ValueError("xmin must be >= 1")
-    tail = arr[arr >= xmin]
-    if tail.size < 2:
-        raise DegenerateAnalysisError("power-law-fit", f"degenerate tail: fewer than 2 observations >= {xmin}")
-    log_sum = float(np.sum(np.log(tail / (xmin - 0.5))))
-    return 1.0 + tail.size / log_sum
-
-
 def model_tail_cdf(alpha: float, xmin: int, values) -> np.ndarray:
     """P(X <= v | X >= xmin) of the discrete power law, for integer v >= xmin."""
     values = np.asarray(values, dtype=float)
     return 1.0 - _scaled_zeta(alpha, values + 1.0, float(xmin)) / _scaled_zeta(alpha, float(xmin), float(xmin))
 
 
-def _ks_scan(samples: np.ndarray, min_tail: int):
+def _ks_scan(samples: np.ndarray):
     """KS distance of every candidate cutoff of every row of `samples`.
 
     `samples` is an (R, n) array sorted along its rows. Candidates are the
-    distinct values keeping at least `min_tail` observations in the tail
-    where the row has any such value, and at least 2 otherwise. Returns
-    (row, xmin, alpha, ks) with one entry per candidate, rows ascending and
-    cutoffs ascending within a row; rows with fewer than 2 distinct values
-    have no candidates. Only the (candidate, distinct value >= candidate)
-    pairs of all rows go through one _scaled_zeta call.
+    distinct values keeping at least _MIN_TAIL observations in the tail
+    where the row has any such value, and at least 2 otherwise; each gets
+    the (xmin - 1/2) exponent of the module docstring. Returns (row, xmin,
+    alpha, ks) with one entry per candidate, rows ascending and cutoffs
+    ascending within a row; rows with fewer than 2 distinct values have no
+    candidates. Only the (candidate, distinct value >= candidate) pairs of
+    all rows go through one _scaled_zeta call.
     """
     rows, n = samples.shape
     step = samples[:, 1:] != samples[:, :-1]
@@ -129,7 +108,7 @@ def _ks_scan(samples: np.ndarray, min_tail: int):
     _, last = np.nonzero(np.hstack([step, edge]))
     tail = n - first
     distinct = np.bincount(row, minlength=rows)
-    keep = tail >= max(min_tail, 2)
+    keep = tail >= _MIN_TAIL
     fallback = np.bincount(row[keep], minlength=rows) == 0
     cand = np.flatnonzero(np.where(fallback[row], tail >= 2, keep) & (distinct[row] >= 2))
 
@@ -156,14 +135,15 @@ def _ks_scan(samples: np.ndarray, min_tail: int):
     return cand_row, v, alphas, ks
 
 
-def select_xmin(data, min_tail: int = _MIN_TAIL) -> tuple[int, float, float]:
+def select_xmin(data) -> tuple[int, float, float]:
     """Pick the cutoff among observed values minimizing the KS distance.
 
-    Candidates are restricted to cutoffs keeping at least `min_tail`
+    Candidates are restricted to cutoffs keeping at least _MIN_TAIL (10)
     observations where possible (at least 2 otherwise); KS ties go to the
-    smaller cutoff. Returns (xmin, alpha, ks_statistic).
+    smaller cutoff. Returns (xmin, alpha, ks_statistic), alpha from the
+    (xmin - 1/2) approximation of _ks_scan.
     """
-    _, v, alphas, ks = _ks_scan(np.sort(_as_positive_ints(data))[None, :], min_tail)
+    _, v, alphas, ks = _ks_scan(np.sort(_as_positive_ints(data))[None, :])
     if ks.size == 0:
         raise DegenerateAnalysisError("power-law-fit", "fewer than 2 distinct values")
     best = int(np.argmin(ks))  # first minimum == smallest cutoff
@@ -221,11 +201,6 @@ def _tail_values(alpha: float, xmin: int, u: np.ndarray) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def sample_discrete_powerlaw(alpha: float, xmin: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws from the discrete power law on {xmin, xmin+1, ...}."""
-    return _tail_values(alpha, xmin, rng.random(size))
-
-
 def _quantile(alpha: float, xmin: int, u) -> np.ndarray:
     """For each uniform of `u`, the least x >= xmin with model_tail_cdf(x) >= u,
     all bisected together: hi doubles (h -> 2h + 1, capped at 2**63 - 1) from
@@ -270,7 +245,6 @@ def _replicate_ks(
     fit: PowerLawFit,
     stop: int,
     seed: int,
-    min_tail: int,
     start: int = 0,
 ) -> np.ndarray:
     """Minimum KS distance of bootstrap replicates start, ..., stop - 1 (inf
@@ -310,7 +284,7 @@ def _replicate_ks(
         if picks:
             samples[~in_tail] = below[np.concatenate(picks)[lo * n - before : hi * n - through]]
         samples.sort(axis=1)
-        rows, _, _, ks = _ks_scan(samples, min_tail)
+        rows, _, _, ks = _ks_scan(samples)
         np.minimum.at(ks_values, first * _CHUNK + lo - start + rows, ks)
     return ks_values
 
@@ -321,12 +295,12 @@ def bootstrap_blocks(arr: np.ndarray, fit: PowerLawFit, replicates: int, seed: i
     takes whole chunks and at least one scan block of replicates."""
     step = max(_block_rows(arr.size), -(-replicates // (most * _CHUNK)) * _CHUNK)
     return [
-        functools.partial(_replicate_ks, arr, fit, min(start + step, replicates), seed, _MIN_TAIL, start)
+        functools.partial(_replicate_ks, arr, fit, min(start + step, replicates), seed, start)
         for start in range(0, replicates, step)
     ]
 
 
-def gof_pvalue(data, fit: PowerLawFit, replicates: int, seed: int, min_tail: int = _MIN_TAIL) -> float:
+def gof_pvalue(data, fit: PowerLawFit, replicates: int, seed: int) -> float:
     """Semiparametric bootstrap p-value for the fitted power law.
 
     Each replicate draws len(data) values, from the fitted model above xmin
@@ -340,16 +314,16 @@ def gof_pvalue(data, fit: PowerLawFit, replicates: int, seed: int, min_tail: int
     """
     if replicates < 100:
         raise ValueError("replicates must be >= 100")
-    ks_values = _replicate_ks(_as_positive_ints(data), fit, replicates, seed, min_tail)
+    ks_values = _replicate_ks(_as_positive_ints(data), fit, replicates, seed)
     return pvalue_from_replicates(fit.ks_statistic, ks_values)
 
 
-def fit_power_law(data, replicates: int = 1000, seed: int = 0, min_tail: int = _MIN_TAIL) -> PowerLawFit:
+def fit_power_law(data, replicates: int = 1000, seed: int = 0) -> PowerLawFit:
     """Full procedure: cutoff selection, exponent fit, bootstrap p-value.
 
     With replicates=0 the p-value is skipped (None).
     """
-    xmin, alpha, ks = select_xmin(data, min_tail=min_tail)
+    xmin, alpha, ks = select_xmin(data)
     arr = _as_positive_ints(data)
     fit = PowerLawFit(
         alpha=alpha,
@@ -360,7 +334,7 @@ def fit_power_law(data, replicates: int = 1000, seed: int = 0, min_tail: int = _
         bootstrap_n=replicates,
     )
     if replicates:
-        fit.p_value = gof_pvalue(data, fit, replicates=replicates, seed=seed, min_tail=min_tail)
+        fit.p_value = gof_pvalue(data, fit, replicates=replicates, seed=seed)
     return fit
 
 

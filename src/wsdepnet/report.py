@@ -55,6 +55,8 @@ def _checked(config: AnalysisConfig) -> AnalysisConfig:
         raise ValueError(f"bootstrap_n must be 0 or >= 100, got {config.bootstrap_n}")
     if config.walktrap_t < 1:
         raise ValueError(f"walktrap_t must be >= 1, got {config.walktrap_t}")
+    if config.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {config.seed}")
     return config
 
 

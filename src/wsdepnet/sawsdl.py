@@ -77,12 +77,6 @@ def load_sawsdl(directory: str | Path) -> ServiceCollection:
     return new_collection(services, SourceFormat.SAWSDL)
 
 
-def load_sawsdl_file(path: str | Path) -> Service:
-    """Parse a single description file into a Service (id = file stem)."""
-    path = Path(path)
-    return _parse_file(path, service_id=path.stem, domain=None)
-
-
 def _parse_file(path: Path, service_id: str, domain: str | None) -> Service:
     try:
         tree = ET.parse(path)

@@ -129,19 +129,11 @@ def _common_neighbors(adjacent: np.ndarray, row: np.ndarray, a: np.ndarray, b: n
 
 # -- metric operations over dependency networks ---------------------------------
 
-@dataclass
-class ComponentDecomposition:
-    components: list[list[int]]
-    giant_index: int
-    sizes: list[tuple[int, int]]  # (nodes, links) per component
-
-
-def components(n: DependencyNetwork) -> ComponentDecomposition:
+def components(n: DependencyNetwork) -> list[list[int]]:
     """Weakly connected components, ordered by (size desc, smallest node id)."""
     comps = weak_components_of(n.neighbors)
     comps.sort(key=lambda comp: (-len(comp), comp[0]))
-    sizes = [(len(comp), sum(len(n.successors[u]) for u in comp)) for comp in comps]
-    return ComponentDecomposition(components=comps, giant_index=0 if comps else -1, sizes=sizes)
+    return comps
 
 
 def giant_subnetwork(n: DependencyNetwork) -> tuple[DependencyNetwork, dict[int, int]]:
@@ -151,8 +143,7 @@ def giant_subnetwork(n: DependencyNetwork) -> tuple[DependencyNetwork, dict[int,
     """
     if n.node_count == 0:
         raise DegenerateAnalysisError("giant-component", "empty network")
-    decomposition = components(n)
-    giant = decomposition.components[decomposition.giant_index]
+    giant = components(n)[0]
     id_map = {old: new for new, old in enumerate(giant)}
     nodes = [
         Archetype(id=id_map[old], label=n.nodes[old].label, key=n.nodes[old].key, members=n.nodes[old].members)

@@ -24,7 +24,7 @@ import wsdepnet
 from wsdepnet import powerlaw
 from wsdepnet.community import CommunityPartition, MergeStep, WalktrapResult, modularity
 from wsdepnet.errors import DegenerateAnalysisError
-from wsdepnet.matching import MatcherKind
+from wsdepnet.matching import MatcherKind, instance_key
 from wsdepnet.model import ParameterInstance
 from wsdepnet.network import DependencyNetwork, network_from_edges
 from wsdepnet.topology import ERBaseline, weak_components_of
@@ -534,6 +534,15 @@ class UnionFind:
         if ry < rx:
             rx, ry = ry, rx
         self.parent[ry] = rx
+
+
+def matches(kind: MatcherKind, p1: ParameterInstance, p2: ParameterInstance, casefold: bool = False) -> bool:
+    """Binary symmetric match. An instance missing the compared field matches only itself."""
+    k1 = instance_key(kind, p1, casefold=casefold)
+    k2 = instance_key(kind, p2, casefold=casefold)
+    if k1 is None or k2 is None:
+        return p1 is p2
+    return k1 == k2
 
 
 def build_archetypes_pairwise(

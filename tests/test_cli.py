@@ -248,6 +248,7 @@ def test_usage_errors_exit_1(k2_net, capsys):
         ("analyze", "--er-samples", "0"),
         ("analyze", "--bootstrap", "50"),
         ("analyze", "--walktrap-t", "0"),
+        ("analyze", "--seed", "-1"),
         ("communities", "--t", "0"),
     ],
 )
@@ -256,6 +257,7 @@ def test_out_of_range_counts_are_usage_errors(tmp_path, k2_net, capsys, command,
     assert main([command, str(k2_net), flag, value, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err
+    assert f", got {value}" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -382,6 +384,10 @@ REPORT_MUTATIONS = {
         _set("config", {"er_samples": 8, "bootstrap_n": 0, "walktrap_t": 0, "seed": 0}),
         "config: walktrap_t must be >= 1, got 0",
     ),
+    "config-negative-seed": (
+        _set("config", {"er_samples": 8, "bootstrap_n": 0, "walktrap_t": 4, "seed": -1}),
+        "config: seed must be >= 0, got -1",
+    ),
 }
 
 
@@ -481,6 +487,12 @@ NETWORK_MUTATIONS = {
                            "archetypes[0]: member type and concept must be strings or null, got 3,"),
     "member-concept-object": (_set_member("concept", {}), None, "meta.json",
                               "archetypes[0]: member type and concept must be strings or null"),
+    "archetype-id-bool": (_edited(lambda m: m["archetypes"][0].update(id=False)), None, "meta.json",
+                          "archetypes[0]: id must be an integer, got False"),
+    "link-source-float": (_edited(lambda m: m["links"][0].update(source=0.0)), None, "meta.json",
+                          "links[0]: source and target must be integers, got 0.0, 2"),
+    "link-target-bool": (_edited(lambda m: m["links"][1].update(target=True)), None, "meta.json",
+                         "links[1]: source and target must be integers, got "),
 }
 
 

@@ -1,13 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import build_archetypes_pairwise, collection_doc, op, param
-from wsdepnet.matching import (
-    MatcherKind,
-    build_archetypes,
-    instance_key,
-    matches,
-)
+from helpers import build_archetypes_pairwise, collection_doc, matches, op, param
+from wsdepnet.matching import MatcherKind, build_archetypes, instance_key
 from wsdepnet.model import ParameterInstance, Role, collection_from_dict
 
 

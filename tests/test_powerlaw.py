@@ -22,13 +22,10 @@ from wsdepnet.errors import DegenerateAnalysisError
 from wsdepnet.powerlaw import (
     PowerLawFit,
     degree_distribution_rows,
-    fit_alpha,
     fit_power_law,
     gof_pvalue,
-    hurwitz_zeta,
     model_tail_cdf,
     pvalue_from_replicates,
-    sample_discrete_powerlaw,
     select_xmin,
 )
 
@@ -49,7 +46,7 @@ def empty_table_slot():
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0, 2.5, 3.5, 6.0, 10.0])
 @pytest.mark.parametrize("q", [1, 2, 3, 5, 10, 50])
 def test_hurwitz_zeta_against_scipy(alpha, q):
-    ours = float(hurwitz_zeta(alpha, q))
+    ours = float(powerlaw._scaled_zeta(alpha, q, 1.0))
     ref = float(scipy_zeta(alpha, q))
     assert ours == pytest.approx(ref, rel=1e-10)
 
@@ -59,7 +56,7 @@ def test_hurwitz_zeta_against_scipy(alpha, q):
     q=st.integers(1, 100),
 )
 def test_hurwitz_zeta_property(alpha, q):
-    ours = float(hurwitz_zeta(alpha, q))
+    ours = float(powerlaw._scaled_zeta(alpha, q, 1.0))
     ref = float(scipy_zeta(alpha, q))
     assert ours == pytest.approx(ref, rel=1e-8)
 
@@ -68,39 +65,42 @@ def test_zeta_recurrence():
     # zeta(a, q) = zeta(a, q+1) + q^-a
     for alpha in (1.5, 2.5, 4.0):
         for q in (1, 4, 9):
-            lhs = float(hurwitz_zeta(alpha, q))
-            rhs = float(hurwitz_zeta(alpha, q + 1)) + q**-alpha
+            lhs = float(powerlaw._scaled_zeta(alpha, q, 1.0))
+            rhs = float(powerlaw._scaled_zeta(alpha, q + 1, 1.0)) + q**-alpha
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 # -- MLE ----------------------------------------------------------------------
 
 
+def _scan_alpha(data, xmin: int) -> float:
+    """The exponent the KS scan fits at the cutoff xmin of one sample."""
+    _, v, alphas, _ = powerlaw._ks_scan(np.sort(np.asarray(data, dtype=np.int64))[None, :])
+    (at,) = np.flatnonzero(v == xmin)
+    return float(alphas[at])
+
+
 def test_fit_alpha_hand_vector():
     data = [2, 4, 8, 16]
     expected = 1 + 4 / math.log(1024 / 1.5**4)
-    assert fit_alpha(data, xmin=2) == pytest.approx(expected, rel=1e-12)
+    assert _scan_alpha(data, xmin=2) == pytest.approx(expected, rel=1e-12)
 
 
 def test_fit_alpha_ignores_below_xmin():
-    assert fit_alpha([1, 1, 2, 4, 8, 16], xmin=2) == fit_alpha([2, 4, 8, 16], xmin=2)
+    assert _scan_alpha([1, 1, 2, 4, 8, 16], xmin=2) == _scan_alpha([2, 4, 8, 16], xmin=2)
 
 
 def test_fit_alpha_degenerate_tail():
-    with pytest.raises(DegenerateAnalysisError, match="degenerate tail"):
-        fit_alpha([1, 1, 1, 5], xmin=5)
+    # a cutoff keeping fewer than 2 observations is never a candidate
+    _, v, _, _ = powerlaw._ks_scan(np.array([[1, 1, 1, 5]]))
+    assert v.tolist() == [1.0]
 
 
 def test_fit_alpha_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        fit_alpha([0, 1, 2], xmin=1)
-    with pytest.raises(ValueError):
-        fit_alpha([1.5, 2.0], xmin=1)
-
-
-def test_fit_alpha_empty_is_degenerate():
-    with pytest.raises(DegenerateAnalysisError):
-        fit_alpha([], xmin=1)
+    with pytest.raises(ValueError, match="positive integers"):
+        select_xmin([0, 1, 2])
+    with pytest.raises(ValueError, match="positive integers"):
+        select_xmin([1.5, 2.0])
 
 
 def test_fit_alpha_continuous_formula():
@@ -118,8 +118,8 @@ def test_fit_alpha_continuous_formula():
 def test_fit_alpha_consistency_on_synthetic(seed, alpha, xmin):
     # the shifted approximation is only trustworthy for xmin >= 4
     rng = np.random.default_rng(seed)
-    data = sample_discrete_powerlaw(alpha, xmin, 3000, rng)
-    estimate = fit_alpha(data, xmin=xmin)
+    data = powerlaw._tail_values(alpha, xmin, rng.random(3000))
+    estimate = _scan_alpha(data, xmin=xmin)
     assert abs(estimate - alpha) < 0.25
 
 
@@ -136,13 +136,13 @@ def test_model_tail_cdf_monotone_bounded():
 
 def test_ks_distance_small_for_exact_model():
     rng = np.random.default_rng(1)
-    data = sample_discrete_powerlaw(2.3, 3, 20_000, rng)
+    data = powerlaw._tail_values(2.3, 3, rng.random(20_000))
     assert ks_distance(data, 2.3, 3) < 0.02
 
 
 def test_ks_distance_large_for_wrong_alpha():
     rng = np.random.default_rng(1)
-    data = sample_discrete_powerlaw(2.3, 3, 20_000, rng)
+    data = powerlaw._tail_values(2.3, 3, rng.random(20_000))
     assert ks_distance(data, 4.0, 3) > 0.2
 
 
@@ -151,7 +151,7 @@ def test_ks_distance_large_for_wrong_alpha():
 
 def test_select_xmin_recovers_planted_cutoff():
     rng = np.random.default_rng(0)
-    tail = sample_discrete_powerlaw(2.5, 5, 5000, rng)
+    tail = powerlaw._tail_values(2.5, 5, rng.random(5000))
     xmin, alpha, ks = select_xmin(tail)
     assert xmin == 5
     assert alpha == pytest.approx(2.5, abs=0.1)
@@ -160,7 +160,7 @@ def test_select_xmin_recovers_planted_cutoff():
 
 def test_select_xmin_with_noise_below_cutoff():
     rng = np.random.default_rng(0)
-    tail = sample_discrete_powerlaw(2.5, 8, 4000, rng)
+    tail = powerlaw._tail_values(2.5, 8, rng.random(4000))
     noise = rng.integers(1, 8, size=2000)
     data = np.concatenate([tail, noise])
     xmin, alpha, _ = select_xmin(data)
@@ -171,12 +171,12 @@ def test_select_xmin_with_noise_below_cutoff():
 
 def test_select_xmin_respects_min_tail():
     data = list(range(1, 30))
-    xmin, _, _ = select_xmin(data, min_tail=10)
+    xmin, _, _ = select_xmin(data)
     assert sum(1 for x in data if x >= xmin) >= 10
 
 
 def test_select_xmin_falls_back_to_two():
-    xmin, alpha, _ = select_xmin([1, 1, 2, 3], min_tail=10)
+    xmin, alpha, _ = select_xmin([1, 1, 2, 3])
     assert sum(1 for x in [1, 1, 2, 3] if x >= xmin) >= 2
 
 
@@ -200,14 +200,17 @@ def _constant_zeta(alpha, q, scale):
 def test_select_xmin_matches_oracle(data, min_tail, tied):
     # Real zeta values give no exact KS ties between cutoffs, so the tied
     # case replaces the model CDF by 0: every cutoff then has KS = 1.0.
-    with mock.patch.object(powerlaw, "_scaled_zeta", _constant_zeta if tied else powerlaw._scaled_zeta):
+    with (
+        mock.patch.object(powerlaw, "_scaled_zeta", _constant_zeta if tied else powerlaw._scaled_zeta),
+        mock.patch.object(powerlaw, "_MIN_TAIL", min_tail),
+    ):
         try:
             expected = select_xmin_oracle(data, min_tail=min_tail)
         except DegenerateAnalysisError:
             with pytest.raises(DegenerateAnalysisError, match="fewer than 2 distinct values"):
-                select_xmin(data, min_tail=min_tail)
+                select_xmin(data)
             return
-        assert select_xmin(data, min_tail=min_tail) == expected
+        assert select_xmin(data) == expected
     if tied:
         assert expected[0] == min(data)
 
@@ -216,8 +219,8 @@ def test_select_xmin_matches_oracle(data, min_tail, tied):
 
 
 def test_sampler_respects_xmin_and_determinism():
-    a = sample_discrete_powerlaw(2.5, 4, 1000, np.random.default_rng(9))
-    b = sample_discrete_powerlaw(2.5, 4, 1000, np.random.default_rng(9))
+    a = powerlaw._tail_values(2.5, 4, np.random.default_rng(9).random(1000))
+    b = powerlaw._tail_values(2.5, 4, np.random.default_rng(9).random(1000))
     assert np.array_equal(a, b)
     assert a.min() >= 4
     assert a.dtype.kind == "i"
@@ -225,7 +228,7 @@ def test_sampler_respects_xmin_and_determinism():
 
 def test_sampler_marginal_frequencies():
     rng = np.random.default_rng(11)
-    data = sample_discrete_powerlaw(2.5, 1, 200_000, rng)
+    data = powerlaw._tail_values(2.5, 1, rng.random(200_000))
     p1 = np.mean(data == 1)
     expected = 1.0 / float(scipy_zeta(2.5, 1))
     assert p1 == pytest.approx(expected, abs=0.005)
@@ -242,7 +245,7 @@ def test_shared_table_draws_match_per_call_draws():
     fit_fresh = 0
     for r, size in enumerate(sizes):
         rng, twin = (np.random.default_rng((7, r)) for _ in range(2))
-        drawn = sample_discrete_powerlaw(alpha, xmin, size, rng)
+        drawn = powerlaw._tail_values(alpha, xmin, rng.random(size))
         assert drawn.dtype == np.int64
         assert np.array_equal(drawn, sample_discrete_powerlaw_oracle(alpha, xmin, size, twin))
         assert rng.random() == twin.random()
@@ -261,7 +264,7 @@ def test_tail_table_stops_at_2_20_entries():
     rng, twin = np.random.default_rng(0), np.random.default_rng(0)
     past_table = 0
     for _ in range(300):
-        drawn, u = sample_discrete_powerlaw(alpha, xmin, 300, rng), twin.random(300)
+        drawn, u = powerlaw._tail_values(alpha, xmin, rng.random(300)), twin.random(300)
         cdf = powerlaw._slot[2]
         assert cdf.size <= 2**20
         inside = drawn < xmin + cdf.size
@@ -278,7 +281,7 @@ def test_extreme_tail_draws_equal_per_draw_bisection():
     # these draws bisect the exact CDF together; the oracle bisects each
     # draw on its own
     rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-    drawn = sample_discrete_powerlaw(1.3, 1, 3000, rng)
+    drawn = powerlaw._tail_values(1.3, 1, rng.random(3000))
     assert np.array_equal(drawn, sample_discrete_powerlaw_oracle(1.3, 1, 3000, twin))
     assert np.count_nonzero(drawn >= 1 + 2**20) >= 20
 
@@ -364,7 +367,7 @@ def test_pvalue_from_replicates():
 
 def test_gof_requires_enough_replicates():
     rng = np.random.default_rng(0)
-    data = sample_discrete_powerlaw(2.5, 2, 500, rng)
+    data = powerlaw._tail_values(2.5, 2, rng.random(500))
     fit = fit_power_law(data, replicates=0)
     with pytest.raises(ValueError, match="replicates"):
         gof_pvalue(data, fit, replicates=50, seed=0)
@@ -375,8 +378,9 @@ def _check_against_oracle(data, replicates, seed, min_tail, rows_per_block, tied
     with (
         mock.patch.object(powerlaw, "_scaled_zeta", _constant_zeta if tied else powerlaw._scaled_zeta),
         mock.patch.object(powerlaw, "_slot", EMPTY_SLOT),
+        mock.patch.object(powerlaw, "_MIN_TAIL", min_tail),
     ):
-        fit = fit_power_law(data, replicates=0, min_tail=min_tail)
+        fit = fit_power_law(data, replicates=0)
         assert (fit.xmin, fit.alpha, fit.ks_statistic) == select_xmin_oracle(data, min_tail=min_tail)
         arr = np.asarray(data, dtype=np.int64)
         with mock.patch.object(powerlaw, "_BLOCK_CELLS", rows_per_block * arr.size):
@@ -384,10 +388,10 @@ def _check_against_oracle(data, replicates, seed, min_tail, rows_per_block, tied
                 expected = replicate_ks_oracle(data, fit, replicates, seed, min_tail=min_tail)
             except OverflowError:  # a rare draw past the int64 range, possible where alpha < 1.3
                 with pytest.raises(DegenerateAnalysisError, match="past the int64 range"):
-                    powerlaw._replicate_ks(arr, fit, replicates, seed, min_tail)
+                    powerlaw._replicate_ks(arr, fit, replicates, seed)
                 return None
-            got = powerlaw._replicate_ks(arr, fit, replicates, seed, min_tail)
-            p_value = gof_pvalue(data, fit, replicates=replicates, seed=seed, min_tail=min_tail)
+            got = powerlaw._replicate_ks(arr, fit, replicates, seed)
+            p_value = gof_pvalue(data, fit, replicates=replicates, seed=seed)
     assert np.array_equal(got, expected)
     assert p_value == pvalue_from_replicates(fit.ks_statistic, expected)
     return expected
@@ -424,18 +428,19 @@ def test_batched_bootstrap_matches_per_replicate_oracle(data, replicates, seed, 
 # replicates of this sample collapse to one value (KS = inf)
 @example(data=[1, 1, 1, 1, 1, 1, 2, 2, 3], replicates=100, cuts=[37, 60], seed=0, min_tail=10, rows_per_block=7)
 def test_replicate_ranges_join_into_one_range(data, replicates, cuts, seed, min_tail, rows_per_block):
-    try:
-        fit = fit_power_law(data, replicates=0, min_tail=min_tail)
-    except DegenerateAnalysisError:
-        assert len(set(data)) < 2
-        return
     arr = np.asarray(data, dtype=np.int64)
     bounds = sorted({0, replicates, *(c for c in cuts if c < replicates)})
-    with mock.patch.object(powerlaw, "_BLOCK_CELLS", rows_per_block * arr.size):
-        whole = powerlaw._replicate_ks(arr, fit, replicates, seed, min_tail)
-        parts = [
-            powerlaw._replicate_ks(arr, fit, stop, seed, min_tail, start) for start, stop in zip(bounds, bounds[1:])
-        ]
+    with (
+        mock.patch.object(powerlaw, "_MIN_TAIL", min_tail),
+        mock.patch.object(powerlaw, "_BLOCK_CELLS", rows_per_block * arr.size),
+    ):
+        try:
+            fit = fit_power_law(data, replicates=0)
+        except DegenerateAnalysisError:
+            assert len(set(data)) < 2
+            return
+        whole = powerlaw._replicate_ks(arr, fit, replicates, seed)
+        parts = [powerlaw._replicate_ks(arr, fit, stop, seed, start) for start, stop in zip(bounds, bounds[1:])]
     assert [part.size for part in parts] == [stop - start for start, stop in zip(bounds, bounds[1:])]
     assert np.array_equal(np.concatenate(parts), whole)
 
@@ -443,9 +448,9 @@ def test_replicate_ranges_join_into_one_range(data, replicates, cuts, seed, min_
 @pytest.mark.parametrize("most", [1, 3, 32])
 def test_bootstrap_blocks_join_into_one_range(most):
     rng = np.random.default_rng(4)
-    arr = np.concatenate([sample_discrete_powerlaw(2.3, 3, 200, rng), rng.integers(1, 3, size=70)])
+    arr = np.concatenate([powerlaw._tail_values(2.3, 3, rng.random(200)), rng.integers(1, 3, size=70)])
     fit = fit_power_law(arr, replicates=0)
-    whole = powerlaw._replicate_ks(arr, fit, 1000, 11, 10)
+    whole = powerlaw._replicate_ks(arr, fit, 1000, 11)
     blocks = powerlaw.bootstrap_blocks(arr, fit, 1000, 11, most)
     assert len(blocks) <= most
     assert all(block.args[-1] % powerlaw._CHUNK == 0 for block in blocks)  # each starts a chunk
@@ -469,13 +474,13 @@ def test_batched_bootstrap_edge_cases(replicates):
     assert np.isinf(_check_against_oracle(collapsing, replicates, 0, 10, 100)).any()
     # paper-scale sample (n = 270) in blocks of 100 replicates
     rng = np.random.default_rng(replicates)
-    heavy = np.concatenate([sample_discrete_powerlaw(2.3, 3, 200, rng), rng.integers(1, 3, size=70)])
+    heavy = np.concatenate([powerlaw._tail_values(2.3, 3, rng.random(200)), rng.integers(1, 3, size=70)])
     _check_against_oracle(heavy, replicates, 5, 10, 100)
 
 
 def test_fit_power_law_without_bootstrap():
     rng = np.random.default_rng(5)
-    data = sample_discrete_powerlaw(2.2, 3, 2000, rng)
+    data = powerlaw._tail_values(2.2, 3, rng.random(2000))
     fit = fit_power_law(data, replicates=0)
     assert fit.p_value is None
     assert fit.bootstrap_n == 0
@@ -484,7 +489,7 @@ def test_fit_power_law_without_bootstrap():
 
 def test_fit_power_law_deterministic():
     rng = np.random.default_rng(6)
-    data = sample_discrete_powerlaw(2.5, 2, 800, rng)
+    data = powerlaw._tail_values(2.5, 2, rng.random(800))
     a = fit_power_law(data, replicates=100, seed=3)
     b = fit_power_law(data, replicates=100, seed=3)
     assert a == b
@@ -494,7 +499,7 @@ def test_fit_power_law_deterministic():
 
 def test_fit_power_law_plausible_p_on_true_model():
     rng = np.random.default_rng(8)
-    data = sample_discrete_powerlaw(2.5, 5, 3000, rng)
+    data = powerlaw._tail_values(2.5, 5, rng.random(3000))
     fit = fit_power_law(data, replicates=200, seed=0)
     assert fit.p_value is not None and fit.p_value > 0.05
 

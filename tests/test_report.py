@@ -118,6 +118,7 @@ def test_analyze_empty_network_raises():
         ("bootstrap_n", 50, "bootstrap_n must be 0 or >= 100, got 50"),
         ("bootstrap_n", -1, "bootstrap_n must be 0 or >= 100, got -1"),
         ("walktrap_t", 0, "walktrap_t must be >= 1, got 0"),
+        ("seed", -1, "seed must be >= 0, got -1"),
     ],
 )
 def test_analyze_rejects_bad_config_before_any_work(k2_collection, monkeypatch, field, value, message):

@@ -6,7 +6,7 @@ import pytest
 from helpers import sawsdl_concept_reference
 from wsdepnet.errors import CollectionError, UnsupportedConstructError
 from wsdepnet.model import Role
-from wsdepnet.sawsdl import load_sawsdl, load_sawsdl_file
+from wsdepnet.sawsdl import load_sawsdl
 
 WSDL_TEMPLATE = """<?xml version="1.0"?>
 <wsdl:definitions name="BookPrice"
@@ -89,7 +89,7 @@ def test_element_type_annotation_used_when_element_unannotated(tmp_path):
     )
     path = tmp_path / "s.wsdl"
     path.write_text(text, encoding="utf-8")
-    svc = load_sawsdl_file(path)
+    (svc,) = load_sawsdl(tmp_path).services
     by_name = {p.name: p.concept for p in svc.operations[0].iter_instances()}
     assert by_name["book"] == "http://onto.example.org#Publication"
 
@@ -144,7 +144,7 @@ def test_concept_lookup_order_on_every_combination(tmp_path):
     )
     path = tmp_path / "combinations.wsdl"
     path.write_text(text, encoding="utf-8")
-    service = load_sawsdl_file(path)
+    (service,) = load_sawsdl(tmp_path).services
     got = [(p.name, p.xsd_type, p.concept) for op in service.operations for p in op.iter_instances()]
     assert len(cases) == 360
     assert got == expected
@@ -186,7 +186,7 @@ def test_malformed_xml(tmp_path):
     path = tmp_path / "broken.wsdl"
     path.write_text("<wsdl:definitions", encoding="utf-8")
     with pytest.raises(CollectionError, match="malformed XML"):
-        load_sawsdl_file(path)
+        load_sawsdl(tmp_path)
 
 
 def test_wsdl2_rejected(tmp_path):
@@ -195,7 +195,7 @@ def test_wsdl2_rejected(tmp_path):
         '<description xmlns="http://www.w3.org/ns/wsdl"/>', encoding="utf-8"
     )
     with pytest.raises(UnsupportedConstructError, match="wsdl2:description"):
-        load_sawsdl_file(path)
+        load_sawsdl(tmp_path)
 
 
 def test_policy_rejected(tmp_path):
@@ -206,7 +206,7 @@ def test_policy_rejected(tmp_path):
     path = tmp_path / "pol.wsdl"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(UnsupportedConstructError, match="policy"):
-        load_sawsdl_file(path)
+        load_sawsdl(tmp_path)
 
 
 W3C_POLICY = "http://www.w3.org/ns/ws-policy"
@@ -251,7 +251,7 @@ def test_wsdl_import_rejected(tmp_path):
     path = tmp_path / "imp.wsdl"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(UnsupportedConstructError, match="wsdl:import"):
-        load_sawsdl_file(path)
+        load_sawsdl(tmp_path)
 
 
 def test_unknown_message_reference(tmp_path):
@@ -259,14 +259,14 @@ def test_unknown_message_reference(tmp_path):
     path = tmp_path / "bad.wsdl"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(CollectionError, match="unknown message 'Nope'"):
-        load_sawsdl_file(path)
+        load_sawsdl(tmp_path)
 
 
 def test_unsupported_construct_error_fields(tmp_path):
     path = tmp_path / "v2.wsdl"
     path.write_text('<description xmlns="http://www.w3.org/ns/wsdl"/>', encoding="utf-8")
     with pytest.raises(UnsupportedConstructError) as info:
-        load_sawsdl_file(path)
+        load_sawsdl(tmp_path)
     assert info.value.construct == "wsdl2:description"
     assert str(path) in str(info.value)
 
@@ -285,7 +285,7 @@ def test_empty_model_reference_ignored(tmp_path):
     )
     path = tmp_path / "blank.wsdl"
     path.write_text(text, encoding="utf-8")
-    svc = load_sawsdl_file(path)
+    (svc,) = load_sawsdl(tmp_path).services
     by_name = {p.name: p.concept for p in svc.operations[0].iter_instances()}
     assert by_name["currency"] is None
 
@@ -297,6 +297,6 @@ def test_multi_uri_model_reference_kept_verbatim(tmp_path):
     )
     path = tmp_path / "multi.wsdl"
     path.write_text(text, encoding="utf-8")
-    svc = load_sawsdl_file(path)
+    (svc,) = load_sawsdl(tmp_path).services
     by_name = {p.name: p.concept for p in svc.operations[0].iter_instances()}
     assert by_name["currency"] == "http://a#X http://b#Y"

@@ -77,6 +77,7 @@ def test_demo_runs_walktrap_once_per_network_and_writes_the_cli_bytes(tmp_path, 
         (run_demo, ["--walktrap-t", "0"], "t must be >= 1, got 0"),
         (run_sawsdl_corpus, ["corpus", "--bootstrap", "50"], "replicates must be 0 or >= 100, got 50"),
         (run_sawsdl_corpus, ["corpus", "--er-samples", "abc"], "invalid int value: 'abc'"),
+        (run_demo, ["--seed", "-1"], "seed must be >= 0, got -1"),
     ],
 )
 def test_bad_argument_exits_1_and_writes_nothing(tmp_path, capsys, script, argv, message):

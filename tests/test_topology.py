@@ -265,10 +265,7 @@ def test_degree_correlation_bounded(n):
 
 def test_two_disjoint_edges_two_components():
     n = _net(4, [(0, 1), (2, 3)])
-    decomposition = components(n)
-    assert len(decomposition.components) == 2
-    assert decomposition.sizes == [(2, 1), (2, 1)]
-    assert decomposition.giant_index == 0
+    assert components(n) == [[0, 1], [2, 3]]
 
 
 def test_k2_is_one_component(k2_collection):
@@ -276,7 +273,7 @@ def test_k2_is_one_component(k2_collection):
 
     n = build_network(k2_collection, MatcherKind.SYNTACTIC_EQUAL)
     # only c,d,e,f are connected through op2; a and b link into c,d,e too
-    assert len(components(n).components) == 1
+    assert len(components(n)) == 1
 
 
 def test_giant_selection_five_over_three():
@@ -304,16 +301,12 @@ def test_giant_of_empty_network_errors():
 
 def test_components_ordering_breaks_size_ties_by_smallest_id():
     n = _net(4, [(2, 3), (0, 1)])
-    decomposition = components(n)
-    assert decomposition.components[0][0] == 0
-    assert decomposition.components[1][0] == 2
+    assert components(n) == [[0, 1], [2, 3]]
 
 
 def test_singletons_are_components():
     n = _net(3, [(0, 1)])
-    decomposition = components(n)
-    assert [len(c) for c in decomposition.components] == [2, 1]
-    assert decomposition.sizes[1] == (1, 0)
+    assert components(n) == [[0, 1], [2]]
 
 
 # -- ER baseline --------------------------------------------------------------
