@@ -8,7 +8,11 @@ For each workload and input variant (all three workloads and variants
 0..15 by default) it writes the inputs once with PARENT's
 `bench/workloads.py` and `bench/generators.py` at the benchmark's full
 sizes, then runs the workload's CLI commands, the argv that `bench/run.py`
-times, as `python -m wsdepnet` in each tree. It lists every output file
+times, as `python -m wsdepnet` in each tree. After them, for the network of
+every `analyze` command (each paper-pair and scale-10x network), it runs
+`communities --dendrogram` at the same walk length, so the Walktrap
+partition and every merge with its exact Delta-sigma are compared too. It
+lists every output file
 whose bytes differ between the trees and every command whose exit status
 differs, and exits 1 if there is any. Under a `.json` output whose bytes
 differ it prints each differing value as a dotted path with both sides,
@@ -55,6 +59,22 @@ def _shown(value) -> str:
     return "<absent>" if value is _ABSENT else json.dumps(value)
 
 
+def community_ops(ops, out: Path) -> list:
+    """A `communities --dendrogram` command for the network of each `analyze`
+    command of `ops`, at its walk length, writing its two CSVs into `out`."""
+    from workloads import Op
+
+    extra = []
+    for op in ops:
+        if op.argv[0] == "analyze":
+            net = Path(op.argv[1])
+            t = op.argv[op.argv.index("--walktrap-t") + 1]
+            partition, dendrogram = out / f"{net.stem}.communities.csv", out / f"{net.stem}.dendrogram.csv"
+            argv = ["communities", str(net), "--t", t, "--out", str(partition), "--dendrogram", str(dendrogram)]
+            extra.append(Op(f"communities {net.stem}", argv, [partition, dendrogram]))
+    return extra
+
+
 def run_ops(tree: Path, ops, env: dict[str, str]) -> list[int]:
     """Exit status of each CLI command, run in order with `tree`'s package."""
     env = {**env, "PYTHONPATH": str(tree / "src")}
@@ -98,6 +118,7 @@ def main(argv: list[str] | None = None) -> int:
                 for side, tree in trees.items():
                     (workdir / side).mkdir()
                     ops[side] = workload.operations(inputs, workdir / side, sizes)
+                    ops[side] += community_ops(ops[side], workdir / side)
                     codes[side] = run_ops(tree, ops[side], env)
                 problems = [
                     f"{op.name}: exit {p} -> {c}"

@@ -4,11 +4,14 @@
 Builds one undirected preferential-attachment graph: a triangle, then
 each new node links to 3 distinct earlier nodes drawn with probability
 proportional to their degree, up to 3,000 nodes and 8,994 links (seed 0).
-Prints the wall time of `community.walktrap` at t = 4 and a SHA-256 of its
-partition (node -> community id, in node order), best cut and merge count.
-With --check it also runs the heap implementation kept as the test
-oracle (`tests/helpers.py`; tens of seconds) and exits 1 if its partition
-hash differs.
+Prints the wall time of `community.walktrap` at t = 4, a SHA-256 of its
+partition (node -> community id, in node order), best cut and merge count,
+and a SHA-256 of its dendrogram CSV (`community.dendrogram_csv`), which
+also carries the exact Delta-sigma of every merge. With --check it also
+runs the heap implementation kept as the test oracle (`tests/helpers.py`;
+tens of seconds) and exits 1 if its partition hash differs; the heap
+version's Delta-sigma values differ in their last bits, so only the
+partitions are compared.
 
     python3 scripts/time_walktrap.py [--check]
 """
@@ -26,7 +29,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from wsdepnet.community import WalktrapResult, walktrap
+from wsdepnet.community import WalktrapResult, dendrogram_csv, walktrap
 from wsdepnet.matching import MatcherKind
 from wsdepnet.network import DependencyNetwork, network_from_edges
 
@@ -56,6 +59,10 @@ def partition_hash(result: WalktrapResult) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def dendrogram_hash(result: WalktrapResult) -> str:
+    return hashlib.sha256(dendrogram_csv(result.merges).encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--check", action="store_true", help="also run the heap reference and compare")
@@ -69,7 +76,7 @@ def main(argv=None) -> int:
     print(
         f"walktrap: {net.node_count} nodes, {net.link_count} links, t={T}: {elapsed:.2f} s, "
         f"{result.partition.community_count} communities, modularity {result.partition.modularity:.6f}, "
-        f"partition sha256 {digest}"
+        f"partition sha256 {digest}, dendrogram sha256 {dendrogram_hash(result)}"
     )
     if not args.check:
         return 0

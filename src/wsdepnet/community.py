@@ -23,12 +23,19 @@ difference below 2^-6 of G_CC + G_XX has lost too many digits (twin
 nodes, nodes with the same closed neighbourhood, long walks), so such a
 pair is recomputed from t sparse steps of the difference of its two mean
 rows, whose rounding is relative to that difference. A merge updates G
-by Lance-Williams: G[C] = (s_A G[A] + s_B G[B]) / (s_A + s_B), a row and
-a column (Lance & Williams, Comput. J. 9(4), 1967). Every community keeps
-its nearest neighbour; a merge is one argmin over communities in id order
-and recomputes only the new community and the neighbours whose nearest it
-absorbed. Ties go to the smallest (min id, max id). Memory is one n x n
-matrix, plus a spare one during the walk steps.
+by Lance-Williams: G[C] = (s_A G[A] + s_B G[B]) / (s_A + s_B) (Lance &
+Williams, Comput. J. 9(4), 1967), written to C's row alone. Of two
+communities, the one formed later holds their G in its row, so before a
+merge the rows of A and B each take their G with the communities formed
+since, out of those rows; that moves a few percent of what a column write
+to every row would. Every community keeps its nearest neighbour; a merge
+is one argmin over communities in id order, then one batch that
+evaluates the new community and the neighbours whose nearest it absorbed,
+each over all its neighbours. Ties go to the smallest (min id, max id).
+The floating-point operations and their operands are those of a row and
+column update, so merges and Delta-sigma do not depend on this
+bookkeeping. Memory is one n x n matrix, plus a spare one during the walk
+steps.
 """
 
 from __future__ import annotations
@@ -153,19 +160,21 @@ def walktrap(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
         gram[u, neighbors] += 1.0 / degrees[u]
     spare = np.empty_like(gram)
     for _ in range(2 * t - 1):
+        rows = list(gram)  # a view per row, made once per step, not once per add
         for u, neighbors in enumerate(undirected):
             row = spare[u]
-            np.copyto(row, gram[neighbors[0]])
+            np.copyto(row, rows[neighbors[0]])
             for v in neighbors[1:]:
-                row += gram[v]
+                row += rows[v]
             row /= degrees[u]
+        del rows
         gram, spare = spare, gram
     del spare
     # the rows' pi-weighted mean is 0 but for rounding, which would not
     # cancel in Delta-sigma
     gram -= np.einsum("u,uv->v", pi, gram)
     gram /= degrees
-    diag = gram.diagonal()
+    diag = gram.diagonal().copy()
 
     # Row r of gram belongs to the community ids[r]; a merge keeps one of
     # the two rows. links[r] maps each adjacent row to the number of links
@@ -173,6 +182,12 @@ def walktrap(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
     # degree sum. For a community of id c, best[c] is its smallest
     # Delta-sigma to a neighbour and partner[c] that neighbour's row, the
     # one of smallest id among exact ties; best is inf for ids not alive.
+    # diag is G's diagonal, which gram holds too for the merges' reads.
+    # G of a pair is read from the row of larger stamp: a merged row's
+    # stamp is its id, so the later of two merged rows holds their G; a row
+    # never merged has stamp -1 - r, so two of them read G[min, max], as the
+    # walk steps leave G symmetric only up to rounding; a dropped row has
+    # the stamp -1 - n, below all.
     sizes = np.ones(size)
     members = [[u] for u in range(size)]
     ids = np.arange(size)
@@ -180,23 +195,11 @@ def walktrap(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
     links = [dict.fromkeys(neighbors, 1) for neighbors in undirected]
     best = np.full(2 * size - 1, np.inf)
     partner = np.empty(2 * size - 1, dtype=np.intp)
+    stamp = -1 - np.arange(size)
 
     inverse_degrees = 1.0 / np.array(degrees, dtype=float)
     flat_neighbors = np.fromiter(chain.from_iterable(undirected), dtype=np.intp, count=2 * m)
     neighbor_starts = np.cumsum(degrees) - degrees
-
-    def delta_sigma(xs, ys: np.ndarray, g_xy: np.ndarray) -> np.ndarray:
-        # symmetric in x and y to the last bit, as IEEE + and * commute
-        sx, sy = sizes[xs], sizes[ys]
-        terms = diag[xs] + diag[ys]
-        gap = terms - 2 * g_xy
-        d = sx * sy / (sx + sy) / size * gap
-        lossy = gap <= _RECOMPUTE_BELOW * terms
-        if lossy.any():
-            xs = np.broadcast_to(xs, d.shape)
-            for i in np.flatnonzero(lossy):
-                d[i] = walked_delta_sigma(xs[i], ys[i])
-        return d
 
     def walked_delta_sigma(x: int, y: int) -> float:
         """Delta-sigma of rows x and y from t steps of their mean rows' difference."""
@@ -208,22 +211,38 @@ def walktrap(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
             walk = np.add.reduceat((walk * inverse_degrees)[flat_neighbors], neighbor_starts)
         return sizes[x] * sizes[y] / (sizes[x] + sizes[y]) / size * float((walk * walk * inverse_degrees).sum())
 
-    def nearest(rows: np.ndarray) -> None:
-        """Set best and partner of `rows` from all their neighbours."""
-        neighbors = [links[r].keys() for r in rows]
-        counts = np.fromiter(map(len, neighbors), dtype=np.intp, count=len(rows))
-        ys = np.fromiter(chain.from_iterable(neighbors), dtype=np.intp, count=int(counts.sum()))
-        xs = np.repeat(rows, counts)
-        # G is read as G[min, max]: the walk steps leave it symmetric only
-        # up to rounding, and a pair must get one value from either side.
-        d = delta_sigma(xs, ys, gram[np.minimum(xs, ys), np.maximum(xs, ys)])
-        starts = np.cumsum(counts) - counts
+    def nearest(rows: np.ndarray, counts: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Set best and partner of `rows` from all their neighbours: the
+        first counts[0] of `ys` for rows[0], and so on. Return the
+        Delta-sigma of each (row, neighbour) pair."""
+        xs = rows.repeat(counts)
+        # symmetric in x and y to the last bit, as IEEE + and * commute, so
+        # a pair gets the same Delta-sigma from either of its rows
+        sx, sy = sizes[xs], sizes[ys]
+        terms = diag[xs] + diag[ys]
+        later = stamp[xs] > stamp[ys]
+        gap = terms - 2 * gram[np.where(later, xs, ys), np.where(later, ys, xs)]
+        d = sx * sy / (sx + sy) / size * gap
+        walked: dict[tuple[int, int], float] = {}  # a pair may come from both its rows
+        for i in (gap <= _RECOMPUTE_BELOW * terms).nonzero()[0]:
+            pair = (min(xs[i], ys[i]), max(xs[i], ys[i]))
+            if pair not in walked:
+                walked[pair] = walked_delta_sigma(*pair)
+            d[i] = walked[pair]
+        starts = counts.cumsum() - counts
         low = np.minimum.reduceat(d, starts)
-        tied_ids = np.where(d == np.repeat(low, counts), ids[ys], 2 * size)
-        best[ids[rows]] = low
-        partner[ids[rows]] = row_of[np.minimum.reduceat(tied_ids, starts)]
+        at = ids[rows]
+        best[at] = low
+        hits = (d == low.repeat(counts)).nonzero()[0]
+        if len(hits) == len(rows):  # no exact ties
+            partner[at] = ys[hits]
+        else:
+            tied_ids = np.full(len(ys), 2 * size)
+            tied_ids[hits] = ids[ys[hits]]
+            partner[at] = row_of[np.minimum.reduceat(tied_ids, starts)]
+        return d
 
-    nearest(np.arange(size))
+    nearest(np.arange(size), np.array(degrees), flat_neighbors)
 
     # 4m^2 Q = 4m * (intra-community links) - sum of squared community degrees, exactly
     intra = 0
@@ -242,15 +261,21 @@ def walktrap(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
         keep, drop = (first, other) if len(links[first]) >= len(links[other]) else (other, first)
         c = size + step
 
-        # Lance-Williams: G[c] = (s_a G[a] + s_b G[b]) / (s_a + s_b).
+        # Lance-Williams: G[c] = (s_a G[a] + s_b G[b]) / (s_a + s_b), into
+        # row keep only. It reads all of rows keep and drop, so first each
+        # takes its G with every community formed after it (a stamp above
+        # its own and above -1) out of that community's row.
+        for r in (keep, drop):
+            newer = (stamp > max(stamp[r], -1)).nonzero()[0]
+            gram[r][newer] = gram[:, r][newer]
         sa, sb = sizes[keep], sizes[drop]
         row = gram[keep]
         row *= sa
         row += sb * gram[drop]
         row /= sa + sb
-        gram[:, keep] = row
-        gram[keep, keep] = (sa * row[keep] + sb * row[drop]) / (sa + sb)
+        diag[keep] = gram[keep, keep] = (sa * row[keep] + sb * row[drop]) / (sa + sb)
         sizes[keep] = sa + sb
+        stamp[keep], stamp[drop] = c, -1 - size
         if len(members[keep]) < len(members[drop]):
             members[keep], members[drop] = members[drop], members[keep]
         members[keep] += members[drop]
@@ -272,23 +297,25 @@ def walktrap(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
         if not kept:
             break
 
-        # Only pairs with c changed; c's come from one gather out of its
-        # row. A neighbour keeps its partner unless c is strictly closer (c
-        # has the largest id, so it loses ties), or its partner was a or b:
-        # then it is recomputed over all its neighbours.
+        # Only pairs with c changed. c and every neighbour whose partner was
+        # a or b are evaluated over all their neighbours in one batch. (Where
+        # c is strictly closer to such a neighbour than its old partner, it
+        # is closer than all its other neighbours too, so this settles on c
+        # as a separate test against c would.) Any other neighbour keeps its
+        # partner unless c is strictly closer (c has the largest id, so it
+        # loses ties).
         ys = np.fromiter(kept, dtype=np.intp, count=len(kept))
         y_ids = ids[ys]
         previous = partner[y_ids]
-        d_c = delta_sigma(keep, ys, row[ys])  # row and column c of G agree
-        low = d_c.min()
-        best[c] = low
-        partner[c] = row_of[y_ids[d_c == low].min()]
-        closer = d_c < best[y_ids]
-        best[y_ids[closer]] = d_c[closer]
-        partner[y_ids[closer]] = keep
-        stale = ys[~closer & ((previous == keep) | (previous == drop))]
-        if len(stale):
-            nearest(stale)
+        stale = ys[(previous == keep) | (previous == drop)]
+        neighbors = [links[y].keys() for y in stale.tolist()]
+        counts = np.fromiter(chain((len(ys),), map(len, neighbors)), dtype=np.intp, count=len(neighbors) + 1)
+        around = np.fromiter(chain.from_iterable(neighbors), dtype=np.intp, count=counts.sum() - len(ys))
+        d_c = nearest(np.concatenate(([keep], stale)), counts, np.concatenate((ys, around)))[: len(ys)]
+        closer = d_c < best[y_ids]  # false where y was evaluated: its best is at most d_c
+        if closer.any():
+            best[y_ids[closer]] = d_c[closer]
+            partner[y_ids[closer]] = keep
 
     result = WalktrapResult(
         partition=CommunityPartition(assignment={}, community_count=0, modularity=0.0, walktrap_t=t),

@@ -158,6 +158,12 @@ _INT64_MAX = 2**63 - 1
 _slot = (None, None, None)
 
 
+def drop_table() -> None:
+    """Free the CDF table of the last law drawn from; the next draw builds its own."""
+    global _slot
+    _slot = (None, None, None)
+
+
 def _tail_values(alpha: float, xmin: int, u: np.ndarray) -> np.ndarray:
     """The draws of the uniforms `u` from the discrete power law on {xmin,
     xmin+1, ...}: for each, the least x >= xmin whose CDF reaches it.

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CollectionError, DegenerateAnalysisError
 from .community import WalktrapResult, walktrap
 from .network import DependencyNetwork, network_summary
-from .powerlaw import PowerLawFit, bootstrap_blocks, fit_power_law, pvalue_from_replicates
+from .powerlaw import PowerLawFit, bootstrap_blocks, drop_table, fit_power_law, pvalue_from_replicates
 from .topology import (
     ERBaseline,
     degree_correlation,
@@ -239,6 +239,8 @@ def analyze_with_communities(
     stage index, so the report does not depend on which process ran what.
     The helper's memory and CPU time show in `resource.RUSAGE_CHILDREN`,
     not in `RUSAGE_SELF`. If the helper fails, this raises RuntimeError.
+    The CDF table that the bootstrap draws through (`powerlaw.drop_table`)
+    is freed before this returns, so it does not outlive the call.
     """
     config = _checked(config or AnalysisConfig())
     if n.node_count == 0:
@@ -271,7 +273,10 @@ def analyze_with_communities(
         functools.partial(distances, giant, "undirected"),
         functools.partial(transitivity, giant),
     ]
-    results = iter(_run_stages(stages))
+    try:
+        results = iter(_run_stages(stages))
+    finally:
+        drop_table()  # up to 8 MiB, which no later call needs
     outcomes["communities"], outcomes["er_baseline"] = next(results), next(results)
     for tail, calls in blocks.items():
         fit = fits[tail]

@@ -617,6 +617,23 @@ def planted_two_block(
             return network_from_edges(n, edges, MatcherKind.SYNTACTIC_EQUAL), truth
 
 
+def heavy_tailed_network(nodes: int = 1200, links: int = 2800, seed: int = 1) -> DependencyNetwork:
+    """Connected undirected graph with Pareto(1.5) node weights, so degrees
+    are heavy-tailed: each node joins an earlier one drawn by weight, then
+    links join weight-drawn pairs until there are `links`."""
+    rng = np.random.default_rng(seed)
+    weight = rng.pareto(1.5, nodes) + 1.0
+    edges = set()
+    for new in range(1, nodes):
+        old = int(rng.choice(new, p=weight[:new] / weight[:new].sum()))
+        edges.add((old, new))
+    while len(edges) < links:
+        u, v = (int(x) for x in rng.choice(nodes, 2, p=weight / weight.sum()))
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return network_from_edges(nodes, sorted(edges), MatcherKind.SYNTACTIC_EQUAL)
+
+
 def block_agreement(assignment: dict[int, int], truth: list[int]) -> float:
     """Fraction of nodes correct after mapping each community to its majority block."""
     votes: dict[int, list[int]] = {}

@@ -1,4 +1,6 @@
+import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     block_agreement,
+    heavy_tailed_network,
     modularity_definition,
     planted_two_block,
     random_connected_undirected_network,
@@ -13,6 +16,7 @@ from helpers import (
     walktrap_delta_sigma_exact,
     walktrap_heap_reference,
 )
+from wsdepnet import community
 from wsdepnet.community import (
     dendrogram_csv,
     modularity,
@@ -203,6 +207,21 @@ def test_walktrap_matches_heap_reference_on_planted_blocks(seed):
         ]
         assert result.partition == reference.partition
         assert result.best_cut == reference.best_cut
+
+
+def test_walktrap_delta_sigma_bits_on_heavy_tailed_graph():
+    # The dendrogram CSV carries every merge pair and the repr of its
+    # Delta-sigma, so its hash pins the merge loop's arithmetic bit for bit
+    # on 1,200 nodes with degrees up to 419.
+    net = heavy_tailed_network()
+    text = dendrogram_csv(walktrap(net, t=4).merges)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "23865ae07f32b720867f61a66907b7427dd3e5205c0c06cdbd2700b4f1fc74e7"
+    )
+    # some of its pairs are recomputed from the walk of their row
+    # difference: with no pair recomputed, the bits differ
+    with mock.patch.object(community, "_RECOMPUTE_BELOW", -np.inf):
+        assert dendrogram_csv(walktrap(net, t=4).merges) != text
 
 
 def test_walktrap_peak_memory_is_two_walk_matrices():

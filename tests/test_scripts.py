@@ -174,3 +174,24 @@ def test_same_outputs_names_differing_json_values(change, expected):
 def test_same_outputs_names_a_differing_document():
     assert same_outputs.json_differences([1], {"a": 1}) == ['(document) [1] -> {"a": 1}']
     assert same_outputs.json_differences(True, 1) == ["(document) true -> 1"]
+
+
+def test_same_outputs_runs_communities_on_every_analyzed_network(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import WORKLOADS
+
+    pair = WORKLOADS["paper-pair"]
+    ops = pair.operations({"collection": tmp_path / "c.json"}, tmp_path, pair.profiles["smoke"])
+    extra = same_outputs.community_ops(ops, tmp_path)
+    assert [op.name for op in extra] == [f"communities {m}" for m in MATCHERS]
+    assert [op.argv[:4] for op in extra] == [["communities", str(tmp_path / f"{m}.graphml"), "--t", "4"] for m in MATCHERS]
+
+    scale = WORKLOADS["scale-10x"]
+    sizes = scale.profiles["smoke"]
+    inputs = scale.generate(tmp_path, 0, sizes)
+    (op,) = same_outputs.community_ops(scale.operations(inputs, tmp_path, sizes), tmp_path / "out")
+    (tmp_path / "out").mkdir()
+    assert cli(op.argv) == 0
+    partition, dendrogram = op.outputs
+    assert partition.read_text().startswith("node_id,label,community_id\n")
+    assert len(dendrogram.read_text().splitlines()) == sizes["nodes"]  # header + n - 1 merges
