@@ -20,7 +20,7 @@ class MatcherKind(enum.Enum):
     SEMANTIC_EXACT = "semantic-exact"
 
 
-@dataclass
+@dataclass(slots=True)
 class Archetype:
     """An equivalence class of parameter instances; one node of the network."""
 

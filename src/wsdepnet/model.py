@@ -46,7 +46,7 @@ class Role(enum.Enum):
     OUTPUT = "output"
 
 
-@dataclass
+@dataclass(slots=True)
 class ParameterInstance:
     """One occurrence of a named parameter in an operation's input or output list."""
 
@@ -64,7 +64,7 @@ class ParameterInstance:
         return self.concept.strip() if self.concept is not None else None
 
 
-@dataclass
+@dataclass(slots=True)
 class Operation:
     """A service operation: inputs, outputs, and an id unique in the collection.
 
@@ -84,7 +84,7 @@ class Operation:
         yield from self.outputs
 
 
-@dataclass
+@dataclass(slots=True)
 class Service:
     id: str
     name: str
@@ -202,8 +202,9 @@ def _parse_parameter(obj, role: Role, op_id: str, where: str) -> ParameterInstan
 def load_canonical(path: str | Path) -> ServiceCollection:
     """Load a collection from the canonical JSON format.
 
-    Raises CollectionError with line/position on malformed JSON and
-    SchemaError naming the offending path on schema violations.
+    Raises CollectionError with line/position on malformed JSON, and
+    SchemaError or DuplicateIdError naming the file and the offending
+    entry on schema violations.
     """
     path = Path(path)
     try:
@@ -214,7 +215,17 @@ def load_canonical(path: str | Path) -> ServiceCollection:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CollectionError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return collection_from_dict(doc)
+    try:
+        return collection_from_dict(doc)
+    except (SchemaError, DuplicateIdError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _list_at(obj: dict, key: str, where: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}.{key}: expected list")
+    return value
 
 
 def collection_from_dict(doc) -> ServiceCollection:
@@ -234,7 +245,7 @@ def collection_from_dict(doc) -> ServiceCollection:
             raise SchemaError(f"{where}: missing name")
         service_id = f"svc{si}"
         operations: list[Operation] = []
-        for oi, oobj in enumerate(sobj.get("operations", [])):
+        for oi, oobj in enumerate(_list_at(sobj, "operations", where)):
             owhere = f"{where}.operations[{oi}]"
             if not isinstance(oobj, dict):
                 raise SchemaError(f"{owhere}: expected object")
@@ -246,11 +257,11 @@ def collection_from_dict(doc) -> ServiceCollection:
             op_id = f"{service_id}.op{oi}"
             inputs = [
                 _parse_parameter(p, Role.INPUT, op_id, f"{owhere}.inputs[{pi}]")
-                for pi, p in enumerate(oobj.get("inputs", []))
+                for pi, p in enumerate(_list_at(oobj, "inputs", owhere))
             ]
             outputs = [
                 _parse_parameter(p, Role.OUTPUT, op_id, f"{owhere}.outputs[{pi}]")
-                for pi, p in enumerate(oobj.get("outputs", []))
+                for pi, p in enumerate(_list_at(oobj, "outputs", owhere))
             ]
             operations.append(
                 Operation(

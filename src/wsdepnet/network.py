@@ -8,14 +8,17 @@ self-dependencies are suppressed (counted, not stored), since all the
 downstream metrics assume a loop-free unweighted graph.
 
 A network is built once and never changed, so its adjacency lists are
-derived from the links on first read and cached.
+derived from the links on first read and cached. save_network writes a
+GraphML file and a JSON sidecar; load_network builds the network from the
+sidecar and requires the GraphML file to be the bytes save_network writes
+for it.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import xml.etree.ElementTree as ET
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,11 +27,10 @@ from .matching import Archetype, MatcherKind, build_archetypes
 from .model import ParameterInstance, Role, ServiceCollection, nogc
 
 
-@dataclass
+@dataclass(slots=True)
 class Link:
     """The operations that witness a link, one entry per (input, output)
-    instance pair; the weight is their count, and load_network checks each
-    GraphML weight against the sidecar's witness list."""
+    instance pair; the weight is their count."""
 
     witness_operations: list[str]
 
@@ -283,8 +285,10 @@ def _entry(section: str, index: int | None) -> str:
 def load_network(path: str | Path) -> DependencyNetwork:
     """Read a network written by save_network (GraphML + sidecar).
 
-    Fails closed: a malformed or inconsistent pair of files raises
-    CollectionError naming the file and the key or entry at fault.
+    The network is built from the sidecar, and the GraphML file must hold
+    exactly the bytes save_network writes for it. Fails closed: a malformed
+    sidecar, or a GraphML file that differs from it, raises CollectionError
+    naming the file and the key, entry or line at fault.
     """
     path = Path(path)
     meta_path = sidecar_path(path)
@@ -292,10 +296,6 @@ def load_network(path: str | Path) -> DependencyNetwork:
         raise CollectionError(f"network file not found: {path}")
     if not meta_path.exists():
         raise CollectionError(f"missing network sidecar: {meta_path}")
-    try:
-        tree = ET.parse(path)
-    except ET.ParseError as exc:
-        raise CollectionError(f"{path}: malformed GraphML: {exc}") from exc
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
@@ -329,57 +329,36 @@ def load_network(path: str | Path) -> DependencyNetwork:
             nodes.append(Archetype(id=id_, label=label, key=key, members=members))
         index = None
         nodes.sort(key=lambda a: a.id)
-        if [a.id for a in nodes] != list(range(len(nodes))):
+        node_count = len(nodes)
+        if [a.id for a in nodes] != list(range(node_count)):
             raise ValueError("ids are not dense")
         where = "links"
-        witnesses: dict[tuple[int, int], list[str]] = {}
+        links: dict[tuple[int, int], Link] = {}
         for index, entry in enumerate(meta["links"]):
-            pair = (entry["source"], entry["target"])
-            if type(pair[0]) is not int or type(pair[1]) is not int:
-                raise ValueError(f"source and target must be integers, got {pair[0]!r}, {pair[1]!r}")
-            if pair in witnesses:
+            src, dst = pair = (entry["source"], entry["target"])
+            if type(src) is not int or type(dst) is not int:
+                raise ValueError(f"source and target must be integers, got {src!r}, {dst!r}")
+            if not (0 <= src < node_count and 0 <= dst < node_count) or src == dst:
+                raise ValueError(f"link {src} -> {dst} outside a loop-free {node_count}-node network")
+            if pair in links:
                 raise ValueError(f"duplicate link {pair}")
             ops = entry["witnesses"]
             if type(ops) is not list or not all(type(op) is str for op in ops):
                 raise ValueError("witnesses must be a list of strings")
-            witnesses[pair] = ops
+            if not ops:
+                raise ValueError("witnesses must not be empty: a link's weight is its witness count")
+            links[pair] = Link(ops)
     except KeyError as exc:
         raise CollectionError(f"{meta_path}: {_entry(where, index)}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise CollectionError(f"{meta_path}: {_entry(where, index)}: {exc}") from None
 
-    graph_links: set[tuple[int, int]] = set()
-    graph = tree.getroot().find(f"{{{GRAPHML_NS}}}graph")
-    if graph is None:
-        raise CollectionError(f"{path}: no graph element")
-    node_count = len(nodes)
-    if len(graph.findall(f"{{{GRAPHML_NS}}}node")) != node_count:
-        raise CollectionError(f"{path}: GraphML nodes and sidecar archetypes disagree")
-    try:
-        for index, edge in enumerate(graph.findall(f"{{{GRAPHML_NS}}}edge")):
-            src = int(edge.get("source").lstrip("n"))
-            dst = int(edge.get("target").lstrip("n"))
-            if not (0 <= src < node_count and 0 <= dst < node_count) or src == dst:
-                raise ValueError(f"link {src} -> {dst} outside a loop-free {node_count}-node network")
-            weight = 1
-            for data in edge.findall(f"{{{GRAPHML_NS}}}data"):
-                if data.get("key") == "weight":
-                    weight = int(data.text)
-            if weight < 1:
-                raise ValueError(f"weight must be >= 1, got {weight}")
-            if (src, dst) in graph_links:
-                raise ValueError(f"duplicate link {src} -> {dst}")
-            graph_links.add((src, dst))
-            ops = witnesses.get((src, dst))
-            if ops is not None and len(ops) != weight:
-                raise ValueError(f"link {src} -> {dst} has weight {weight}, but {meta_path} lists {len(ops)} witnesses")
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise CollectionError(f"{path}: {_entry('edge', index)}: {exc}") from None
-
-    if witnesses.keys() != graph_links:
-        for pair in witnesses:
-            if pair not in graph_links:
-                raise CollectionError(f"{meta_path}: link {pair} not present in GraphML")
-        raise CollectionError(f"{path}: GraphML links and sidecar links disagree")
-    links = {pair: Link(ops) for pair, ops in witnesses.items()}
-    return DependencyNetwork(nodes=nodes, links=links, matcher=matcher, self_loop_count=self_loop_count)
+    network = DependencyNetwork(nodes=nodes, links=links, matcher=matcher, self_loop_count=self_loop_count)
+    found, expected = path.read_bytes(), to_graphml(network).encode("utf-8")
+    if found != expected:
+        offset = len(os.path.commonprefix([found, expected]))
+        number, start = found.count(b"\n", 0, offset) + 1, found.rfind(b"\n", 0, offset) + 1
+        line = found[start:].split(b"\n", 1)[0]
+        raise CollectionError(f"{path}: line {number} differs from what save_network writes for "
+                              f"{meta_path}: {line[:80]!r}")
+    return network

@@ -78,9 +78,11 @@ def load_sawsdl(directory: str | Path) -> ServiceCollection:
 
 
 def _parse_file(path: Path, service_id: str, domain: str | None) -> Service:
+    # besides ParseError: LookupError for an unknown declared encoding, and
+    # ValueError for a multi-byte one, which expat does not support
     try:
         tree = ET.parse(path)
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:
         raise CollectionError(f"{path}: malformed XML: {exc}") from exc
     root = tree.getroot()
     if root.tag.startswith(_WSDL20):
@@ -118,7 +120,7 @@ def _parse_file(path: Path, service_id: str, domain: str | None) -> Service:
         messages[mname] = parts = []
         for part in message.findall(_PART):
             pname = part.get("name")
-            if pname is None:
+            if not pname or not pname.strip():
                 raise CollectionError(f"{path}: message {mname!r} has a part without name")
             element, type_name = _local(part.get("element")), _local(part.get("type"))
             xsd_type = type_name or element

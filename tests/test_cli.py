@@ -131,6 +131,22 @@ def test_extract_sawsdl_empty_directory_exits_2(tmp_path, capsys):
     assert not net.exists()
 
 
+@pytest.mark.parametrize("encoding", ["x-nope", "euc-jp"])
+def test_extract_sawsdl_undecodable_encoding_exits_2(tmp_path, capsys, encoding):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    bad = corpus / "bookprice.wsdl"
+    bad.write_text(WSDL.replace('<?xml version="1.0"?>', f'<?xml version="1.0" encoding="{encoding}"?>'),
+                   encoding="utf-8")
+    net = tmp_path / "sem.graphml"
+    assert main(["extract", "--collection", str(corpus), "--format", "sawsdl",
+                 "--matcher", "semantic-exact", "--out", str(net)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"wsdepnet: input error: {bad}: malformed XML: ")
+    assert not net.exists()
+
+
 # -- auxiliary commands -------------------------------------------------------
 
 
@@ -467,16 +483,16 @@ NETWORK_MUTATIONS = {
     "archetypes-not-a-list": (_edited(lambda m: m.update(archetypes=7)), None, "meta.json", "archetypes"),
     "top-level-list": (lambda meta: [meta], None, "meta.json", "top level"),
     "link-out-of-range": (_edited(lambda m: m["links"][0].update(target=9)), ('target="n2"', 'target="n9"'),
-                          "k2.graphml:", "edge[0]: link 0 -> 9"),
+                          "meta.json", "links[0]: link 0 -> 9 outside a loop-free 6-node network"),
     "zero-weight": (None, ('<data key="weight">1</data>', '<data key="weight">0</data>'), "k2.graphml:",
-                    "weight must be >= 1"),
+                    "line 13 differs"),
     "non-integer-weight": (None, ('<data key="weight">1</data>', '<data key="weight">x</data>'), "k2.graphml:",
-                           "edge[0]"),
-    "edge-without-source": (None, ('source="n0" ', ""), "k2.graphml:", "edge[0]"),
+                           "line 13 differs"),
+    "edge-without-source": (None, ('source="n0" ', ""), "k2.graphml:", "line 13 differs"),
     "missing-node": (None, ('<node id="n5"><data key="label">f</data><data key="instance_count">1</data></node>', ""),
-                     "k2.graphml:", "GraphML nodes"),
+                     "k2.graphml:", "line 12 differs"),
     "weight-not-witness-count": (None, ('<data key="weight">1</data>', '<data key="weight">7</data>'), "k2.graphml:",
-                                 "edge[0]: link 0 -> 2 has weight 7, but "),
+                                 "line 13 differs"),
     "witnesses-string": (_set_witnesses("abc"), None, "meta.json", "links[0]: witnesses must be a list of strings"),
     "witness-number": (_set_witnesses([5]), None, "meta.json", "links[0]: witnesses must be a list of strings"),
     "member-name-number": (_set_member("name", 5), None, "meta.json",
@@ -493,6 +509,17 @@ NETWORK_MUTATIONS = {
                           "links[0]: source and target must be integers, got 0.0, 2"),
     "link-target-bool": (_edited(lambda m: m["links"][1].update(target=True)), None, "meta.json",
                          "links[1]: source and target must be integers, got "),
+    "graphml-unknown-encoding": (None, ('encoding="UTF-8"', 'encoding="x-nope"'), "k2.graphml:", "line 1 differs"),
+    "graphml-utf-32": (None, ('encoding="UTF-8"', 'encoding="utf-32"'), "k2.graphml:", "line 1 differs"),
+    "graphml-edited-label": (None, ('<data key="label">a</data>', '<data key="label">z</data>'), "k2.graphml:",
+                             "line 7 differs"),
+    "graphml-label-key": (None, ('key="label">a', 'key="l8bel">a'), "k2.graphml:", "line 7 differs"),
+    "graphml-no-weight": (None, ('<data key="weight">1</data>', ""), "k2.graphml:", "line 13 differs"),
+    "graphml-instance-count": (None, ('<data key="instance_count">1</data>', '<data key="instance_count">2</data>'),
+                               "k2.graphml:", "line 7 differs"),
+    "link-self-loop": (_edited(lambda m: m["links"][0].update(target=0)), None, "meta.json",
+                       "links[0]: link 0 -> 0 outside a loop-free 6-node network"),
+    "witnesses-empty": (_set_witnesses([]), None, "meta.json", "links[0]: witnesses must not be empty"),
 }
 
 

@@ -62,6 +62,14 @@ def test_malformed_json_reports_position(tmp_path):
         load_canonical(path)
 
 
+def test_schema_error_in_a_file_names_the_file(tmp_path):
+    path = tmp_path / "typo.json"
+    path.write_text('{"servics": []}', encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load_canonical(path)
+    assert str(info.value) == f"{path}: top level: expected object with a 'services' list"
+
+
 def test_missing_file_is_collection_error(tmp_path):
     with pytest.raises(CollectionError, match="cannot read"):
         load_canonical(tmp_path / "nope.json")
@@ -80,6 +88,10 @@ def test_missing_file_is_collection_error(tmp_path):
         (collection_doc(op("o", [{"name": 3}], [])), "expected string"),
         (collection_doc(op("o", [param("p", concept=" ")], [])), "empty"),
         (collection_doc({"name": "o", "inputs": [], "outputs": [], "faults": []}), "unknown key"),
+        ({"services": [{"name": "s", "operations": 5}]}, r"services\[0\].operations: expected list"),
+        ({"services": [{"name": "s", "operations": None}]}, r"services\[0\].operations: expected list"),
+        (collection_doc({"name": "o", "inputs": 7}), r"operations\[0\].inputs: expected list"),
+        (collection_doc({"name": "o", "outputs": {}}), r"operations\[0\].outputs: expected list"),
     ],
 )
 def test_schema_violations(doc, fragment):

@@ -183,10 +183,26 @@ def test_not_a_directory(tmp_path):
 
 
 def test_malformed_xml(tmp_path):
-    path = tmp_path / "broken.wsdl"
-    path.write_text("<wsdl:definitions", encoding="utf-8")
-    with pytest.raises(CollectionError, match="malformed XML"):
+    declared = WSDL_TEMPLATE.replace('<?xml version="1.0"?>', '<?xml version="1.0" encoding="{}"?>')
+    # unparsable, an unknown encoding, a multi-byte encoding expat refuses
+    for name, text in [("broken", "<wsdl:definitions"), ("unknown", declared.format("x-nope")),
+                       ("multi-byte", declared.format("euc-jp"))]:
+        path = tmp_path / name / "broken.wsdl"
+        path.parent.mkdir()
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CollectionError, match="malformed XML") as info:
+            load_sawsdl(path.parent)
+        assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("name", ["", 'name="" ', 'name=" " '])
+def test_part_without_name_names_the_file(tmp_path, name):
+    text = WSDL_TEMPLATE.replace('<wsdl:part name="book" ', f"<wsdl:part {name}", 1)
+    path = tmp_path / "bad.wsdl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CollectionError) as info:
         load_sawsdl(tmp_path)
+    assert str(info.value) == f"{path}: message 'GetPriceRequest' has a part without name"
 
 
 def test_wsdl2_rejected(tmp_path):
