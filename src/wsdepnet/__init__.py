@@ -27,7 +27,7 @@ _SOURCES = {
         "network": (
             "DependencyNetwork Link build_network export load_network network_from_edges network_summary save_network"
         ),
-        "community": "CommunityPartition WalktrapResult modularity walktrap",
+        "community": "CommunityPartition WalktrapResult walktrap",
         "powerlaw": "PowerLawFit fit_power_law select_xmin",
         "report": "AnalysisConfig ComparisonReport MetricsReport analyze compare report_from_json report_to_json",
         "sawsdl": "load_sawsdl",

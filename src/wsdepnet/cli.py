@@ -208,7 +208,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CollectionError as exc:
         print(f"wsdepnet: input error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except OSError as exc:
         print(f"wsdepnet: input error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

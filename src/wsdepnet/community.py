@@ -1,13 +1,14 @@
-"""Random-walk community detection and Newman modularity.
+"""Random-walk community detection scored by Newman modularity.
 
-Direction is discarded: both run on the undirected simple projection.
+Direction is discarded: Walktrap runs on the undirected simple projection.
 The agglomeration follows the short-random-walk scheme (Pons & Latapy,
 JGAA 10(2), 2006): each node carries its t-step walk probability row, the
 distance between communities is the degree-normalized euclidean gap
 between their (averaged) rows, and the merge chosen at each step is the
 adjacent pair whose fusion least increases the mean squared
 node-to-community distance, Delta-sigma. The reported partition is the
-dendrogram cut with maximum modularity.
+dendrogram cut with maximum modularity, whose Q is the cut's exact key
+4m^2 Q = 4m (intra-community links) - sum_c d_c^2 divided by 4m^2.
 
 Walktrap never forms those rows. With P = D^-1 A and W = P^t D^-1/2, the
 Gram matrix G = W W^T equals P^2t D^-1 (as D P = P^T D), which 2t - 1
@@ -52,33 +53,6 @@ from .topology import weak_components_of
 # A Gram difference G_CC + G_XX - 2 G_CX below this share of G_CC + G_XX
 # is recomputed from the walk of the row difference.
 _RECOMPUTE_BELOW = 2.0**-6
-
-
-def modularity(n: DependencyNetwork, assignment: dict[int, int]) -> float:
-    """Q = sum_c [e_c/m - (d_c/2m)^2] over the undirected simple projection."""
-    m = sum(map(len, n.neighbors)) // 2
-    if not m:
-        raise DegenerateAnalysisError("modularity", "no links")
-    missing = [node.id for node in n.nodes if node.id not in assignment]
-    if missing:
-        raise ValueError(f"assignment misses nodes {missing[:5]}")
-    intra: dict[int, int] = {}
-    degree_sum: dict[int, int] = {}
-    # each edge once, as u < v in ascending order: the order in which
-    # communities first appear fixes the summation order of q
-    for u, neighbors in enumerate(n.neighbors):
-        for v in neighbors:
-            if v < u:
-                continue
-            cu, cv = assignment[u], assignment[v]
-            degree_sum[cu] = degree_sum.get(cu, 0) + 1
-            degree_sum[cv] = degree_sum.get(cv, 0) + 1
-            if cu == cv:
-                intra[cu] = intra.get(cu, 0) + 1
-    q = 0.0
-    for community, d_c in degree_sum.items():
-        q += intra.get(community, 0) / m - (d_c / (2 * m)) ** 2
-    return q
 
 
 @dataclass
@@ -327,7 +301,7 @@ def walktrap(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
     result.partition = CommunityPartition(
         assignment=assignment,
         community_count=len(set(assignment.values())),
-        modularity=modularity(n, assignment),
+        modularity=result.cut_modularities[result.best_cut],
         walktrap_t=t,
     )
     return result

@@ -135,7 +135,6 @@ def validate_collection(c: ServiceCollection) -> None:
     """Check the structural invariants; raise CollectionError on violation."""
     seen_service_ids: set[str] = set()
     seen_operation_ids: set[str] = set()
-    count = 0
     for service in c.services:
         if service.id in seen_service_ids:
             raise DuplicateIdError(f"duplicate service id {service.id!r}")
@@ -160,9 +159,6 @@ def validate_collection(c: ServiceCollection) -> None:
                         raise SchemaError(
                             f"operation {op.id!r}: parameter {inst.name!r} back-references {inst.operation_id!r}"
                         )
-                count += len(instances)
-    if count != c.instance_count:
-        raise SchemaError(f"instance_count {c.instance_count} != actual {count}")
 
 
 _SERVICE_KEYS = {"name", "domain", "operations"}

@@ -158,8 +158,7 @@ def _drain_beside_helper(stages: list[Callable[[], object]], queue: int, claimed
     pid = os.fork()
     if pid == 0:
         # The helper is fork-safe although BLAS threads did not survive the
-        # fork: no queued stage makes a BLAS call (degree_correlation, whose
-        # np.corrcoef does, runs before the fork), and the stages run only
+        # fork: no step of analyze makes a BLAS call, and the stages run only
         # numpy elementwise, gather and sorting kernels, its RNG and pure
         # Python. So the helper takes no lock another thread may hold, logs
         # nothing and does no I/O but its pipes. os._exit skips the atexit

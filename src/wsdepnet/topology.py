@@ -4,7 +4,8 @@ Erdős–Rényi G(n,m) baselines for the small-world comparison.
 All metrics treat the network as an unweighted simple graph; distance and
 transitivity conventions follow the module contracts (directed averages
 cover mutually reachable ordered pairs only, transitivity is the global
-triangle ratio).
+triangle ratio). The average distances, transitivity and degree
+correlation of a network are each one division of integer counts.
 """
 
 from __future__ import annotations
@@ -241,29 +242,24 @@ def degree_stats(n: DependencyNetwork) -> DegreeStats:
 def degree_correlation(n: DependencyNetwork) -> float:
     """Pearson correlation of endpoint degrees over links (Newman's r).
 
-    Correlates total degrees on the undirected projection, each link
-    contributing both orientations. Links are taken in (src, dst) order,
-    as np.corrcoef's last bits depend on the order of its samples.
+    Correlates total degrees k on the undirected projection, each link
+    contributing both orientations, so both ends share their moments: over
+    the S link ends, r = (S sum k_u k_v - (sum k)^2) / (S sum k^2 - (sum k)^2)
+    (Newman, PRL 89, 208701, 2002), one division of exact integers.
     """
     if n.link_count == 0:
         raise DegenerateAnalysisError("degree-correlation", "no links")
-    stats = degree_stats(n)
-    links = n.sorted_links()
-    xs: list[int] = []
-    ys: list[int] = []
-    seen = set()
-    for src, dst in links:
-        edge = (min(src, dst), max(src, dst))
-        if edge in seen:
-            continue
-        seen.add(edge)
-        xs.extend((stats.total_degrees[edge[0]], stats.total_degrees[edge[1]]))
-        ys.extend((stats.total_degrees[edge[1]], stats.total_degrees[edge[0]]))
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if np.ptp(x) == 0 or np.ptp(y) == 0:
+    degree = degree_stats(n).total_degrees
+    ends = first = second = cross = 0
+    for k, neighbors in zip(degree, n.neighbors):
+        ends += len(neighbors)
+        first += len(neighbors) * k
+        second += len(neighbors) * k * k
+        cross += k * sum(degree[v] for v in neighbors)
+    variance = ends * second - first * first
+    if variance == 0:
         raise DegenerateAnalysisError("degree-correlation", "degree variance is zero")
-    return float(np.corrcoef(x, y)[0, 1])
+    return (ends * cross - first * first) / variance
 
 
 # -- Erdős–Rényi baseline ------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 import wsdepnet
 from wsdepnet import powerlaw
-from wsdepnet.community import CommunityPartition, MergeStep, WalktrapResult, modularity
+from wsdepnet.community import CommunityPartition, MergeStep, WalktrapResult
 from wsdepnet.errors import DegenerateAnalysisError
 from wsdepnet.matching import MatcherKind, instance_key
 from wsdepnet.model import ParameterInstance
@@ -205,6 +205,17 @@ def triangle_count_trace(undirected: list[list[int]]) -> int:
     return int(np.trace(a @ a @ a) // 6)
 
 
+def degree_correlation_corrcoef(n: DependencyNetwork) -> float:
+    """Newman's r as np.corrcoef of the total degrees at the two ends of
+    each undirected link, the links sorted and deduplicated, each taken in
+    both orientations."""
+    total = [len(sources) + len(targets) for sources, targets in zip(n.predecessors, n.successors)]
+    edges = sorted({(min(u, v), max(u, v)) for u, v in n.links})
+    x = [total[end] for edge in edges for end in edge]
+    y = [total[end] for edge in edges for end in reversed(edge)]
+    return float(np.corrcoef(x, y)[0, 1])
+
+
 def modularity_definition(edges: list[tuple[int, int]], assignment: dict[int, int]) -> float:
     """Literal Q = sum_c [e_c/m - (d_c/2m)^2] over undirected edges."""
     m = len(edges)
@@ -372,7 +383,7 @@ def walktrap_heap_reference(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
     result.partition = CommunityPartition(
         assignment=assignment,
         community_count=len(set(assignment.values())),
-        modularity=modularity(n, assignment),
+        modularity=result.cut_modularities[result.best_cut],
         walktrap_t=t,
     )
     return result

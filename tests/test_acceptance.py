@@ -25,7 +25,7 @@ from helpers import (
     triangle_count_trace,
 )
 from wsdepnet.cli import main
-from wsdepnet.community import modularity, walktrap
+from wsdepnet.community import walktrap
 from wsdepnet.matching import MatcherKind, build_archetypes
 from wsdepnet.model import collection_from_dict
 from wsdepnet.network import build_network, network_from_edges
@@ -107,11 +107,12 @@ def test_criterion_3_metric_oracles():
         if net.link_count and triples:
             assert transitivity(net) == 3 * triangles / triples, f"graph {index}"
         if net.link_count:
-            k = int(rng.integers(1, net.node_count + 1))
-            assignment = {i: int(rng.integers(0, k)) for i in range(net.node_count)}
-            edges = sorted({(min(u, v), max(u, v)) for u, v in net.links})
-            delta = abs(modularity(net, assignment) - modularity_definition(edges, assignment))
-            assert delta <= 1e-10, f"graph {index} modularity off by {delta}"
+            giant, _ = giant_subnetwork(net)
+            result = walktrap(giant)
+            edges = sorted({(min(u, v), max(u, v)) for u, v in giant.links})
+            for cut, q in enumerate(result.cut_modularities):
+                delta = abs(q - modularity_definition(edges, result.assignment_at_cut(cut)))
+                assert delta <= 1e-10, f"graph {index} cut {cut} modularity off by {delta}"
         checked += 1
     elapsed = time.monotonic() - start
     _report(3, checked == 50 and elapsed < 30, f"{checked}/50 graphs, {elapsed:.1f}s")
@@ -121,15 +122,16 @@ def test_criterion_4_closed_forms():
     star = _net(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     star_r = degree_correlation(star)
     triangle = _net(3, [(0, 1), (1, 2), (2, 0)])
-    bridge = _net(6, BRIDGE)
-    one_community_q = modularity(bridge, {i: 0 for i in range(6)})
+    result = walktrap(_net(6, BRIDGE), t=4)
+    one_community_q = result.cut_modularities[-1]
     split = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
-    split_q = modularity(bridge, split)
-    recovered = walktrap(bridge, t=4).partition.assignment
+    split_q = result.cut_modularities[4]  # after 4 of the 5 merges
+    recovered = result.partition.assignment
     ok = (
         abs(star_r + 1.0) <= 1e-9
         and transitivity(triangle) == 1.0
         and one_community_q == 0.0
+        and result.assignment_at_cut(4) == split
         and abs(split_q - 0.357143) <= 1e-6
         and recovered == split
     )

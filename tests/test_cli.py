@@ -283,6 +283,26 @@ def test_missing_input_exits_2(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["export", "{path}"],
+    ["analyze", "{path}"],
+    ["compare", "{path}", "{path}"],
+    ["communities", "{path}"],
+    ["degree-dist", "{path}"],
+    ["extract", "--collection", "{path}", "--format", "sawsdl", "--matcher", "semantic-exact", "--out", "{out}"],
+    ["extract", "--collection", "{path}", "--matcher", "syntactic-equal", "--out", "{out}"],
+], ids=["export", "analyze", "compare", "communities", "degree-dist", "extract-sawsdl", "extract-canonical"])
+def test_over_long_input_path_exits_2(tmp_path, capsys, argv):
+    # a 300-character name fails to open with ENAMETOOLONG, an OSError no subclass of which is more specific
+    path, out = tmp_path / ("x" * 300), tmp_path / "n.graphml"
+    assert main([arg.format(path=path, out=out) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("wsdepnet: input error: ")
+    assert str(path) in err
+    assert not out.exists()
+
+
 def test_malformed_collection_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -19,7 +19,6 @@ from helpers import (
 from wsdepnet import community
 from wsdepnet.community import (
     dendrogram_csv,
-    modularity,
     partition_csv,
     walktrap,
 )
@@ -35,38 +34,37 @@ def _net(num_nodes, edges, labels=None):
 BRIDGE = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
 
 
-# -- modularity ---------------------------------------------------------------
+def _edges(net):
+    return sorted({(min(u, v), max(u, v)) for u, v in net.links})
+
+
+# -- modularity: Walktrap's cut values against the definition -----------------
 
 
 def test_single_community_modularity_zero():
-    n = _net(6, BRIDGE)
-    assert modularity(n, {i: 0 for i in range(6)}) == 0.0
+    result = walktrap(_net(6, BRIDGE), t=4)
+    assert set(result.assignment_at_cut(5).values()) == {0}
+    assert result.cut_modularities[-1] == 0.0
 
 
 def test_bridge_split_modularity_value():
     n = _net(6, BRIDGE)
+    result = walktrap(n, t=4)
     split = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
+    assert result.assignment_at_cut(4) == split
     # m=7, each side e_c=3, d_c=7
-    assert modularity(n, split) == pytest.approx(2 * (3 / 7 - (7 / 14) ** 2), abs=1e-12)
-    assert modularity(n, split) == pytest.approx(0.357143, abs=1e-6)
-
-
-def test_modularity_needs_links():
-    with pytest.raises(DegenerateAnalysisError, match="no links"):
-        modularity(_net(3, []), {0: 0, 1: 0, 2: 0})
-
-
-def test_modularity_requires_total_assignment():
-    with pytest.raises(ValueError, match="misses"):
-        modularity(_net(2, [(0, 1)]), {0: 0})
+    assert result.cut_modularities[4] == pytest.approx(2 * (3 / 7 - (7 / 14) ** 2), abs=1e-12)
+    assert result.cut_modularities[4] == pytest.approx(modularity_definition(_edges(n), split), abs=1e-12)
+    assert result.cut_modularities[4] == pytest.approx(0.357143, abs=1e-6)
 
 
 def test_modularity_uses_undirected_simple_projection():
     # reciprocal links collapse to one undirected edge
-    simple = _net(2, [(0, 1)])
-    reciprocal = _net(2, [(0, 1), (1, 0)])
-    partition = {0: 0, 1: 1}
-    assert modularity(simple, partition) == modularity(reciprocal, partition)
+    simple = walktrap(_net(6, BRIDGE), t=4)
+    reciprocal = walktrap(_net(6, BRIDGE + [(v, u) for u, v in BRIDGE[:3]]), t=4)
+    assert reciprocal.merges == simple.merges
+    assert reciprocal.cut_modularities == simple.cut_modularities
+    assert reciprocal.partition == simple.partition
 
 
 @st.composite
@@ -78,12 +76,12 @@ def _connected_nets(draw):
 @given(net=_connected_nets(), seed=st.integers(0, 1000))
 @settings(max_examples=40)
 def test_modularity_matches_definition_on_random_partitions(net, seed):
+    # the partition is a dendrogram cut drawn at random, of a walk of 1 to 8 steps
     rng = np.random.default_rng(seed)
-    k = int(rng.integers(1, net.node_count + 1))
-    assignment = {i: int(rng.integers(0, k)) for i in range(net.node_count)}
-    edges = sorted({(min(u, v), max(u, v)) for u, v in net.links})
-    assert modularity(net, assignment) == pytest.approx(
-        modularity_definition(edges, assignment), abs=1e-10
+    result = walktrap(net, t=int(rng.integers(1, 9)))
+    cut = int(rng.integers(0, net.node_count))
+    assert result.cut_modularities[cut] == pytest.approx(
+        modularity_definition(_edges(net), result.assignment_at_cut(cut)), abs=1e-10
     )
 
 
@@ -103,13 +101,14 @@ def test_walktrap_recovers_bridge_split():
 def test_partition_modularity_consistent_with_recomputation():
     n = _net(6, BRIDGE)
     p = walktrap(n, t=4).partition
-    assert p.modularity == pytest.approx(modularity(n, p.assignment), abs=1e-10)
+    assert p.modularity == pytest.approx(modularity_definition(_edges(n), p.assignment), abs=1e-10)
 
 
 def _assert_cuts_consistent(net, result):
     # every cut's modularity is that of its partition; exact ties go to the earliest cut
+    edges = _edges(net)
     for cut, expected in enumerate(result.cut_modularities):
-        assert modularity(net, result.assignment_at_cut(cut)) == pytest.approx(expected, abs=1e-12)
+        assert modularity_definition(edges, result.assignment_at_cut(cut)) == pytest.approx(expected, abs=1e-12)
     assert result.best_cut == result.cut_modularities.index(max(result.cut_modularities))
 
 
@@ -250,7 +249,7 @@ def test_walktrap_invariants_on_random_graphs(net):
     # n-1 merges, modularity maximal over cuts
     assert len(result.merges) == net.node_count - 1
     assert p.modularity == pytest.approx(max(result.cut_modularities), abs=1e-12)
-    assert p.modularity == pytest.approx(modularity(net, p.assignment), abs=1e-10)
+    assert p.modularity == pytest.approx(modularity_definition(_edges(net), p.assignment), abs=1e-10)
     assert p.modularity <= 1.0
 
 
@@ -322,7 +321,7 @@ def test_walk_length_changes_granularity_without_breaking_invariants():
     for t in (1, 2, 4, 8):
         p = walktrap(net, t=t).partition
         assert p.walktrap_t == t
-        assert p.modularity == pytest.approx(modularity(net, p.assignment), abs=1e-10)
+        assert p.modularity == pytest.approx(modularity_definition(_edges(net), p.assignment), abs=1e-10)
 
 
 # -- exports ------------------------------------------------------------------

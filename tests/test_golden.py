@@ -15,12 +15,24 @@ from pathlib import Path
 
 import pytest
 
+from helpers import fresh_interpreter
 from wsdepnet import AnalysisConfig, MatcherKind, analyze, build_network, load_canonical, report_to_json
 from wsdepnet.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 MATCHERS = ("syntactic-equal", "semantic-exact")
 CONFIG = AnalysisConfig(er_samples=5, bootstrap_n=100)
+
+# analyze of the golden collection under the OpenBLAS kernel named in argv[1]
+KERNEL_PROBE = """
+import json, os, sys
+os.environ["OPENBLAS_CORETYPE"] = sys.argv[1]  # read once, when numpy loads OpenBLAS
+from pathlib import Path
+from wsdepnet import AnalysisConfig, MatcherKind, analyze, build_network, load_canonical, report_to_json
+collection = load_canonical(Path(sys.argv[2]) / "collection.json")
+config = AnalysisConfig(er_samples=5, bootstrap_n=100)
+print(json.dumps([report_to_json(analyze(build_network(collection, MatcherKind(m)), config)) for m in sys.argv[3:]]))
+"""
 
 
 @pytest.mark.parametrize("matcher", MATCHERS)
@@ -40,6 +52,13 @@ def test_in_memory_report_matches_golden(matcher):
     network = build_network(load_canonical(GOLDEN / "collection.json"), MatcherKind(matcher))
     text = report_to_json(analyze(network, CONFIG))
     assert text == (GOLDEN / f"{matcher}.report.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_report_bytes_do_not_depend_on_the_openblas_kernel(coretype):
+    reports = fresh_interpreter(KERNEL_PROBE, coretype, str(GOLDEN), *MATCHERS)
+    for matcher, text in zip(MATCHERS, reports, strict=True):
+        assert text == (GOLDEN / f"{matcher}.report.json").read_text(encoding="utf-8"), matcher
 
 
 @pytest.mark.parametrize("matcher", MATCHERS)

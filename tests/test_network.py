@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import collection_doc, op, param
-from wsdepnet.community import modularity, walktrap
+from wsdepnet.community import walktrap
 from wsdepnet.errors import CollectionError, DegenerateAnalysisError
 from wsdepnet.matching import MatcherKind
 from wsdepnet.model import collection_from_dict
@@ -273,7 +273,7 @@ def test_cached_adjacency_matches_links_and_survives_analysis(num_nodes, edges):
     with contextlib.suppress(DegenerateAnalysisError):
         degree_correlation(giant)
     with contextlib.suppress(DegenerateAnalysisError):
-        modularity(giant, walktrap(giant).partition.assignment)
+        walktrap(giant)
     for net in (n, giant):
         assert _adjacency(net) == _adjacency_oracle(net)
 

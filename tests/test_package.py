@@ -15,15 +15,15 @@ DependencyNetwork DistanceStats DuplicateIdError ERBaseline Link MatcherKind Met
 ParameterInstance PowerLawFit Role SchemaError Service ServiceCollection UnsupportedConstructError WalktrapResult
 analyze build_archetypes build_network collection_from_dict collection_stats compare components
 degree_correlation degree_stats distances er_baseline export fit_power_law giant_subnetwork instance_key
-load_canonical load_network load_sawsdl modularity network_from_edges network_summary new_collection
+load_canonical load_network load_sawsdl network_from_edges network_summary new_collection
 report_from_json report_to_json save_network select_xmin transitivity walktrap write_canonical
 """.split()
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_all_lists_the_same_52_names():
-    assert len(EXPORTS) == 52
+def test_all_lists_the_same_51_names():
+    assert len(EXPORTS) == 51
     assert wsdepnet.__all__ == EXPORTS
 
 
