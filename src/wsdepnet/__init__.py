@@ -25,7 +25,7 @@ _SOURCES = {
             "load_canonical new_collection write_canonical"
         ),
         "network": (
-            "DependencyNetwork Link build_network export load_network network_from_edges network_summary save_network"
+            "DependencyNetwork build_network export load_network network_from_edges network_summary save_network"
         ),
         "community": "CommunityPartition WalktrapResult walktrap",
         "powerlaw": "PowerLawFit fit_power_law select_xmin",

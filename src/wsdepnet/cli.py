@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: extract, analyze, compare, communities, degree-dist, export.
-Exit codes: 0 success, 1 usage error, 2 input/parse error, 3 degenerate
-analysis (metric undefined on the given network).
+Exit codes: 0 success, 1 usage error, 2 input/parse error or an output
+path that cannot be written, 3 degenerate analysis (metric undefined on
+the given network).
 
 The analysis modules are imported by the commands that use them, so extract
 and export start without loading numpy.
@@ -11,6 +12,7 @@ and export start without loading numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -49,11 +51,24 @@ _WALK_LENGTH = _int_where(lambda v: v >= 1, "t must be >= 1")
 _SEED = _int_where(lambda v: v >= 0, "seed must be >= 0")
 
 
+class _OutputError(Exception):
+    """An output path that the operating system refused to write."""
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    try:
+        yield
+    except OSError as exc:
+        raise _OutputError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from None
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with _writing(out):
+            Path(out).write_text(text, encoding="utf-8")
 
 
 def _cmd_extract(args) -> int:
@@ -62,7 +77,8 @@ def _cmd_extract(args) -> int:
     else:
         collection = load_sawsdl(args.collection)
     network = build_network(collection, MatcherKind(args.matcher), casefold=args.casefold)
-    save_network(network, args.out)
+    with _writing(args.out):
+        save_network(network, args.out)
     print(
         f"extracted {network.node_count} nodes, {network.link_count} links "
         f"({network.self_loop_count} self-loops suppressed) -> {args.out}"
@@ -109,7 +125,8 @@ def _cmd_communities(args) -> int:
     result = walktrap(giant, t=args.t)
     _write_output(partition_csv(giant, result.partition), args.out)
     if args.dendrogram:
-        Path(args.dendrogram).write_text(dendrogram_csv(result.merges), encoding="utf-8")
+        with _writing(args.dendrogram):
+            Path(args.dendrogram).write_text(dendrogram_csv(result.merges), encoding="utf-8")
     print(
         f"communities={result.partition.community_count} "
         f"modularity={result.partition.modularity:.4f} t={args.t}",
@@ -210,6 +227,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"wsdepnet: input error: {exc}", file=sys.stderr)
+        return 2
+    except _OutputError as exc:
+        print(f"wsdepnet: output error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"wsdepnet: error: {exc}", file=sys.stderr)

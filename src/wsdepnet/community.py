@@ -315,8 +315,8 @@ def partition_csv(n: DependencyNetwork, partition: CommunityPartition) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["node_id", "label", "community_id"])
-    for node in n.nodes:
-        writer.writerow([node.id, node.label, partition.assignment[node.id]])
+    for i, node in enumerate(n.nodes):
+        writer.writerow([i, node.label, partition.assignment[i]])
     return buffer.getvalue()
 
 

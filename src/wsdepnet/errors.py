@@ -29,3 +29,6 @@ class DegenerateAnalysisError(Exception):
         super().__init__(f"{metric}: {reason}")
         self.metric = metric
         self.reason = reason
+
+    def __reduce__(self):  # a stage's error crosses the helper's pipe pickled
+        return type(self), (self.metric, self.reason)

@@ -22,9 +22,9 @@ class MatcherKind(enum.Enum):
 
 @dataclass(slots=True)
 class Archetype:
-    """An equivalence class of parameter instances; one node of the network."""
+    """An equivalence class of parameter instances; one node of the network,
+    whose id is its index in the network's `nodes`."""
 
-    id: int
     label: str
     key: str
     members: list[ParameterInstance] = field(default_factory=list)
@@ -54,25 +54,24 @@ def build_archetypes(
 ) -> tuple[list[Archetype], dict[int, int]]:
     """Collapse all instances of a collection into archetypes.
 
-    Returns the archetype list (ids dense, in order of first appearance in
-    the canonical traversal) and a map from instance identity (builtin id)
-    to archetype id. Instances whose key is absent fall back to singleton
-    archetypes keyed by a unique sentinel.
+    Returns the archetype list, in order of first appearance in the
+    canonical traversal, and a map from instance identity (builtin id) to
+    archetype id, its index in that list. Instances whose key is absent fall
+    back to singleton archetypes keyed by a unique sentinel.
     """
     archetypes: list[Archetype] = []
-    by_key: dict[str, Archetype] = {}
+    by_key: dict[str, int] = {}
     instance_map: dict[int, int] = {}
     for index, inst in enumerate(c.iter_instances()):
         key = instance_key(kind, inst, casefold=casefold)
         if key is None:
             key = f"<unannotated:{index}>"
-        arch = by_key.get(key)
-        if arch is None:
-            arch = Archetype(id=len(archetypes), label="", key=key)
-            by_key[key] = arch
-            archetypes.append(arch)
-        arch.members.append(inst)
-        instance_map[id(inst)] = arch.id
+        arch_id = by_key.get(key)
+        if arch_id is None:
+            arch_id = by_key[key] = len(archetypes)
+            archetypes.append(Archetype(label="", key=key))
+        archetypes[arch_id].members.append(inst)
+        instance_map[id(inst)] = arch_id
     for arch in archetypes:
         arch.label = _label_for(arch.members)
     return archetypes, instance_map

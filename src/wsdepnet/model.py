@@ -12,6 +12,7 @@ import enum
 import functools
 import gc
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -131,6 +132,10 @@ def new_collection(services: list[Service], source_format: SourceFormat) -> Serv
     return collection
 
 
+# code points outside XML 1.0's Char production; a name becomes a GraphML node label
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def validate_collection(c: ServiceCollection) -> None:
     """Check the structural invariants; raise CollectionError on violation."""
     seen_service_ids: set[str] = set()
@@ -151,6 +156,9 @@ def validate_collection(c: ServiceCollection) -> None:
                 for inst in instances:
                     if not inst.name or not inst.name.strip():
                         raise SchemaError(f"operation {op.id!r}: parameter with empty name")
+                    if bad := _NOT_XML_CHAR.search(inst.name):
+                        raise SchemaError(f"operation {op.id!r}: parameter {inst.name!r} holds "
+                                          f"U+{ord(bad.group()):04X}, which XML 1.0 cannot carry")
                     if inst.role is not role:
                         raise SchemaError(f"operation {op.id!r}: parameter {inst.name!r} has wrong role {inst.role!r}")
                     if inst.concept is not None and not inst.concept.strip():

@@ -1,17 +1,18 @@
 """Directed parameter dependency networks: construction and serialization.
 
-A link src -> dst means some operation consumes a member of archetype src
-as an input and yields a member of archetype dst as an output. The graph
-is simple: parallel dependencies accumulate in one link, whose weight is
-the number of its witnesses (an operation id per dependency), and
-self-dependencies are suppressed (counted, not stored), since all the
-downstream metrics assume a loop-free unweighted graph.
+A node's id is its index in `nodes`. A link src -> dst means some operation
+consumes a member of archetype src as an input and yields a member of
+archetype dst as an output. The graph is simple: parallel dependencies
+accumulate in one link, the list of its witnesses (an operation id per
+dependency), whose length is its weight; self-dependencies are suppressed
+(counted, not stored), since all the downstream metrics assume a loop-free
+unweighted graph.
 
-A network is built once and never changed, so its adjacency lists are
-derived from the links on first read and cached. save_network writes a
-GraphML file and a JSON sidecar; load_network builds the network from the
-sidecar and requires the GraphML file to be the bytes save_network writes
-for it.
+A network is built once and never changed. Its links are held in (source,
+target) order, and its adjacency lists are derived from them on first read
+and cached. save_network writes a GraphML file and a JSON sidecar;
+load_network builds the network from the sidecar and requires the GraphML
+file to be the bytes save_network writes for it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import functools
 import json
 import os
 from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
 
 from .errors import CollectionError
@@ -27,28 +29,21 @@ from .matching import Archetype, MatcherKind, build_archetypes
 from .model import ParameterInstance, Role, ServiceCollection, nogc
 
 
-@dataclass(slots=True)
-class Link:
-    """The operations that witness a link, one entry per (input, output)
-    instance pair; the weight is their count."""
-
-    witness_operations: list[str]
-
-    @property
-    def weight(self) -> int:
-        return len(self.witness_operations)
-
-
 @dataclass
 class DependencyNetwork:
     """Built once: no code changes `nodes` or `links` after construction, so
     the adjacency lists below are built on first read and shared by every
-    metric, which must not change them either."""
+    metric, which must not change them either. `links` maps (source, target)
+    to the witness operations, put in (source, target) order on construction."""
 
     nodes: list[Archetype]
-    links: dict[tuple[int, int], Link]
+    links: dict[tuple[int, int], list[str]]
     matcher: MatcherKind
     self_loop_count: int = 0
+
+    def __post_init__(self):
+        if not all(a < b for a, b in pairwise(self.links)):
+            self.links = dict(sorted(self.links.items()))
 
     @property
     def node_count(self) -> int:
@@ -58,14 +53,11 @@ class DependencyNetwork:
     def link_count(self) -> int:
         return len(self.links)
 
-    def sorted_links(self) -> list[tuple[int, int]]:
-        return sorted(self.links)
-
     @functools.cached_property
     def successors(self) -> list[list[int]]:
         """Link targets of each node, ascending."""
         adj: list[list[int]] = [[] for _ in self.nodes]
-        for src, dst in self.sorted_links():
+        for src, dst in self.links:
             adj[src].append(dst)
         return adj
 
@@ -96,17 +88,13 @@ class NetworkSummary:
 def _accumulate(nodes: list[Archetype], matcher: MatcherKind, dependencies) -> DependencyNetwork:
     """A network from (src, dst, witness) dependencies: parallel ones add to
     one link's witnesses, self-dependencies are only counted."""
-    links: dict[tuple[int, int], Link] = {}
+    links: dict[tuple[int, int], list[str]] = {}
     self_loops = 0
     for src, dst, witness in dependencies:
         if src == dst:
             self_loops += 1
             continue
-        link = links.get((src, dst))
-        if link is None:
-            links[(src, dst)] = Link([witness])
-        else:
-            link.witness_operations.append(witness)
+        links.setdefault((src, dst), []).append(witness)
     return DependencyNetwork(nodes=nodes, links=links, matcher=matcher, self_loop_count=self_loops)
 
 
@@ -149,7 +137,7 @@ def network_from_edges(
     for i in range(num_nodes):
         label = labels[i] if labels else f"n{i}"
         inst = ParameterInstance(name=label, role=Role.INPUT, operation_id="synthetic")
-        nodes.append(Archetype(id=i, label=label, key=label, members=[inst]))
+        nodes.append(Archetype(label=label, key=label, members=[inst]))
     return _accumulate(nodes, matcher, ((src, dst, "synthetic") for src, dst in edges))
 
 
@@ -160,7 +148,7 @@ GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 
 def to_edgelist(n: DependencyNetwork) -> str:
     """TSV `source<TAB>target<TAB>weight`, sorted by (source, target)."""
-    lines = [f"{src}\t{dst}\t{n.links[(src, dst)].weight}" for src, dst in n.sorted_links()]
+    lines = [f"{src}\t{dst}\t{len(ops)}" for (src, dst), ops in n.links.items()]
     return "".join(line + "\n" for line in lines)
 
 
@@ -178,17 +166,17 @@ def to_graphml(n: DependencyNetwork) -> str:
         '  <key id="weight" for="edge" attr.name="weight" attr.type="int"/>\n',
         '  <graph id="G" edgedefault="directed">\n',
     ]
-    for node in n.nodes:
+    for i, node in enumerate(n.nodes):
         out.append(
-            f'    <node id="n{node.id}">'
+            f'    <node id="n{i}">'
             f'<data key="label">{_xml_escape(node.label)}</data>'
             f'<data key="instance_count">{node.instance_count}</data>'
             "</node>\n"
         )
-    for src, dst in n.sorted_links():
+    for (src, dst), ops in n.links.items():
         out.append(
             f'    <edge source="n{src}" target="n{dst}">'
-            f'<data key="weight">{n.links[(src, dst)].weight}</data>'
+            f'<data key="weight">{len(ops)}</data>'
             "</edge>\n"
         )
     out.append("  </graph>\n</graphml>\n")
@@ -201,10 +189,10 @@ def _dot_quote(text: str) -> str:
 
 def to_dot(n: DependencyNetwork) -> str:
     out = ["digraph dependencies {\n"]
-    for node in n.nodes:
-        out.append(f"  n{node.id} [label={_dot_quote(node.label)}];\n")
-    for src, dst in n.sorted_links():
-        out.append(f"  n{src} -> n{dst} [weight={n.links[(src, dst)].weight}];\n")
+    for i, node in enumerate(n.nodes):
+        out.append(f"  n{i} [label={_dot_quote(node.label)}];\n")
+    for (src, dst), ops in n.links.items():
+        out.append(f"  n{src} -> n{dst} [weight={len(ops)}];\n")
     out.append("}\n")
     return "".join(out)
 
@@ -238,7 +226,7 @@ def save_network(n: DependencyNetwork, path: str | Path) -> None:
         "self_loop_count": n.self_loop_count,
         "archetypes": [
             {
-                "id": node.id,
+                "id": i,
                 "key": node.key,
                 "label": node.label,
                 "members": [
@@ -252,12 +240,9 @@ def save_network(n: DependencyNetwork, path: str | Path) -> None:
                     for inst in node.members
                 ],
             }
-            for node in n.nodes
+            for i, node in enumerate(n.nodes)
         ],
-        "links": [
-            {"source": src, "target": dst, "witnesses": n.links[(src, dst)].witness_operations}
-            for src, dst in n.sorted_links()
-        ],
+        "links": [{"source": src, "target": dst, "witnesses": ops} for (src, dst), ops in n.links.items()],
     }
     sidecar_path(path).write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -326,14 +311,13 @@ def load_network(path: str | Path) -> DependencyNetwork:
                 raise ValueError("label and key must be strings")
             if type(id_) is not int:
                 raise ValueError(f"id must be an integer, got {id_!r}")
-            nodes.append(Archetype(id=id_, label=label, key=key, members=members))
+            if id_ != index:
+                raise ValueError(f"id {id_} is not its position {index}")
+            nodes.append(Archetype(label=label, key=key, members=members))
         index = None
-        nodes.sort(key=lambda a: a.id)
         node_count = len(nodes)
-        if [a.id for a in nodes] != list(range(node_count)):
-            raise ValueError("ids are not dense")
         where = "links"
-        links: dict[tuple[int, int], Link] = {}
+        links: dict[tuple[int, int], list[str]] = {}
         for index, entry in enumerate(meta["links"]):
             src, dst = pair = (entry["source"], entry["target"])
             if type(src) is not int or type(dst) is not int:
@@ -347,7 +331,7 @@ def load_network(path: str | Path) -> DependencyNetwork:
                 raise ValueError("witnesses must be a list of strings")
             if not ops:
                 raise ValueError("witnesses must not be empty: a link's weight is its witness count")
-            links[pair] = Link(ops)
+            links[pair] = ops
     except KeyError as exc:
         raise CollectionError(f"{meta_path}: {_entry(where, index)}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -129,10 +129,12 @@ def _run_stages(stages: list[Callable[[], object]]) -> list[object]:
     process takes index 0 first, and then, where `os.fork` exists and a
     second CPU is usable, one forked helper process and this one each take
     the next index until none is left; otherwise this process drains the
-    queue alone. The helper sends back its {index: result} pickled through
-    a second pipe. A helper that fails, or sends anything else, raises
-    RuntimeError naming its exit status and the bytes it sent; a stage that
-    raises here kills and reaps the helper first.
+    queue alone. The helper sends back its {index: result}, or the
+    exception one of its stages raised, pickled through a second pipe; this
+    process reaps the helper and raises that exception. A helper that
+    fails, or sends anything else, raises RuntimeError naming its exit
+    status and the bytes it sent; a stage that raises here kills and reaps
+    the helper first.
     """
     if len(stages) > _QUEUE_SLOTS:
         raise ValueError(f"at most {_QUEUE_SLOTS} stages fit in the queue, got {len(stages)}")
@@ -166,8 +168,12 @@ def _drain_beside_helper(stages: list[Callable[[], object]], queue: int, claimed
         status = 1
         try:
             os.close(back)
+            try:
+                payload = _drain(stages, queue, os.read(queue, 4))
+            except Exception as exc:
+                payload = exc
             with os.fdopen(send, "wb") as pipe:
-                pipe.write(pickle.dumps(_drain(stages, queue, os.read(queue, 4))))
+                pipe.write(pickle.dumps(payload))
             status = 0
         finally:
             os._exit(status)
@@ -189,8 +195,10 @@ def _drain_beside_helper(stages: list[Callable[[], object]], queue: int, claimed
     if code == 0:
         try:
             theirs = pickle.loads(data)
-        except (pickle.UnpicklingError, EOFError):
+        except Exception:  # a truncated pickle, or an exception that cannot be rebuilt
             pass
+    if isinstance(theirs, Exception):
+        raise theirs
     if not isinstance(theirs, dict) or sorted([*results, *theirs]) != list(range(len(stages))):
         raise RuntimeError(
             f"analyze: helper process ended with exit status {code} after sending {len(data)} bytes"
@@ -237,7 +245,8 @@ def analyze_with_communities(
     stage draws from its own seeded RNG stream and results are merged by
     stage index, so the report does not depend on which process ran what.
     The helper's memory and CPU time show in `resource.RUSAGE_CHILDREN`,
-    not in `RUSAGE_SELF`. If the helper fails, this raises RuntimeError.
+    not in `RUSAGE_SELF`. A stage raises its exception in whichever process
+    ran it; if the helper itself fails, this raises RuntimeError.
     The CDF table that the bootstrap draws through (`powerlaw.drop_table`)
     is freed before this returns, so it does not outlive the call.
     """

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAnalysisError
-from .matching import Archetype
 from .network import DependencyNetwork
 
 Adjacency = list[list[int]]
@@ -138,7 +137,8 @@ def components(n: DependencyNetwork) -> list[list[int]]:
 
 
 def giant_subnetwork(n: DependencyNetwork) -> tuple[DependencyNetwork, dict[int, int]]:
-    """Induced subgraph on the giant component, ids re-densified.
+    """Induced subgraph on the giant component: its nodes in id order, so
+    they are renumbered from 0, sharing their archetypes and witness lists.
 
     Returns the subnetwork and the old-id -> new-id translation map.
     """
@@ -146,17 +146,13 @@ def giant_subnetwork(n: DependencyNetwork) -> tuple[DependencyNetwork, dict[int,
         raise DegenerateAnalysisError("giant-component", "empty network")
     giant = components(n)[0]
     id_map = {old: new for new, old in enumerate(giant)}
-    nodes = [
-        Archetype(id=id_map[old], label=n.nodes[old].label, key=n.nodes[old].key, members=n.nodes[old].members)
-        for old in giant
-    ]
     links = {
-        (id_map[src], id_map[dst]): link
-        for (src, dst), link in n.links.items()
+        (id_map[src], id_map[dst]): ops
+        for (src, dst), ops in n.links.items()
         if src in id_map and dst in id_map
     }
-    sub = DependencyNetwork(nodes=nodes, links=links, matcher=n.matcher, self_loop_count=0)
-    return sub, id_map
+    nodes = [n.nodes[old] for old in giant]
+    return DependencyNetwork(nodes=nodes, links=links, matcher=n.matcher, self_loop_count=0), id_map
 
 
 @dataclass

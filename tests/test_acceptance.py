@@ -53,7 +53,7 @@ def _net(num_nodes, edges):
 
 def test_criterion_1_k2_reproduction(k2_collection):
     n = build_network(k2_collection, MatcherKind.SYNTACTIC_EQUAL)
-    labels = {a.id: a.label for a in n.nodes}
+    labels = [a.label for a in n.nodes]
     links = sorted((labels[s], labels[d]) for s, d in n.links)
     expected = sorted(
         [("a", "c"), ("a", "d"), ("a", "e"), ("b", "c"), ("b", "d"), ("b", "e")]

@@ -303,6 +303,37 @@ def test_over_long_input_path_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["export", "{net}", "--out", "{out}"],
+    ["extract", "--collection", "{collection}", "--matcher", "syntactic-equal", "--out", "{out}"],
+    ["communities", "{net}", "--dendrogram", "{out}"],
+    ["analyze", "{net}", *FAST_ANALYZE, "--out", "{out}"],
+    ["compare", "{report}", "{report}", "--out", "{out}"],
+    ["degree-dist", "{net}", "--out", "{out}"],
+], ids=["export", "extract", "communities-dendrogram", "analyze", "compare", "degree-dist"])
+@pytest.mark.parametrize("failure", ["not-a-directory", "disk-full"])
+def test_unwritable_output_exits_2_naming_it(tmp_path, k2_net, write_collection, k2_doc, monkeypatch, capsys,
+                                             argv, failure):
+    report = tmp_path / "k2.report.json"
+    assert main(["analyze", str(k2_net), *FAST_ANALYZE, "--out", str(report)]) == 0
+    paths = {"net": k2_net, "collection": write_collection(k2_doc), "report": report}
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out = tmp_path / "file" / "out"  # below a regular file: ENOTDIR on open
+    if failure == "disk-full":
+        out = tmp_path / "out"
+
+        def full(self, *_args, **_kwargs):  # ENOSPC at close, where no file name is attached
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full)
+    capsys.readouterr()
+    assert main([arg.format(out=out, **paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    reason = "Not a directory" if failure == "not-a-directory" else "No space left on device"
+    assert err.endswith(f"wsdepnet: output error: cannot write {out}: {reason}\n")
+
+
 def test_malformed_collection_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -523,6 +554,8 @@ NETWORK_MUTATIONS = {
                            "archetypes[0]: member type and concept must be strings or null, got 3,"),
     "member-concept-object": (_set_member("concept", {}), None, "meta.json",
                               "archetypes[0]: member type and concept must be strings or null"),
+    "archetypes-permuted": (_edited(lambda m: m["archetypes"].insert(0, m["archetypes"].pop(1))), None,
+                            "meta.json", "archetypes[0]: id 1 is not its position 0"),
     "archetype-id-bool": (_edited(lambda m: m["archetypes"][0].update(id=False)), None, "meta.json",
                           "archetypes[0]: id must be an integer, got False"),
     "link-source-float": (_edited(lambda m: m["links"][0].update(source=0.0)), None, "meta.json",

@@ -92,11 +92,20 @@ def test_missing_file_is_collection_error(tmp_path):
         ({"services": [{"name": "s", "operations": None}]}, r"services\[0\].operations: expected list"),
         (collection_doc({"name": "o", "inputs": 7}), r"operations\[0\].inputs: expected list"),
         (collection_doc({"name": "o", "outputs": {}}), r"operations\[0\].outputs: expected list"),
+        (collection_doc(op("o", [param("a\x01b")], [])), r"'a\\x01b' holds U\+0001, which XML 1.0 cannot carry"),
+        (collection_doc(op("o", [], [param("a\ud800")])), r"'a\\ud800' holds U\+D800, which XML 1.0 cannot carry"),
+        (collection_doc(op("o", [param("\uffff")], [])), r"holds U\+FFFF"),
     ],
 )
 def test_schema_violations(doc, fragment):
     with pytest.raises(SchemaError, match=fragment):
         collection_from_dict(doc)
+
+
+def test_names_with_the_control_characters_xml_allows_are_valid():
+    names = ["a\tb", "a\nb", "a\rb", "\ud7ff\ue000\ufffd"]
+    c = collection_from_dict(collection_doc(op("o", [param(name) for name in names], [])))
+    assert [inst.name for inst in c.iter_instances()] == names
 
 
 def test_schema_error_names_json_path():

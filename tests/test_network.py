@@ -14,6 +14,7 @@ from wsdepnet.errors import CollectionError, DegenerateAnalysisError
 from wsdepnet.matching import MatcherKind
 from wsdepnet.model import collection_from_dict
 from wsdepnet.network import (
+    DependencyNetwork,
     build_network,
     export,
     load_network,
@@ -45,7 +46,7 @@ K2_LINKS = sorted(
 
 
 def _labelled_links(n):
-    labels = {a.id: a.label for a in n.nodes}
+    labels = [a.label for a in n.nodes]
     return sorted((labels[s], labels[d]) for s, d in n.links)
 
 
@@ -64,9 +65,7 @@ def test_link_weights_count_operation_pairs():
     )
     n = build_network(collection_from_dict(doc), MatcherKind.SYNTACTIC_EQUAL)
     assert n.link_count == 1
-    link = n.links[(0, 1)]
-    assert link.weight == 2
-    assert link.witness_operations == ["svc0.op0", "svc0.op1"]
+    assert n.links[(0, 1)] == ["svc0.op0", "svc0.op1"]
 
 
 def test_self_loops_suppressed_and_counted():
@@ -103,7 +102,7 @@ def test_matcher_changes_node_identity():
     assert syntactic.link_count == 2
     assert semantic.node_count == 2
     assert semantic.link_count == 1
-    assert semantic.links[(0, 1)].weight == 2
+    assert len(semantic.links[(0, 1)]) == 2
 
 
 def test_edgelist_format():
@@ -152,9 +151,7 @@ def test_save_load_round_trip(tmp_path, k2_collection):
     assert loaded.matcher is n.matcher
     assert loaded.node_count == n.node_count
     assert loaded.self_loop_count == n.self_loop_count
-    assert {k: v.weight for k, v in loaded.links.items()} == {
-        k: v.weight for k, v in n.links.items()
-    }
+    assert {k: len(v) for k, v in loaded.links.items()} == {k: len(v) for k, v in n.links.items()}
     assert [a.label for a in loaded.nodes] == [a.label for a in n.nodes]
     assert [len(a.members) for a in loaded.nodes] == [len(a.members) for a in n.nodes]
     # saving the loaded network reproduces the bytes exactly
@@ -177,9 +174,7 @@ def test_indented_sidecar_loads_and_resaves_as_one_line(tmp_path, k2_collection)
     sidecar_path(indented).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     loaded = load_network(indented)
     assert to_graphml(loaded) == to_graphml(n)
-    assert {k: (v.weight, v.witness_operations) for k, v in loaded.links.items()} == {
-        k: (v.weight, v.witness_operations) for k, v in n.links.items()
-    }
+    assert loaded.links == n.links
     assert [a.members for a in loaded.nodes] == [a.members for a in n.nodes]
     resaved = tmp_path / "resaved.graphml"
     save_network(loaded, resaved)
@@ -213,7 +208,8 @@ def test_load_network_detects_link_disagreement(tmp_path, k2_collection):
 def test_node_ids_follow_first_appearance(k2_collection):
     n = build_network(k2_collection, MatcherKind.SYNTACTIC_EQUAL)
     assert [a.label for a in n.nodes] == ["a", "b", "c", "d", "e", "f"]
-    assert [a.id for a in n.nodes] == list(range(6))
+    nodes = re.findall(r'<node id="n(\d+)"><data key="label">(\w+)<', to_graphml(n))
+    assert nodes == [(str(i), label) for i, label in enumerate("abcdef")]
 
 
 def test_build_is_deterministic(k2_collection):
@@ -221,6 +217,24 @@ def test_build_is_deterministic(k2_collection):
     b = build_network(k2_collection, MatcherKind.SYNTACTIC_EQUAL)
     assert to_graphml(a) == to_graphml(b)
     assert to_edgelist(a) == to_edgelist(b)
+
+
+def test_links_are_put_in_order_once_and_kept_when_already_in_order(k2_collection):
+    n = build_network(k2_collection, MatcherKind.SYNTACTIC_EQUAL)
+    unordered = dict(reversed(n.links.items()))
+    rebuilt = DependencyNetwork(nodes=n.nodes, links=unordered, matcher=n.matcher)
+    assert list(rebuilt.links) == sorted(unordered) and rebuilt.links is not unordered
+    ordered = dict(sorted(unordered.items()))
+    assert DependencyNetwork(nodes=n.nodes, links=ordered, matcher=n.matcher).links is ordered
+
+
+def test_giant_shares_its_archetypes_and_witness_lists():
+    n = network_from_edges(6, [(5, 4), (4, 1), (2, 0), (1, 5)])
+    giant, id_map = giant_subnetwork(n)
+    assert id_map == {1: 0, 4: 1, 5: 2}
+    assert all(giant.nodes[new] is n.nodes[old] for old, new in id_map.items())
+    assert list(giant.links) == [(0, 2), (1, 0), (2, 1)]
+    assert giant.links[(0, 2)] is n.links[(1, 5)]
 
 
 @given(
@@ -234,7 +248,8 @@ def test_network_from_edges_counts(edges):
     distinct = {(u, v) for u, v in edges if u != v}
     assert n.self_loop_count == loops
     assert n.link_count == len(distinct)
-    assert sum(link.weight for link in n.links.values()) == len(edges) - loops
+    assert sum(len(ops) for ops in n.links.values()) == len(edges) - loops
+    assert list(n.links) == sorted(distinct)
 
 
 # -- cached adjacency lists ----------------------------------------------------

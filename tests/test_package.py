@@ -11,7 +11,7 @@ from helpers import fresh_interpreter
 
 EXPORTS = """
 AnalysisConfig Archetype CollectionError CommunityPartition ComparisonReport DegenerateAnalysisError DegreeStats
-DependencyNetwork DistanceStats DuplicateIdError ERBaseline Link MatcherKind MetricsReport Operation
+DependencyNetwork DistanceStats DuplicateIdError ERBaseline MatcherKind MetricsReport Operation
 ParameterInstance PowerLawFit Role SchemaError Service ServiceCollection UnsupportedConstructError WalktrapResult
 analyze build_archetypes build_network collection_from_dict collection_stats compare components
 degree_correlation degree_stats distances er_baseline export fit_power_law giant_subnetwork instance_key
@@ -22,8 +22,8 @@ report_from_json report_to_json save_network select_xmin transitivity walktrap w
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_all_lists_the_same_51_names():
-    assert len(EXPORTS) == 51
+def test_all_lists_the_same_50_names():
+    assert len(EXPORTS) == 50
     assert wsdepnet.__all__ == EXPORTS
 
 

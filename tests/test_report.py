@@ -369,9 +369,31 @@ def test_failed_er_child_fails_analyze_loudly(k2_collection, monkeypatch, cpus, 
     monkeypatch.setattr("wsdepnet.report.walktrap", walktrap_after_the_helper)
     monkeypatch.setattr("wsdepnet.report.er_baseline", child)
     cpus(2)
-    with pytest.raises(RuntimeError, match=f"^analyze: helper process ended with exit status {status} "):
+    if child is _raise_key_error:  # an exception the helper could send back is raised here
+        expected = pytest.raises(KeyError, match="not a ValueError")
+    else:
+        expected = pytest.raises(RuntimeError, match=f"^analyze: helper process ended with exit status {status} ")
+    with expected:
         analyze(net, FAST)
     assert len(forks) == 1
+
+
+@pytest.mark.parametrize("error", [MemoryError("no room"), DegenerateAnalysisError("average-distance", "no path")])
+def test_a_stage_failing_in_the_helper_raises_its_own_exception(cpus, forks, deadline, error):
+    def after_the_helper():
+        # holds this process until the helper has ended, so the helper alone takes stage 1
+        os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+
+    def bad():
+        raise error
+
+    cpus(2)
+    with pytest.raises(type(error)) as raised:
+        _run_stages([after_the_helper, bad])
+    assert str(raised.value) == str(error)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_failing_stage_reaps_the_er_child(k2_collection, monkeypatch, cpus, forks, deadline):

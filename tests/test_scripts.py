@@ -195,3 +195,28 @@ def test_same_outputs_runs_communities_on_every_analyzed_network(tmp_path, monke
     partition, dendrogram = op.outputs
     assert partition.read_text().startswith("node_id,label,community_id\n")
     assert len(dendrogram.read_text().splitlines()) == sizes["nodes"]  # header + n - 1 merges
+
+
+@pytest.mark.parametrize("name", ["paper-pair", "scale-10x", "corpus-extract"])
+def test_each_workloads_traced_pass_writes_the_cli_bytes(tmp_path, monkeypatch, capsys, name):
+    # the traced pass calls the library as the CLI does and replays analyze stage by stage
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from tracer import Tracer
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS[name]
+    sizes = workload.profiles["smoke"]
+    (tmp_path / "input").mkdir()
+    inputs = workload.generate(tmp_path / "input", 0, sizes)
+    traced, timed = tmp_path / "traced", tmp_path / "timed"
+    traced.mkdir()
+    timed.mkdir()
+    tracer = Tracer(trace_id=name)
+    analyses = workload.traced_pass(tracer, inputs, traced, sizes)
+    assert len(analyses) == {"paper-pair": 2, "scale-10x": 1, "corpus-extract": 0}[name]
+    assert all(span["end"] is not None for span in tracer.spans)
+    for op in workload.operations(inputs, timed, sizes):
+        assert cli(op.argv) == 0, op.name
+        for path in op.outputs:
+            assert (traced / path.name).read_bytes() == path.read_bytes(), path.name
+    capsys.readouterr()
