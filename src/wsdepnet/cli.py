@@ -123,10 +123,10 @@ def _cmd_communities(args) -> int:
     network = load_network(args.net_file)
     giant, _ = giant_subnetwork(network)
     result = walktrap(giant, t=args.t)
-    _write_output(partition_csv(giant, result.partition), args.out)
-    if args.dendrogram:
+    if args.dendrogram:  # first, so a dendrogram that cannot be written leaves no partition
         with _writing(args.dendrogram):
             Path(args.dendrogram).write_text(dendrogram_csv(result.merges), encoding="utf-8")
+    _write_output(partition_csv(giant, result.partition), args.out)
     print(
         f"communities={result.partition.community_count} "
         f"modularity={result.partition.modularity:.4f} t={args.t}",

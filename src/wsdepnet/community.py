@@ -9,6 +9,9 @@ adjacent pair whose fusion least increases the mean squared
 node-to-community distance, Delta-sigma. The reported partition is the
 dendrogram cut with maximum modularity, whose Q is the cut's exact key
 4m^2 Q = 4m (intra-community links) - sum_c d_c^2 divided by 4m^2.
+A result holds the merges, in order (the merge at index k forms
+community n + k), and the modularity of every cut; its partition is
+derived from them on first read.
 
 Walktrap never forms those rows. With P = D^-1 A and W = P^t D^-1/2, the
 Gram matrix G = W W^T equals P^2t D^-1 (as D P = P^T D), which 2t - 1
@@ -41,6 +44,7 @@ steps.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import chain
 
@@ -60,12 +64,10 @@ class CommunityPartition:
     assignment: dict[int, int]
     community_count: int
     modularity: float
-    walktrap_t: int
 
 
 @dataclass
 class MergeStep:
-    step: int
     community_a: int
     community_b: int
     delta_sigma: float
@@ -73,10 +75,15 @@ class MergeStep:
 
 @dataclass
 class WalktrapResult:
-    partition: CommunityPartition
     merges: list[MergeStep]
     cut_modularities: list[float]  # modularity after 0..n-1 merges
     best_cut: int
+
+    @functools.cached_property
+    def partition(self) -> CommunityPartition:
+        """The cut after `best_cut` merges."""
+        assignment = self.assignment_at_cut(self.best_cut)
+        return CommunityPartition(assignment, len(set(assignment.values())), self.cut_modularities[self.best_cut])
 
     def assignment_at_cut(self, cut: int) -> dict[int, int]:
         """Node -> community ids (dense, by smallest member) after `cut` merges."""
@@ -89,9 +96,7 @@ class WalktrapResult:
                 x = parent[x]
             return x
 
-        for step in range(cut):
-            merge = self.merges[step]
-            new_id = n + step
+        for new_id, merge in enumerate(self.merges[:cut], n):
             parent[find(merge.community_a)] = new_id
             parent[find(merge.community_b)] = new_id
         roots: dict[int, int] = {}
@@ -267,7 +272,7 @@ def walktrap(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
         degree_squares += 2 * degrees[keep] * degrees[drop]
         degrees[keep] += degrees[drop]
         cut_keys.append(4 * m * intra - degree_squares)
-        merges.append(MergeStep(step=step, community_a=a, community_b=b, delta_sigma=d))
+        merges.append(MergeStep(community_a=a, community_b=b, delta_sigma=d))
         if not kept:
             break
 
@@ -291,20 +296,11 @@ def walktrap(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
             best[y_ids[closer]] = d_c[closer]
             partner[y_ids[closer]] = keep
 
-    result = WalktrapResult(
-        partition=CommunityPartition(assignment={}, community_count=0, modularity=0.0, walktrap_t=t),
+    return WalktrapResult(
         merges=merges,
         cut_modularities=[key / (4 * m * m) for key in cut_keys],
         best_cut=max(range(len(cut_keys)), key=lambda k: (cut_keys[k], -k)),
     )
-    assignment = result.assignment_at_cut(result.best_cut)
-    result.partition = CommunityPartition(
-        assignment=assignment,
-        community_count=len(set(assignment.values())),
-        modularity=result.cut_modularities[result.best_cut],
-        walktrap_t=t,
-    )
-    return result
 
 
 def partition_csv(n: DependencyNetwork, partition: CommunityPartition) -> str:
@@ -322,6 +318,6 @@ def partition_csv(n: DependencyNetwork, partition: CommunityPartition) -> str:
 
 def dendrogram_csv(merges: list[MergeStep]) -> str:
     lines = ["step,community_a,community_b,delta_sigma\n"]
-    for merge in merges:
-        lines.append(f"{merge.step},{merge.community_a},{merge.community_b},{merge.delta_sigma!r}\n")
+    for step, merge in enumerate(merges):
+        lines.append(f"{step},{merge.community_a},{merge.community_b},{merge.delta_sigma!r}\n")
     return "".join(lines)

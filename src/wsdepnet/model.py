@@ -75,7 +75,6 @@ class Operation:
     """
 
     id: str
-    service_id: str
     name: str
     inputs: list[ParameterInstance] = field(default_factory=list)
     outputs: list[ParameterInstance] = field(default_factory=list)
@@ -93,15 +92,9 @@ class Service:
     operations: list[Operation] = field(default_factory=list)
 
 
-class SourceFormat(enum.Enum):
-    CANONICAL = "canonical"
-    SAWSDL = "sawsdl"
-
-
 @dataclass
 class ServiceCollection:
     services: list[Service]
-    source_format: SourceFormat
     instance_count: int
 
     def iter_instances(self) -> Iterator[ParameterInstance]:
@@ -124,10 +117,10 @@ class CollectionStats:
     distinct_concepts: int
 
 
-def new_collection(services: list[Service], source_format: SourceFormat) -> ServiceCollection:
+def new_collection(services: list[Service]) -> ServiceCollection:
     """Assemble and validate a collection, computing its instance count."""
     count = sum(len(op.inputs) + len(op.outputs) for s in services for op in s.operations)
-    collection = ServiceCollection(services=services, source_format=source_format, instance_count=count)
+    collection = ServiceCollection(services=services, instance_count=count)
     validate_collection(collection)
     return collection
 
@@ -150,8 +143,6 @@ def validate_collection(c: ServiceCollection) -> None:
             if op.id in seen_operation_ids or op.id in seen_service_ids:
                 raise DuplicateIdError(f"duplicate operation id {op.id!r}")
             seen_operation_ids.add(op.id)
-            if op.service_id != service.id:
-                raise SchemaError(f"operation {op.id!r}: service_id {op.service_id!r} != {service.id!r}")
             for role, instances in ((Role.INPUT, op.inputs), (Role.OUTPUT, op.outputs)):
                 for inst in instances:
                     if not inst.name or not inst.name.strip():
@@ -270,7 +261,6 @@ def collection_from_dict(doc) -> ServiceCollection:
             operations.append(
                 Operation(
                     id=op_id,
-                    service_id=service_id,
                     name=_require_str(oobj["name"], f"{owhere}.name"),
                     inputs=inputs,
                     outputs=outputs,
@@ -284,7 +274,7 @@ def collection_from_dict(doc) -> ServiceCollection:
                 operations=operations,
             )
         )
-    return new_collection(services, SourceFormat.CANONICAL)
+    return new_collection(services)
 
 
 def collection_to_dict(c: ServiceCollection) -> dict:

@@ -9,10 +9,11 @@ dependency), whose length is its weight; self-dependencies are suppressed
 unweighted graph.
 
 A network is built once and never changed. Its links are held in (source,
-target) order, and its adjacency lists are derived from them on first read
-and cached. save_network writes a GraphML file and a JSON sidecar;
-load_network builds the network from the sidecar and requires the GraphML
-file to be the bytes save_network writes for it.
+target) order, and the one adjacency derived from them, each node's
+undirected neighbours, is built on first read and cached. save_network
+writes a GraphML file and a JSON sidecar; load_network builds the network
+from the sidecar and requires the GraphML file to be the bytes
+save_network writes for it.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from .model import ParameterInstance, Role, ServiceCollection, nogc
 @dataclass
 class DependencyNetwork:
     """Built once: no code changes `nodes` or `links` after construction, so
-    the adjacency lists below are built on first read and shared by every
-    metric, which must not change them either. `links` maps (source, target)
-    to the witness operations, put in (source, target) order on construction."""
+    `neighbors` below is built on first read and shared by every metric,
+    which must not change it either. `links` maps (source, target) to the
+    witness operations, put in (source, target) order on construction."""
 
     nodes: list[Archetype]
     links: dict[tuple[int, int], list[str]]
@@ -54,35 +55,19 @@ class DependencyNetwork:
         return len(self.links)
 
     @functools.cached_property
-    def successors(self) -> list[list[int]]:
-        """Link targets of each node, ascending."""
-        adj: list[list[int]] = [[] for _ in self.nodes]
-        for src, dst in self.links:
-            adj[src].append(dst)
-        return adj
-
-    @functools.cached_property
-    def predecessors(self) -> list[list[int]]:
-        """Link sources of each node, ascending."""
-        adj: list[list[int]] = [[] for _ in self.nodes]
-        for src, targets in enumerate(self.successors):
-            for dst in targets:
-                adj[dst].append(src)
-        return adj
-
-    @functools.cached_property
     def neighbors(self) -> list[list[int]]:
         """The simple undirected projection: neighbours of each node, ascending."""
-        return [sorted({*out, *into}) for out, into in zip(self.successors, self.predecessors)]
+        ends: list[set[int]] = [set() for _ in self.nodes]
+        for src, dst in self.links:
+            ends[src].add(dst)
+            ends[dst].add(src)
+        return [sorted(around) for around in ends]
 
 
 @dataclass
 class NetworkSummary:
-    nodes: int
-    links: int
     isolated_nodes: int
     isolated_fraction: float
-    self_loop_count: int
 
 
 def _accumulate(nodes: list[Archetype], matcher: MatcherKind, dependencies) -> DependencyNetwork:
@@ -117,13 +102,7 @@ def build_network(
 
 def network_summary(n: DependencyNetwork) -> NetworkSummary:
     isolated = sum(1 for neighbors in n.neighbors if not neighbors)
-    return NetworkSummary(
-        nodes=n.node_count,
-        links=n.link_count,
-        isolated_nodes=isolated,
-        isolated_fraction=isolated / n.node_count if n.node_count else 0.0,
-        self_loop_count=n.self_loop_count,
-    )
+    return NetworkSummary(isolated_nodes=isolated, isolated_fraction=isolated / n.node_count if n.node_count else 0.0)
 
 
 def network_from_edges(

@@ -306,11 +306,11 @@ def analyze_with_communities(
     return MetricsReport(
         label=label,
         matcher=n.matcher.value,
-        network_nodes=summary.nodes,
-        network_links=summary.links,
+        network_nodes=n.node_count,
+        network_links=n.link_count,
         isolated_fraction=summary.isolated_fraction,
-        giant_node_fraction=giant.node_count / summary.nodes,
-        giant_link_fraction=giant.link_count / summary.links if summary.links else 1.0,
+        giant_node_fraction=giant.node_count / n.node_count,
+        giant_link_fraction=giant.link_count / n.link_count if n.link_count else 1.0,
         nodes=giant.node_count,
         links=giant.link_count,
         avg_distance_directed=outcomes["avg_distance_directed"][0],

@@ -13,11 +13,12 @@ documents, policy elements and top-level WSDL imports are rejected by name.
 
 from __future__ import annotations
 
+import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from .errors import CollectionError, UnsupportedConstructError
-from .model import Operation, ParameterInstance, Role, Service, ServiceCollection, SourceFormat, new_collection, nogc
+from .model import Operation, ParameterInstance, Role, Service, ServiceCollection, new_collection, nogc
 
 WSDL11_NS = "http://schemas.xmlsoap.org/wsdl/"
 WSDL20_NS = "http://www.w3.org/ns/wsdl"
@@ -59,13 +60,17 @@ def _annotation(elem: ET.Element) -> str | None:
 
 @nogc
 def load_sawsdl(directory: str | Path) -> ServiceCollection:
-    """Load every description file under `directory` (recursively) into one
-    collection; a directory holding none is a CollectionError naming it."""
+    """Load every description file under `directory`, recursively, into one
+    collection; a directory holding none is a CollectionError naming it. Any
+    entry named *.wsdl or *.sawsdl is a description file but a directory, or
+    a symlink to one, which is not followed."""
     directory = Path(directory)
     if not directory.is_dir():
         raise CollectionError(f"not a directory: {directory}")
+    # os.walk tells directories apart from the listing; rglob and is_file would stat every file
+    paths = (Path(top, name) for top, _, names in os.walk(directory) for name in names)
     files = sorted(
-        ((p.relative_to(directory), p) for p in directory.rglob("*") if p.suffix.lower() in SUFFIXES),
+        ((p.relative_to(directory), p) for p in paths if p.suffix.lower() in SUFFIXES),
         key=lambda item: item[0].as_posix(),
     )
     if not files:
@@ -74,7 +79,7 @@ def load_sawsdl(directory: str | Path) -> ServiceCollection:
     for rel, path in files:
         domain = rel.parts[0] if len(rel.parts) > 1 else None
         services.append(_parse_file(path, service_id=rel.with_suffix("").as_posix(), domain=domain))
-    return new_collection(services, SourceFormat.SAWSDL)
+    return new_collection(services)
 
 
 def _parse_file(path: Path, service_id: str, domain: str | None) -> Service:
@@ -140,7 +145,7 @@ def _parse_file(path: Path, service_id: str, domain: str | None) -> Service:
     for port_type in root.findall(_PORT_TYPE):
         for op_elem in port_type.findall(_OPERATION):
             op_id = f"{service_id}#op{len(operations)}"
-            op = Operation(id=op_id, service_id=service_id, name=op_elem.get("name") or f"op{len(operations)}")
+            op = Operation(id=op_id, name=op_elem.get("name") or f"op{len(operations)}")
             for side, role, target in ((_INPUT, Role.INPUT, op.inputs), (_OUTPUT, Role.OUTPUT, op.outputs)):
                 ref = op_elem.find(side)
                 if ref is None:

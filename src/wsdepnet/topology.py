@@ -54,19 +54,25 @@ def weak_components_of(undirected: Adjacency) -> list[list[int]]:
 _PLANE_WORDS = 1 << 15
 
 
-def _links(pred: Adjacency) -> tuple[np.ndarray, np.ndarray]:
-    """(dst, src) arrays of the links u -> v, u in pred[v]."""
-    counts = [len(sources) for sources in pred]
-    dst = np.repeat(np.arange(len(pred)), counts)
-    return dst, np.fromiter(itertools.chain.from_iterable(pred), dtype=np.intp, count=dst.size)
+def _link_pairs(n: DependencyNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """(source, target) arrays of the links of n."""
+    ends = np.fromiter(itertools.chain.from_iterable(n.links), dtype=np.intp, count=2 * n.link_count)
+    return ends[0::2], ends[1::2]
 
 
-def _pull_columns(dst: np.ndarray, src: np.ndarray, size: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(row, columns): the predecessor lists of the links src -> dst over
+def _undirected_pairs(undirected: Adjacency) -> tuple[np.ndarray, np.ndarray]:
+    """(source, target) arrays of the links u -> v, v in undirected[u]: each
+    link of an undirected adjacency in both orientations."""
+    src = np.repeat(np.arange(len(undirected)), [len(neighbors) for neighbors in undirected])
+    return src, np.fromiter(itertools.chain.from_iterable(undirected), dtype=np.intp, count=src.size)
+
+
+def _pull_columns(src: np.ndarray, dst: np.ndarray, size: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(row, columns): the in-neighbour lists of the links src -> dst over
     nodes 0..size-1 in jagged-diagonal layout. Node v is row row[v] of a
-    plane, rows in descending order of predecessor count, so the rows with
-    more than k predecessors are a prefix; columns[k] holds, for each row of
-    that prefix, the row of its k-th predecessor (in any order)."""
+    plane, rows in descending order of in-degree, so the rows with more
+    than k in-neighbours are a prefix; columns[k] holds, for each row of
+    that prefix, the row of its k-th in-neighbour (in any order)."""
     degree = np.bincount(dst, minlength=size)
     order = np.argsort(-degree)
     row = np.empty(size, dtype=np.intp)
@@ -76,7 +82,7 @@ def _pull_columns(dst: np.ndarray, src: np.ndarray, size: int) -> tuple[np.ndarr
     target = target[by_target]
     sorted_degree = degree[order]
     rank = np.arange(target.size) - (np.cumsum(sorted_degree) - sorted_degree)[target]
-    longer = size - np.cumsum(np.bincount(degree))[:-1]  # rows with more than k predecessors
+    longer = size - np.cumsum(np.bincount(degree))[:-1]  # rows with more than k in-neighbours
     start = np.concatenate([[0], np.cumsum(longer)])
     flat = np.empty(target.size, dtype=np.intp)
     flat[start[rank] + target] = row[src[by_target]]
@@ -96,9 +102,9 @@ def _pull_levels(reach: np.ndarray, columns: list[np.ndarray]):
     place: bit s of a row's words means that row has been reached from
     source s. Disjoint graphs stacked in one plane, each numbering its own
     sources, run at once. A level pulls into every row the frontier of its
-    predecessors, one take and one in-place OR per column of `columns`
+    in-neighbours, one take and one in-place OR per column of `columns`
     (_pull_columns). Yields, for each level that reaches a new pair, the
-    plane of the bits it set; the first is each row's set of predecessors.
+    plane of the bits it set; the first is each row's set of in-neighbours.
     """
     frontier = reach.copy()
     spare = np.empty_like(reach)
@@ -175,7 +181,7 @@ def distances(n: DependencyNetwork, mode: str = "directed") -> DistanceStats:
     size = n.node_count
     if size == 0:
         raise DegenerateAnalysisError("average-distance", "empty network")
-    row, columns = _pull_columns(*_links(n.predecessors if mode == "directed" else n.neighbors), size)
+    row, columns = _pull_columns(*(_link_pairs(n) if mode == "directed" else _undirected_pairs(n.neighbors)), size)
     reach = _source_plane(row, np.arange(size), -(-size // 64))
     total = finite_pairs = diameter = 0
     for pulled in _pull_levels(reach, columns):
@@ -196,8 +202,8 @@ def transitivity(n: DependencyNetwork) -> float:
     """Global triangle density of the undirected simple projection:
     3 * triangles / connected triples, 0.0 when there are no triples."""
     size = n.node_count
-    dst, src = _links(n.neighbors)
-    row, columns = _pull_columns(dst, src, size)
+    src, dst = _undirected_pairs(n.neighbors)
+    row, columns = _pull_columns(src, dst, size)
     adjacent = next(_pull_levels(_source_plane(row, np.arange(size), -(-size // 64)), columns), None)
     if adjacent is None:
         return 0.0
@@ -220,8 +226,9 @@ class DegreeStats:
 
 
 def degree_stats(n: DependencyNetwork) -> DegreeStats:
-    in_deg = [len(sources) for sources in n.predecessors]
-    out_deg = [len(targets) for targets in n.successors]
+    src, dst = _link_pairs(n)
+    in_deg = np.bincount(dst, minlength=n.node_count).tolist()
+    out_deg = np.bincount(src, minlength=n.node_count).tolist()
     total = [i + o for i, o in zip(in_deg, out_deg)]
     count = n.node_count or 1
     return DegreeStats(
@@ -262,10 +269,6 @@ def degree_correlation(n: DependencyNetwork) -> float:
 
 @dataclass
 class ERBaseline:
-    nodes: int
-    links: int
-    samples: int
-    seed: int
     avg_distance_mean: float
     avg_distance_sd: float
     transitivity_mean: float
@@ -287,7 +290,7 @@ def _er_samples(nodes: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndar
     base = (np.arange(count) * nodes)[:, None]
     u, v = (rows + base).ravel(), (cols + base).ravel()
     ends = np.concatenate([u, v])
-    row, columns = _pull_columns(ends, np.concatenate([v, u]), count * nodes)
+    row, columns = _pull_columns(np.concatenate([v, u]), ends, count * nodes)
     reach = _source_plane(row, np.arange(count * nodes) % nodes, -(-nodes // 64))
     total = np.zeros(reach.shape, dtype=np.int64)  # distance totals per row and word
     for level, pulled in enumerate(_pull_levels(reach, columns), 1):
@@ -345,10 +348,6 @@ def er_baseline(nodes: int, links: int, samples: int, seed: int) -> ERBaseline:
     mean_degree = 2 * links / nodes if nodes else float("nan")
     analytic_distance = math.log(nodes) / math.log(mean_degree) if mean_degree > 1 else float("nan")
     return ERBaseline(
-        nodes=nodes,
-        links=links,
-        samples=samples,
-        seed=seed,
         avg_distance_mean=float(np.mean(distances_mc)),
         avg_distance_sd=float(np.std(distances_mc, ddof=1)) if samples > 1 else 0.0,
         transitivity_mean=float(np.mean(transitivity_mc)),

@@ -22,7 +22,7 @@ import numpy as np
 
 import wsdepnet
 from wsdepnet import powerlaw
-from wsdepnet.community import CommunityPartition, MergeStep, WalktrapResult
+from wsdepnet.community import MergeStep, WalktrapResult
 from wsdepnet.errors import DegenerateAnalysisError
 from wsdepnet.matching import MatcherKind, instance_key
 from wsdepnet.model import ParameterInstance
@@ -39,6 +39,16 @@ def fresh_interpreter(code: str, *args: str):
     done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def adjacency_oracle(n: DependencyNetwork) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """(successors, predecessors, neighbors) of each node, ascending, read
+    straight off the links."""
+    nodes = range(n.node_count)
+    successors = [sorted(d for s, d in n.links if s == u) for u in nodes]
+    predecessors = [sorted(s for s, d in n.links if d == u) for u in nodes]
+    neighbors = [sorted({*successors[u], *predecessors[u]}) for u in nodes]
+    return successors, predecessors, neighbors
 
 
 def floyd_warshall(adj: list[list[int]]) -> list[list[float]]:
@@ -167,10 +177,6 @@ def er_baseline_oracle(nodes: int, links: int, samples: int, seed: int) -> ERBas
         transitivity_mc[i] = triangle_ratio(giant_adj)
     mean_degree = 2 * links / nodes if nodes else float("nan")
     return ERBaseline(
-        nodes=nodes,
-        links=links,
-        samples=samples,
-        seed=seed,
         avg_distance_mean=float(np.mean(distances_mc)),
         avg_distance_sd=float(np.std(distances_mc, ddof=1)) if samples > 1 else 0.0,
         transitivity_mean=float(np.mean(transitivity_mc)),
@@ -209,7 +215,8 @@ def degree_correlation_corrcoef(n: DependencyNetwork) -> float:
     """Newman's r as np.corrcoef of the total degrees at the two ends of
     each undirected link, the links sorted and deduplicated, each taken in
     both orientations."""
-    total = [len(sources) + len(targets) for sources, targets in zip(n.predecessors, n.successors)]
+    successors, predecessors, _ = adjacency_oracle(n)
+    total = [len(sources) + len(targets) for sources, targets in zip(predecessors, successors)]
     edges = sorted({(min(u, v), max(u, v)) for u, v in n.links})
     x = [total[end] for edge in edges for end in edge]
     y = [total[end] for edge in edges for end in reversed(edge)]
@@ -371,22 +378,13 @@ def walktrap_heap_reference(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
             current.pop((b, x) if b < x else (x, b), None)
             d_new = current[(x, c)] = delta_sigma(c, x)
             heapq.heappush(heap, (d_new, x, c))  # c is the largest id alive
-        merges.append(MergeStep(step=step, community_a=a, community_b=b, delta_sigma=d))
+        merges.append(MergeStep(community_a=a, community_b=b, delta_sigma=d))
 
-    result = WalktrapResult(
-        partition=CommunityPartition(assignment={}, community_count=0, modularity=0.0, walktrap_t=t),
+    return WalktrapResult(
         merges=merges,
         cut_modularities=[key / (4 * m * m) for key in cut_keys],
         best_cut=max(range(len(cut_keys)), key=lambda k: (cut_keys[k], -k)),
     )
-    assignment = result.assignment_at_cut(result.best_cut)
-    result.partition = CommunityPartition(
-        assignment=assignment,
-        community_count=len(set(assignment.values())),
-        modularity=result.cut_modularities[result.best_cut],
-        walktrap_t=t,
-    )
-    return result
 
 
 def fit_alpha_continuous(data, xmin: int) -> float:

@@ -202,6 +202,17 @@ def test_communities_outputs(tmp_path, k2_net, capsys):
     assert len(dend_lines) == 6
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_unwritable_dendrogram_writes_no_partition(tmp_path, k2_net, capsys, to_file):
+    partition, dendrogram = tmp_path / "part.csv", tmp_path / "missing" / "d.csv"
+    argv = ["communities", str(k2_net), "--dendrogram", str(dendrogram)]
+    assert main([*argv, "--out", str(partition)] if to_file else argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not partition.exists()
+    assert captured.err == f"wsdepnet: output error: cannot write {dendrogram}: No such file or directory\n"
+
+
 def test_communities_stdout_default(k2_net, capsys):
     assert main(["communities", str(k2_net)]) == 0
     captured = capsys.readouterr()

@@ -130,7 +130,7 @@ def test_walktrap_merges_match_dense_oracle(net, t):
     delta_sigma = walktrap_delta_sigma(net.neighbors, t)
     edges = sorted({(min(u, v), max(u, v)) for u, v in net.links})
     members = {i: {i} for i in range(net.node_count)}
-    for merge in result.merges:
+    for step, merge in enumerate(result.merges):
         community_of = {node: c for c, nodes in members.items() for node in nodes}
         adjacent = {
             (min(community_of[u], community_of[v]), max(community_of[u], community_of[v]))
@@ -142,7 +142,7 @@ def test_walktrap_merges_match_dense_oracle(net, t):
         oracle = {p: delta_sigma(members[p[0]], members[p[1]]) for p in adjacent}
         assert merge.delta_sigma == pytest.approx(oracle[pair], rel=1e-9, abs=0)
         assert oracle[pair] == pytest.approx(min(oracle.values()), rel=1e-9, abs=0)
-        members[net.node_count + merge.step] = members.pop(pair[0]) | members.pop(pair[1])
+        members[net.node_count + step] = members.pop(pair[0]) | members.pop(pair[1])
 
 
 # t stops at 6: past it the heap code's own Delta-sigma errors near 1e-12
@@ -185,7 +185,7 @@ def test_walktrap_long_walks_match_exact_arithmetic(t):
         delta_sigma = walktrap_delta_sigma_exact(net.neighbors, t)
         edges = sorted({(min(u, v), max(u, v)) for u, v in net.links})
         members = {i: {i} for i in range(net.node_count)}
-        for merge in walktrap(net, t=t).merges:
+        for step, merge in enumerate(walktrap(net, t=t).merges):
             community_of = {node: c for c, nodes in members.items() for node in nodes}
             adjacent = {tuple(sorted((community_of[u], community_of[v]))) for u, v in edges}
             adjacent -= {(c, c) for c in members}
@@ -193,7 +193,7 @@ def test_walktrap_long_walks_match_exact_arithmetic(t):
             exact = {p: delta_sigma(members[p[0]], members[p[1]]) for p in adjacent}
             assert merge.delta_sigma == pytest.approx(float(exact[pair]), rel=1e-12, abs=0)
             assert float(exact[pair]) == pytest.approx(float(min(exact.values())), rel=1e-12, abs=0)
-            members[net.node_count + merge.step] = members.pop(pair[0]) | members.pop(pair[1])
+            members[net.node_count + step] = members.pop(pair[0]) | members.pop(pair[1])
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -320,7 +320,6 @@ def test_walk_length_changes_granularity_without_breaking_invariants():
     net, _ = planted_two_block(8, 0.6, 0.05, seed=1)
     for t in (1, 2, 4, 8):
         p = walktrap(net, t=t).partition
-        assert p.walktrap_t == t
         assert p.modularity == pytest.approx(modularity_definition(_edges(net), p.assignment), abs=1e-10)
 
 

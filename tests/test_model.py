@@ -11,7 +11,6 @@ from wsdepnet.model import (
     ParameterInstance,
     Role,
     Service,
-    SourceFormat,
     collection_from_dict,
     collection_stats,
     collection_to_dict,
@@ -25,7 +24,6 @@ from wsdepnet.model import (
 def test_collection_from_dict_counts(k2_collection):
     assert len(k2_collection.services) == 1
     assert k2_collection.instance_count == 9
-    assert k2_collection.source_format is SourceFormat.CANONICAL
 
 
 def test_canonical_instance_order(k2_collection):
@@ -117,28 +115,28 @@ def test_schema_error_names_json_path():
 def test_duplicate_service_id_rejected():
     svc = Service(id="s0", name="a")
     with pytest.raises(DuplicateIdError):
-        new_collection([svc, Service(id="s0", name="b")], SourceFormat.CANONICAL)
+        new_collection([svc, Service(id="s0", name="b")])
 
 
 def test_duplicate_operation_id_rejected():
-    o1 = Operation(id="x", service_id="s0", name="o1")
-    o2 = Operation(id="x", service_id="s0", name="o2")
+    o1 = Operation(id="x", name="o1")
+    o2 = Operation(id="x", name="o2")
     with pytest.raises(DuplicateIdError):
-        new_collection([Service(id="s0", name="a", operations=[o1, o2])], SourceFormat.CANONICAL)
+        new_collection([Service(id="s0", name="a", operations=[o1, o2])])
 
 
 def test_wrong_backreference_rejected():
     inst = ParameterInstance(name="p", role=Role.INPUT, operation_id="other")
-    o = Operation(id="s0.op0", service_id="s0", name="o", inputs=[inst])
+    o = Operation(id="s0.op0", name="o", inputs=[inst])
     with pytest.raises(SchemaError, match="back-references"):
-        new_collection([Service(id="s0", name="a", operations=[o])], SourceFormat.CANONICAL)
+        new_collection([Service(id="s0", name="a", operations=[o])])
 
 
 def test_wrong_role_rejected():
     inst = ParameterInstance(name="p", role=Role.OUTPUT, operation_id="s0.op0")
-    o = Operation(id="s0.op0", service_id="s0", name="o", inputs=[inst])
+    o = Operation(id="s0.op0", name="o", inputs=[inst])
     with pytest.raises(SchemaError, match="wrong role"):
-        new_collection([Service(id="s0", name="a", operations=[o])], SourceFormat.CANONICAL)
+        new_collection([Service(id="s0", name="a", operations=[o])])
 
 
 def test_normalized_name_trims_and_casefolds():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import collection_doc, op, param
+from helpers import adjacency_oracle, collection_doc, op, param
 from wsdepnet.community import walktrap
 from wsdepnet.errors import CollectionError, DegenerateAnalysisError
 from wsdepnet.matching import MatcherKind
@@ -84,8 +84,8 @@ def test_isolated_nodes_in_summary():
     )
     n = build_network(collection_from_dict(doc), MatcherKind.SYNTACTIC_EQUAL)
     s = network_summary(n)
-    assert s.nodes == 4
-    assert s.links == 1
+    assert n.node_count == 4
+    assert n.link_count == 1
     assert s.isolated_nodes == 2
     assert s.isolated_fraction == pytest.approx(0.5)
 
@@ -252,20 +252,7 @@ def test_network_from_edges_counts(edges):
     assert list(n.links) == sorted(distinct)
 
 
-# -- cached adjacency lists ----------------------------------------------------
-
-
-def _adjacency_oracle(n):
-    """(successors, predecessors, neighbors) read straight off the links."""
-    nodes = range(n.node_count)
-    successors = [sorted(d for s, d in n.links if s == u) for u in nodes]
-    predecessors = [sorted(s for s, d in n.links if d == u) for u in nodes]
-    neighbors = [sorted({*successors[u], *predecessors[u]}) for u in nodes]
-    return successors, predecessors, neighbors
-
-
-def _adjacency(n):
-    return n.successors, n.predecessors, n.neighbors
+# -- the cached adjacency ------------------------------------------------------
 
 
 @given(
@@ -277,7 +264,7 @@ def test_cached_adjacency_matches_links_and_survives_analysis(num_nodes, edges):
     n = network_from_edges(num_nodes, [(u % num_nodes, v % num_nodes) for u, v in edges])
     giant, _ = giant_subnetwork(n)
     for net in (n, giant):
-        assert _adjacency(net) == _adjacency_oracle(net)
+        assert net.neighbors == adjacency_oracle(net)[2]
     analyze(n, AnalysisConfig(er_samples=2, bootstrap_n=0))
     # analyze measures its own giant; run every metric on this one too
     for mode in ("directed", "undirected"):
@@ -290,7 +277,7 @@ def test_cached_adjacency_matches_links_and_survives_analysis(num_nodes, edges):
     with contextlib.suppress(DegenerateAnalysisError):
         walktrap(giant)
     for net in (n, giant):
-        assert _adjacency(net) == _adjacency_oracle(net)
+        assert net.neighbors == adjacency_oracle(net)[2]
 
 
 @pytest.mark.parametrize("seed", range(4))

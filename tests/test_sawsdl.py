@@ -163,6 +163,16 @@ def test_sawsdl_suffix_and_recursion(tmp_path):
     assert c.services[0].domain_label == "travel"
 
 
+def test_a_directory_named_like_a_description_file_is_searched_not_read(tmp_path):
+    legacy = tmp_path / "dom" / "legacy.wsdl"
+    legacy.mkdir(parents=True)
+    (legacy / "a.wsdl").write_text(WSDL_TEMPLATE, encoding="utf-8")
+    (tmp_path / "dom" / "b.wsdl").write_text(WSDL_TEMPLATE, encoding="utf-8")
+    (tmp_path / "dom" / "link.wsdl").symlink_to(legacy, target_is_directory=True)  # neither read nor followed
+    c = load_sawsdl(tmp_path)
+    assert [(s.id, s.domain_label) for s in c.services] == [("dom/b", "dom"), ("dom/legacy.wsdl/a", "dom")]
+
+
 def test_file_order_is_deterministic(tmp_path):
     for name in ("b.wsdl", "a.wsdl", "c.wsdl"):
         (tmp_path / name).write_text(WSDL_TEMPLATE, encoding="utf-8")

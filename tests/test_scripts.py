@@ -113,6 +113,17 @@ def test_linkless_collection_exits_3(tmp_path, capsys):
     assert not (out / "syntactic-equal.communities.csv").exists()
 
 
+def test_time_walktrap_check_agrees_with_the_heap_reference(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ and tests/ on it
+    import time_walktrap
+
+    monkeypatch.setattr(time_walktrap, "NODES", 60)
+    assert time_walktrap.main(["--check"]) == 0
+    timed, reference = capsys.readouterr().out.splitlines()
+    assert timed.startswith("walktrap: 60 nodes, 174 links, t=4: ")
+    assert timed.split(", partition sha256 ")[1].split(",")[0] == reference.split("partition sha256 ")[1]
+
+
 PARENT = [1.00, 0.98, 1.02, 0.99, 1.01]  # median 1.00, interquartile range 0.02
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     INF,
+    adjacency_oracle,
     average_local_clustering,
     bfs_lengths,
     degree_correlation_corrcoef,
@@ -96,7 +97,7 @@ def _directed_nets(draw):
 @given(_directed_nets())
 @settings(max_examples=40)
 def test_bfs_agrees_with_floyd_warshall(n):
-    adj = n.successors
+    adj = adjacency_oracle(n)[0]
     oracle = floyd_warshall(adj)
     for src in range(n.node_count):
         lengths = bfs_lengths(adj, src)
@@ -119,7 +120,8 @@ def _sparse_nets(draw):
 @settings(max_examples=150)
 def test_distance_kernel_matches_floyd_warshall(n):
     # the kernel pulls over predecessor lists; the oracle walks successor lists
-    for adj, pred in ((n.successors, n.predecessors), (n.neighbors, n.neighbors)):
+    successors, predecessors, _ = adjacency_oracle(n)
+    for adj, pred in ((successors, predecessors), (n.neighbors, n.neighbors)):
         oracle = floyd_warshall(adj)
         pairs = [(s, t) for s in range(len(adj)) for t in range(len(adj)) if s != t]
         finite = [int(oracle[s][t]) for s, t in pairs if oracle[s][t] != INF]
@@ -152,7 +154,7 @@ def _word_nets(draw):
 @settings(max_examples=80)
 def test_kernel_equals_python_int_oracles(n):
     # the numpy planes against the Python-int kernel, bit for bit
-    for mode, pred in (("directed", n.predecessors), ("undirected", n.neighbors)):
+    for mode, pred in (("directed", adjacency_oracle(n)[1]), ("undirected", n.neighbors)):
         try:
             average, diameter, finite_pairs = distance_stats_of(pred, require_all_pairs=(mode == "undirected"))
         except DegenerateAnalysisError as err:
@@ -168,7 +170,7 @@ def test_kernel_equals_python_int_oracles(n):
 @given(_directed_nets())
 @settings(max_examples=40)
 def test_pairwise_dominance_undirected_le_directed(n):
-    directed = n.successors
+    directed = adjacency_oracle(n)[0]
     undirected = n.neighbors
     for src in range(n.node_count):
         d_dir = bfs_lengths(directed, src)
@@ -233,6 +235,20 @@ def test_degree_averages_equal_link_ratio(k2_collection):
     assert stats.avg_in == pytest.approx(n.link_count / n.node_count)
     assert stats.avg_out == pytest.approx(n.link_count / n.node_count)
     assert stats.avg_total == pytest.approx(2 * n.link_count / n.node_count)
+
+
+@given(st.one_of(_sparse_nets(), st.integers(0, 3).map(lambda size: _net(size, []))))
+@settings(max_examples=60)
+def test_degree_stats_match_the_adjacency_oracle(n):
+    # _sparse_nets ends in isolated nodes, whose degrees come from bincount's minlength alone
+    successors, predecessors, _ = adjacency_oracle(n)
+    stats = degree_stats(n)
+    assert stats.in_degrees == [len(sources) for sources in predecessors]
+    assert stats.out_degrees == [len(targets) for targets in successors]
+    assert stats.total_degrees == [i + o for i, o in zip(stats.in_degrees, stats.out_degrees)]
+    assert all(type(k) is int for k in stats.total_degrees)
+    assert stats.avg_in == stats.avg_out == n.link_count / max(n.node_count, 1)
+    assert stats.max_total == max(stats.total_degrees, default=0)
 
 
 def test_star_degree_correlation_is_minus_one():
