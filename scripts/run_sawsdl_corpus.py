@@ -16,7 +16,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wsdepnet.cli import _ER_SAMPLES, _REPLICATES, _SEED, _WALK_LENGTH, _Parser
+from wsdepnet.analysis import analyze_with_communities
+from wsdepnet.cli import _config_int, _Parser
 from wsdepnet.community import dendrogram_csv, partition_csv
 from wsdepnet.errors import CollectionError, DegenerateAnalysisError
 from wsdepnet.matching import MatcherKind
@@ -25,7 +26,6 @@ from wsdepnet.network import build_network, save_network
 from wsdepnet.powerlaw import degree_distribution_csv
 from wsdepnet.report import (
     AnalysisConfig,
-    analyze_with_communities,
     compare,
     comparison_to_json,
     render_comparison_text,
@@ -90,10 +90,12 @@ def study(collection, config: AnalysisConfig, casefold: bool, out: Path) -> None
 def analysis_parser(description: str, er_samples: int, bootstrap: int) -> _Parser:
     """A parser with the CLI's `analyze` options and checks; usage errors exit 1."""
     parser = _Parser(description=description)
-    parser.add_argument("--er-samples", type=_ER_SAMPLES, default=er_samples)
-    parser.add_argument("--bootstrap", type=_REPLICATES, default=bootstrap, help="0 skips the p-value bootstrap")
-    parser.add_argument("--walktrap-t", type=_WALK_LENGTH, default=4)
-    parser.add_argument("--seed", type=_SEED, default=0)
+    parser.add_argument("--er-samples", type=_config_int("er_samples"), default=er_samples)
+    parser.add_argument(
+        "--bootstrap", type=_config_int("bootstrap_n"), default=bootstrap, help="0 skips the p-value bootstrap"
+    )
+    parser.add_argument("--walktrap-t", type=_config_int("walktrap_t"), default=4)
+    parser.add_argument("--seed", type=_config_int("seed"), default=0)
     return parser
 
 

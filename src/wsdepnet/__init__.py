@@ -28,8 +28,9 @@ _SOURCES = {
             "DependencyNetwork build_network export load_network network_from_edges network_summary save_network"
         ),
         "community": "CommunityPartition WalktrapResult walktrap",
-        "powerlaw": "PowerLawFit fit_power_law select_xmin",
-        "report": "AnalysisConfig ComparisonReport MetricsReport analyze compare report_from_json report_to_json",
+        "powerlaw": "fit_power_law select_xmin",
+        "report": "AnalysisConfig ComparisonReport MetricsReport PowerLawFit compare report_from_json report_to_json",
+        "analysis": "analyze",
         "sawsdl": "load_sawsdl",
         "topology": (
             "DegreeStats DistanceStats ERBaseline components degree_correlation degree_stats distances "

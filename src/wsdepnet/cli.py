@@ -3,10 +3,11 @@
 Subcommands: extract, analyze, compare, communities, degree-dist, export.
 Exit codes: 0 success, 1 usage error, 2 input/parse error or an output
 path that cannot be written, 3 degenerate analysis (metric undefined on
-the given network).
+the given network), 4 analysis error (the helper process of `analyze`
+ended without its results; the message names its exit status).
 
-The analysis modules are imported by the commands that use them, so extract
-and export start without loading numpy.
+The analysis modules are imported by the commands that use them, so
+extract, export and compare start without loading numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .errors import CollectionError, DegenerateAnalysisError
+from .errors import CollectionError, DegenerateAnalysisError, HelperProcessError
 from .matching import MatcherKind
 from .model import load_canonical
 from .network import EXPORT_FORMATS, build_network, export, load_network, save_network
@@ -32,23 +33,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _int_where(valid, rule: str):
-    """argparse type: an int for which valid holds, else a usage error naming rule."""
+def _config_int(name: str):
+    """argparse type: an int that passes the rule of AnalysisConfig field `name`,
+    else a usage error naming the field and its rule."""
 
     def parse(text: str) -> int:
+        from .report import CONFIG_RULES  # here, so extract and export need not load it
+
+        valid, rule = CONFIG_RULES[name]
         value = int(text)
         if not valid(value):
-            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+            raise argparse.ArgumentTypeError(f"{name} must be {rule}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
     return parse
-
-
-_ER_SAMPLES = _int_where(lambda v: v >= 1, "samples must be >= 1")
-_REPLICATES = _int_where(lambda v: v == 0 or v >= 100, "replicates must be 0 or >= 100")
-_WALK_LENGTH = _int_where(lambda v: v >= 1, "t must be >= 1")
-_SEED = _int_where(lambda v: v >= 0, "seed must be >= 0")
 
 
 class _OutputError(Exception):
@@ -87,7 +86,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from .report import AnalysisConfig, analyze, render_text, report_to_json
+    from .analysis import analyze
+    from .report import AnalysisConfig, render_text, report_to_json
 
     network = load_network(args.net_file)
     config = AnalysisConfig(
@@ -108,10 +108,7 @@ def _cmd_compare(args) -> int:
     left = report_from_json(Path(args.report_a).read_bytes(), source=args.report_a)
     right = report_from_json(Path(args.report_b).read_bytes(), source=args.report_b)
     comparison = compare(left, right)
-    if args.report == "json":
-        text = comparison_to_json(comparison)
-    else:
-        text = render_comparison_text(comparison)
+    text = comparison_to_json(comparison) if args.report == "json" else render_comparison_text(comparison)
     _write_output(text, args.out)
     return 0
 
@@ -173,10 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="compute the full metric report")
     p.add_argument("net_file")
     p.add_argument("--report", choices=("json", "text"), default="json")
-    p.add_argument("--er-samples", type=_ER_SAMPLES, default=100)
-    p.add_argument("--bootstrap", type=_REPLICATES, default=1000, help="0 skips the p-value bootstrap")
-    p.add_argument("--walktrap-t", type=_WALK_LENGTH, default=4)
-    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--er-samples", type=_config_int("er_samples"), default=100)
+    p.add_argument("--bootstrap", type=_config_int("bootstrap_n"), default=1000, help="0 skips the p-value bootstrap")
+    p.add_argument("--walktrap-t", type=_config_int("walktrap_t"), default=4)
+    p.add_argument("--seed", type=_config_int("seed"), default=0)
     p.add_argument("--label", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)
@@ -190,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("communities", help="Walktrap partition of the giant component")
     p.add_argument("net_file")
-    p.add_argument("--t", type=_WALK_LENGTH, default=4, help="random-walk length")
+    p.add_argument("--t", type=_config_int("walktrap_t"), default=4, help="random-walk length")
     p.add_argument("--out", default=None, help="partition CSV path (default stdout)")
     p.add_argument("--dendrogram", default=None, help="also write the merge list CSV here")
     p.set_defaults(func=_cmd_communities)
@@ -222,10 +219,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DegenerateAnalysisError as exc:
         print(f"wsdepnet: degenerate analysis: {exc}", file=sys.stderr)
         return 3
-    except CollectionError as exc:
-        print(f"wsdepnet: input error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CollectionError, OSError) as exc:
         print(f"wsdepnet: input error: {exc}", file=sys.stderr)
         return 2
     except _OutputError as exc:
@@ -234,6 +228,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"wsdepnet: error: {exc}", file=sys.stderr)
         return 1
+    except HelperProcessError as exc:
+        print(f"wsdepnet: analysis error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

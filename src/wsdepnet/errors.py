@@ -32,3 +32,7 @@ class DegenerateAnalysisError(Exception):
 
     def __reduce__(self):  # a stage's error crosses the helper's pipe pickled
         return type(self), (self.metric, self.reason)
+
+
+class HelperProcessError(RuntimeError):
+    """A forked helper process ended without handing back its stages' results."""

@@ -21,11 +21,11 @@ underflow to 0/0.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateAnalysisError
+from .report import PowerLawFit
 
 _EM_TERMS = 28  # direct-sum terms before the tail correction
 _BLOCK_CELLS = 1 << 14  # bootstrap samples scanned at once; bounds the scan's memory
@@ -61,16 +61,6 @@ def _scaled_zeta(alpha: np.ndarray | float, q: np.ndarray | float, scale: np.nda
     total = total + alpha * ratio_pow / (12.0 * edge)
     total = total - alpha * (alpha + 1.0) * (alpha + 2.0) * ratio_pow / (720.0 * edge**3)
     return total
-
-
-@dataclass
-class PowerLawFit:
-    alpha: float
-    xmin: int
-    ks_statistic: float
-    p_value: float | None
-    n_tail: int
-    bootstrap_n: int
 
 
 def _as_positive_ints(data) -> np.ndarray:

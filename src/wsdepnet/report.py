@@ -1,42 +1,33 @@
-"""Metric reports and network comparisons.
+"""Metric reports and network comparisons, with no numpy or metric module.
 
-`analyze` runs every metric on the giant component of a dependency network
-and bundles the results; `compare` lines two such reports up side by side
-(conventionally syntactic on the left, semantic on the right) and evaluates
-the headline narrative flags. JSON renderings are canonical (sorted keys,
-full precision); text renderings round reals to 2 decimals.
+A `MetricsReport` holds what `analysis.analyze` measured on the giant
+component of a network; `compare` lines two up side by side (conventionally
+syntactic on the left, semantic on the right) and evaluates the headline
+narrative flags. JSON renderings are canonical (sorted keys, full
+precision); text renderings round reals to 2 decimals.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import json
 import math
-import os
-import pickle
 import types
 import typing
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
+from .errors import CollectionError
 
-from .errors import CollectionError, DegenerateAnalysisError
-from .community import WalktrapResult, walktrap
-from .network import DependencyNetwork, network_summary
-from .powerlaw import PowerLawFit, bootstrap_blocks, drop_table, fit_power_law, pvalue_from_replicates
-from .topology import (
-    ERBaseline,
-    degree_correlation,
-    degree_stats,
-    distances,
-    er_baseline,
-    giant_subnetwork,
-    transitivity,
-)
-
-_DEFAULT_LABELS = {"syntactic-equal": "N^Eq", "semantic-exact": "N^Ex"}
 _TAILS = ("in", "out", "all")  # the power-law fits of a report
+
+
+def __getattr__(name: str):
+    # `bench/` imports analyze from here, its home until it moved to `analysis`;
+    # it resolves on first use (PEP 562), so importing this loads no numpy
+    if name not in ("analyze", "analyze_with_communities"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(".analysis", __package__), name)
 
 
 @dataclass
@@ -47,17 +38,31 @@ class AnalysisConfig:
     seed: int = 0
 
 
+# Each AnalysisConfig field -> (the test its value must pass, that rule in words)
+CONFIG_RULES = {
+    "er_samples": (lambda v: v >= 1, ">= 1"),
+    "bootstrap_n": (lambda v: v == 0 or v >= 100, "0 or >= 100"),
+    "walktrap_t": (lambda v: v >= 1, ">= 1"),
+    "seed": (lambda v: v >= 0, ">= 0"),
+}
+
+
 def _checked(config: AnalysisConfig) -> AnalysisConfig:
     """Return `config` if analyze accepts it, else raise ValueError naming the field."""
-    if config.er_samples < 1:
-        raise ValueError(f"er_samples must be >= 1, got {config.er_samples}")
-    if config.bootstrap_n != 0 and config.bootstrap_n < 100:
-        raise ValueError(f"bootstrap_n must be 0 or >= 100, got {config.bootstrap_n}")
-    if config.walktrap_t < 1:
-        raise ValueError(f"walktrap_t must be >= 1, got {config.walktrap_t}")
-    if config.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {config.seed}")
+    for name, (valid, rule) in CONFIG_RULES.items():
+        if not valid(value := getattr(config, name)):
+            raise ValueError(f"{name} must be {rule}, got {value}")
     return config
+
+
+@dataclass
+class PowerLawFit:
+    alpha: float
+    xmin: int
+    ks_statistic: float
+    p_value: float | None
+    n_tail: int
+    bootstrap_n: int
 
 
 @dataclass
@@ -93,276 +98,6 @@ class MetricsReport:
     modularity: float | None
     degenerate: dict[str, str] = field(default_factory=dict)
     config: AnalysisConfig = field(default_factory=AnalysisConfig)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# A write of at most _POSIX_PIPE_BUF (512) bytes into an empty pipe neither
-# blocks nor splits, so the whole queue of 4-byte indices is written at once.
-_QUEUE_SLOTS = 512 // 4
-
-
-def _drain(stages: list[Callable[[], object]], queue: int, claimed: bytes) -> dict[int, object]:
-    """Run the stage whose index is `claimed`, then each stage whose index
-    this process reads from `queue`, until the queue is empty; {index: result}.
-
-    Each read takes one whole 4-byte index: reads of a pipe are serialized,
-    and every reader asks for 4 bytes of a pipe holding multiples of 4.
-    """
-    results = {}
-    while claimed:
-        index = int.from_bytes(claimed, "little")
-        results[index] = stages[index]()
-        claimed = os.read(queue, 4)
-    return results
-
-
-def _run_stages(stages: list[Callable[[], object]]) -> list[object]:
-    """Results of the zero-argument callables `stages`, in stage order.
-
-    The stage indices go into a pipe that is then closed for writing. This
-    process takes index 0 first, and then, where `os.fork` exists and a
-    second CPU is usable, one forked helper process and this one each take
-    the next index until none is left; otherwise this process drains the
-    queue alone. The helper sends back its {index: result}, or the
-    exception one of its stages raised, pickled through a second pipe; this
-    process reaps the helper and raises that exception. A helper that
-    fails, or sends anything else, raises RuntimeError naming its exit
-    status and the bytes it sent; a stage that raises here kills and reaps
-    the helper first.
-    """
-    if len(stages) > _QUEUE_SLOTS:
-        raise ValueError(f"at most {_QUEUE_SLOTS} stages fit in the queue, got {len(stages)}")
-    queue, feed = os.pipe()
-    try:
-        os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(len(stages))))
-    finally:
-        os.close(feed)
-    try:
-        claimed = os.read(queue, 4)  # before any fork: stage 0 stays in this process
-        if hasattr(os, "fork") and _usable_cpus() >= 2:
-            results = _drain_beside_helper(stages, queue, claimed)
-        else:
-            results = _drain(stages, queue, claimed)
-    finally:
-        os.close(queue)
-    return [results[i] for i in range(len(stages))]
-
-
-def _drain_beside_helper(stages: list[Callable[[], object]], queue: int, claimed: bytes) -> dict[int, object]:
-    """_drain in this process and in one forked helper; their results merged."""
-    back, send = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # The helper is fork-safe although BLAS threads did not survive the
-        # fork: no step of analyze makes a BLAS call, and the stages run only
-        # numpy elementwise, gather and sorting kernels, its RNG and pure
-        # Python. So the helper takes no lock another thread may hold, logs
-        # nothing and does no I/O but its pipes. os._exit skips the atexit
-        # handlers and the buffered output it shares with this process.
-        status = 1
-        try:
-            os.close(back)
-            try:
-                payload = _drain(stages, queue, os.read(queue, 4))
-            except Exception as exc:
-                payload = exc
-            with os.fdopen(send, "wb") as pipe:
-                pipe.write(pickle.dumps(payload))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(send)
-    reaped = False
-    with os.fdopen(back, "rb") as pipe:
-        try:
-            results = _drain(stages, queue, claimed)
-            data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped = True
-        finally:
-            if not reaped:
-                import signal  # here, as a run that succeeds need not load it
-
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    theirs = None
-    if code == 0:
-        try:
-            theirs = pickle.loads(data)
-        except Exception:  # a truncated pickle, or an exception that cannot be rebuilt
-            pass
-    if isinstance(theirs, Exception):
-        raise theirs
-    if not isinstance(theirs, dict) or sorted([*results, *theirs]) != list(range(len(stages))):
-        raise RuntimeError(
-            f"analyze: helper process ended with exit status {code} after sending {len(data)} bytes"
-        )
-    return results | theirs
-
-
-def analyze(
-    n: DependencyNetwork,
-    config: AnalysisConfig | None = None,
-    label: str | None = None,
-) -> MetricsReport:
-    """Full metric bundle for the giant component of `n`: the report of
-    `analyze_with_communities`, which also hands back the giant and its
-    Walktrap result."""
-    return analyze_with_communities(n, config, label)[0]
-
-
-def analyze_with_communities(
-    n: DependencyNetwork,
-    config: AnalysisConfig | None = None,
-    label: str | None = None,
-) -> tuple[MetricsReport, DependencyNetwork, WalktrapResult | None]:
-    """(report, giant, Walktrap result) for the giant component of `n`; the
-    result is None where Walktrap was degenerate, as `degenerate["communities"]` says.
-
-    Metrics that are undefined on the given network (zero degree variance,
-    too small a power-law tail, a linkless or single-node giant, an ER link
-    count beyond n(n - 1)/2, a bootstrap draw past the int64 range for a
-    fit's p_value) are reported as None with the reason recorded
-    under `degenerate`, so no field is None without one; an empty network
-    is an error, and so is a config with er_samples < 1, bootstrap_n
-    neither 0 nor >= 100, or walktrap_t < 1 (ValueError, raised before any
-    work).
-
-    The summary, the giant, the degrees, the degree correlation and the
-    power-law cutoffs take milliseconds and run first, in this process.
-    The rest are stages of one queue, in this order: Walktrap, the
-    Erdos-Renyi baseline, the bootstrap blocks of the in, out and all fits,
-    directed and undirected distances, and transitivity. This process
-    takes Walktrap, so its n x n matrices and its result stay here; then
-    it and, where `os.fork` exists and a second CPU is usable, one forked
-    helper process each take the next stage until none is left. Every
-    stage draws from its own seeded RNG stream and results are merged by
-    stage index, so the report does not depend on which process ran what.
-    The helper's memory and CPU time show in `resource.RUSAGE_CHILDREN`,
-    not in `RUSAGE_SELF`. A stage raises its exception in whichever process
-    ran it; if the helper itself fails, this raises RuntimeError.
-    The CDF table that the bootstrap draws through (`powerlaw.drop_table`)
-    is freed before this returns, so it does not outlive the call.
-    """
-    config = _checked(config or AnalysisConfig())
-    if n.node_count == 0:
-        raise DegenerateAnalysisError("analyze", "empty network")
-    if label is None:
-        label = _DEFAULT_LABELS.get(n.matcher.value, n.matcher.value)
-    summary = network_summary(n)
-    giant, _ = giant_subnetwork(n)
-    degrees = degree_stats(giant)
-    tails = {"in": degrees.in_degrees, "out": degrees.out_degrees, "all": degrees.total_degrees}
-    positive = {tail: np.array([v for v in values if v > 0], dtype=np.int64) for tail, values in tails.items()}
-    # metric -> (value, None) or (None, the reason it is undefined)
-    outcomes = {"degree_correlation": _outcome(degree_correlation, giant)}
-    outcomes |= {f"power_law_{tail}": _outcome(fit_power_law, positive[tail], replicates=0) for tail in _TAILS}
-
-    fits = {tail: outcomes[f"power_law_{tail}"][0] for tail in _TAILS}
-    blocks = {  # each fit takes at most a quarter of the queue
-        tail: [
-            functools.partial(_outcome, call)
-            for call in bootstrap_blocks(positive[tail], fit, config.bootstrap_n, config.seed, _QUEUE_SLOTS // 4)
-        ]
-        for tail, fit in fits.items()
-        if fit and config.bootstrap_n
-    }
-    stages = [
-        functools.partial(_outcome, walktrap, giant, t=config.walktrap_t),
-        functools.partial(_outcome, _er_baseline, giant, config),
-        *(call for calls in blocks.values() for call in calls),
-        functools.partial(distances, giant, "directed"),
-        functools.partial(distances, giant, "undirected"),
-        functools.partial(transitivity, giant),
-    ]
-    try:
-        results = iter(_run_stages(stages))
-    finally:
-        drop_table()  # up to 8 MiB, which no later call needs
-    outcomes["communities"], outcomes["er_baseline"] = next(results), next(results)
-    for tail, calls in blocks.items():
-        fit = fits[tail]
-        fit.bootstrap_n = config.bootstrap_n
-        parts, reasons = zip(*(next(results) for _ in calls))
-        reason = next(filter(None, reasons), None)
-        if reason is None:
-            fit.p_value = pvalue_from_replicates(fit.ks_statistic, np.concatenate(parts))
-        else:
-            outcomes[f"power_law_{tail}_p_value"] = (None, reason)
-    directed, undirected, clustering = results
-
-    for mode, stats in (("directed", directed), ("undirected", undirected)):
-        outcomes[f"avg_distance_{mode}"] = _outcome(_defined, stats.average, "fewer than 2 nodes")
-    walked, er = outcomes["communities"][0], outcomes["er_baseline"][0]
-    if er:
-        outcomes["er_analytic_distance"] = _outcome(_defined, er.analytic_distance, "mean degree <= 1")
-    partition = walked.partition if walked else None
-    return MetricsReport(
-        label=label,
-        matcher=n.matcher.value,
-        network_nodes=n.node_count,
-        network_links=n.link_count,
-        isolated_fraction=summary.isolated_fraction,
-        giant_node_fraction=giant.node_count / n.node_count,
-        giant_link_fraction=giant.link_count / n.link_count if n.link_count else 1.0,
-        nodes=giant.node_count,
-        links=giant.link_count,
-        avg_distance_directed=outcomes["avg_distance_directed"][0],
-        avg_distance_undirected=outcomes["avg_distance_undirected"][0],
-        diameter_directed=directed.diameter,
-        diameter_undirected=undirected.diameter,
-        finite_directed_pairs=directed.finite_pairs,
-        transitivity=clustering,
-        degree_correlation=outcomes["degree_correlation"][0],
-        avg_in_degree=degrees.avg_in,
-        avg_out_degree=degrees.avg_out,
-        avg_total_degree=degrees.avg_total,
-        max_total_degree=degrees.max_total,
-        # `er and ...` is None where the baseline is undefined
-        er_avg_distance=er and er.avg_distance_mean,
-        er_avg_distance_sd=er and er.avg_distance_sd,
-        er_transitivity=er and er.transitivity_mean,
-        er_transitivity_sd=er and er.transitivity_sd,
-        er_analytic_distance=er and outcomes["er_analytic_distance"][0],
-        er_analytic_transitivity=er and er.analytic_transitivity,
-        power_law=fits,
-        communities=partition.community_count if partition else None,
-        modularity=partition.modularity if partition else None,
-        degenerate={metric: reason for metric, (_, reason) in outcomes.items() if reason is not None},
-        config=config,
-    ), giant, walked
-
-
-def _outcome(compute: Callable, *args, **kwargs) -> tuple[object, str | None]:
-    """(compute(...), None), or (None, reason) where it raised DegenerateAnalysisError."""
-    try:
-        return compute(*args, **kwargs), None
-    except DegenerateAnalysisError as err:
-        return None, err.reason
-
-
-def _defined(value: float | None, reason: str) -> float:
-    """`value` where it is a finite number; else DegenerateAnalysisError(reason)."""
-    if value is None or not math.isfinite(value):
-        raise DegenerateAnalysisError("analyze", reason)
-    return value
-
-
-def _er_baseline(giant: DependencyNetwork, config: AnalysisConfig) -> ERBaseline:
-    """er_baseline of the giant's node and link counts; DegenerateAnalysisError
-    on a single node, and for the ValueError of an infeasible link count."""
-    if giant.node_count < 2:
-        raise DegenerateAnalysisError("er-baseline", "fewer than 2 nodes")
-    try:
-        return er_baseline(giant.node_count, giant.link_count, config.er_samples, config.seed)
-    except ValueError as err:
-        raise DegenerateAnalysisError("er-baseline", str(err)) from None
 
 
 # Report rows of the text renderings, (title, field), in order.

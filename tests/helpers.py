@@ -27,6 +27,7 @@ from wsdepnet.errors import DegenerateAnalysisError
 from wsdepnet.matching import MatcherKind, instance_key
 from wsdepnet.model import ParameterInstance
 from wsdepnet.network import DependencyNetwork, network_from_edges
+from wsdepnet.report import PowerLawFit
 from wsdepnet.topology import ERBaseline, weak_components_of
 
 INF = float("inf")
@@ -488,7 +489,7 @@ def sample_discrete_powerlaw_oracle(alpha: float, xmin: int, size: int, rng: np.
     return powerlaw_values_oracle(alpha, xmin, rng.random(size))
 
 
-def replicate_ks_oracle(data, fit: powerlaw.PowerLawFit, replicates: int, seed: int, min_tail: int = 10) -> np.ndarray:
+def replicate_ks_oracle(data, fit: PowerLawFit, replicates: int, seed: int, min_tail: int = 10) -> np.ndarray:
     """Bootstrap KS values one replicate at a time (inf where a replicate collapsed).
 
     Chunk c makes its three RNG calls from the stream (seed, c): the tail

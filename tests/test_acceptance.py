@@ -25,13 +25,14 @@ from helpers import (
     random_directed_network,
     triangle_count_trace,
 )
+from wsdepnet.analysis import analyze
 from wsdepnet.cli import main
 from wsdepnet.community import walktrap
 from wsdepnet.matching import MatcherKind, build_archetypes
 from wsdepnet.model import collection_from_dict
 from wsdepnet.network import build_network, network_from_edges
 from wsdepnet.powerlaw import _tail_values, fit_power_law
-from wsdepnet.report import AnalysisConfig, analyze
+from wsdepnet.report import AnalysisConfig
 from wsdepnet.sawsdl import load_sawsdl
 from wsdepnet.topology import (
     degree_correlation,

@@ -1,11 +1,17 @@
+import errno
 import json
+import os
+import signal
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
 from helpers import collection_doc, fresh_interpreter, op, param
+from wsdepnet import stages
 from wsdepnet.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 FAST_ANALYZE = ["--er-samples", "8", "--bootstrap", "0"]
 
@@ -235,27 +241,103 @@ def test_export_dot_and_edgelist(tmp_path, k2_net, capsys):
 
 STARTUP_PROBE = """
 import json, sys
+heavy = ("numpy", "urllib.request", "wsdepnet.powerlaw", "wsdepnet.topology", "wsdepnet.community")
+loaded = {}
+import wsdepnet.report
+loaded["import report"] = [m for m in heavy if m in sys.modules]
 from wsdepnet.cli import main
-collection, net, edges = sys.argv[1:]
-heavy = ("numpy", "urllib.request")
+collection, net, edges, left, right, comparison = sys.argv[1:]
 codes = [main(["extract", "--collection", collection, "--matcher", "syntactic-equal", "--out", net]),
-         main(["export", net, "--format", "edgelist", "--out", edges])]
-loaded = [m for m in heavy if m in sys.modules]
+         main(["export", net, "--format", "edgelist", "--out", edges]),
+         main(["compare", left, right, "--out", comparison])]
+loaded["extract, export, compare"] = [m for m in heavy if m in sys.modules]
+from wsdepnet.report import analyze
 codes.append(main(["analyze", net, "--er-samples", "5", "--bootstrap", "0", "--out", net + ".json"]))
-print(json.dumps({"codes": codes, "loaded": loaded, "after_analyze": [m for m in heavy if m in sys.modules]}))
+loaded["analyze"] = [m for m in heavy if m in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded, "analyze": analyze.__module__}))
 """
 
 
 def test_extract_and_export_start_without_numpy_or_urllib(tmp_path):
-    """A fresh interpreter runs extract and export without importing numpy or
-    urllib.request; analyze in the same interpreter still works."""
-    collection = Path(__file__).parent / "data" / "golden" / "collection.json"
-    net, edges = tmp_path / "net.graphml", tmp_path / "edges.tsv"
-    result = fresh_interpreter(STARTUP_PROBE, str(collection), str(net), str(edges))
-    assert result["codes"] == [0, 0, 0]
-    assert result["loaded"] == []
-    assert "numpy" in result["after_analyze"]  # the probe does see what analyze loads
+    """A fresh interpreter imports the report schema and runs extract, export
+    and compare without importing numpy, urllib.request or a metric module;
+    analyze, still importable from wsdepnet.report, works in the same one."""
+    collection = GOLDEN / "collection.json"
+    net, edges, comparison = tmp_path / "net.graphml", tmp_path / "edges.tsv", tmp_path / "comparison.json"
+    reports = [str(GOLDEN / f"{matcher}.report.json") for matcher in ("syntactic-equal", "semantic-exact")]
+    result = fresh_interpreter(STARTUP_PROBE, str(collection), str(net), str(edges), *reports, str(comparison))
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["loaded"]["import report"] == []
+    assert result["loaded"]["extract, export, compare"] == []
+    assert result["analyze"] == "wsdepnet.analysis"
+    assert "numpy" in result["loaded"]["analyze"]  # the probe does see what analyze loads
     assert edges.read_text(encoding="utf-8")
+    assert comparison.read_bytes() == (GOLDEN / "comparison.json").read_bytes()
+
+
+# -- the stage queue when the OS refuses a pipe or a process --------------------
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/dev/fd"))
+
+
+@pytest.fixture(scope="module")
+def golden_net(tmp_path_factory):
+    net = tmp_path_factory.mktemp("golden") / "syntactic-equal.graphml"
+    assert main(["extract", "--collection", str(GOLDEN / "collection.json"),
+                 "--matcher", "syntactic-equal", "--out", str(net)]) == 0
+    return net
+
+
+def _refusing(real, errno_, calls_allowed):
+    """`real`, refusing with OSError(errno_) once it has been called calls_allowed times."""
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        if len(calls) > calls_allowed:
+            raise OSError(errno_, os.strerror(errno_))
+        return real(*args)
+
+    return refuse
+
+
+@pytest.mark.parametrize("errno_", [errno.EAGAIN, errno.ENOMEM, errno.EMFILE], ids=errno.errorcode.get)
+@pytest.mark.parametrize("cpus, call, allowed", [
+    (2, "fork", 0),
+    (2, "pipe", 0),
+    (2, "pipe", 1),
+    (1, "pipe", 0),
+], ids=["fork", "queue-pipe", "result-pipe", "one-cpu-pipe"])
+def test_refused_fork_or_pipe_runs_the_stages_here(tmp_path, golden_net, monkeypatch, capsys,
+                                                   cpus, call, allowed, errno_):
+    monkeypatch.setattr("wsdepnet.stages._usable_cpus", lambda: cpus)
+    monkeypatch.setattr(f"wsdepnet.stages.os.{call}", _refusing(getattr(os, call), errno_, allowed))
+    report = tmp_path / "report.json"
+    before = _open_fds()
+    assert main(["analyze", str(golden_net), "--er-samples", "5", "--bootstrap", "100", "--out", str(report)]) == 0
+    assert _open_fds() == before
+    assert capsys.readouterr().err == ""
+    assert report.read_bytes() == (GOLDEN / "syntactic-equal.report.json").read_bytes()
+
+
+def test_dead_helper_exits_4_naming_its_status(k2_net, monkeypatch, capsys):
+    parent, drain = os.getpid(), stages._drain
+
+    def drain_or_die(*args):
+        if os.getpid() != parent:  # the helper dies before it takes a stage
+            os.kill(os.getpid(), signal.SIGKILL)
+        return drain(*args)
+
+    monkeypatch.setattr("wsdepnet.stages._usable_cpus", lambda: 2)
+    monkeypatch.setattr("wsdepnet.stages._drain", drain_or_die)
+    assert main(["analyze", str(k2_net), *FAST_ANALYZE]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"wsdepnet: analysis error: helper process ended with exit status {-signal.SIGKILL} after sending 0 bytes\n"
+    )
 
 
 # -- exit codes ---------------------------------------------------------------

@@ -26,7 +26,8 @@ from wsdepnet.network import (
     to_edgelist,
     to_graphml,
 )
-from wsdepnet.report import AnalysisConfig, analyze, report_to_json
+from wsdepnet.analysis import analyze
+from wsdepnet.report import AnalysisConfig, report_to_json
 from wsdepnet.topology import (
     components,
     degree_correlation,

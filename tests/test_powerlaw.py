@@ -20,7 +20,6 @@ from helpers import (
 from wsdepnet import powerlaw
 from wsdepnet.errors import DegenerateAnalysisError
 from wsdepnet.powerlaw import (
-    PowerLawFit,
     degree_distribution_rows,
     fit_power_law,
     gof_pvalue,
@@ -28,6 +27,7 @@ from wsdepnet.powerlaw import (
     pvalue_from_replicates,
     select_xmin,
 )
+from wsdepnet.report import PowerLawFit
 
 EMPTY_SLOT = (None, None, None)
 

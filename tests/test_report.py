@@ -12,20 +12,18 @@ import numpy as np
 import pytest
 
 from helpers import collection_doc, op, param
-from wsdepnet.errors import DegenerateAnalysisError
+from wsdepnet.analysis import analyze, analyze_with_communities
+from wsdepnet.errors import DegenerateAnalysisError, HelperProcessError
 from wsdepnet.community import walktrap
 from wsdepnet.matching import MatcherKind
 from wsdepnet.model import collection_from_dict, load_canonical
 from wsdepnet.network import build_network, network_from_edges
 from wsdepnet import powerlaw
-from wsdepnet.powerlaw import PowerLawFit, fit_power_law
+from wsdepnet.powerlaw import fit_power_law
 from wsdepnet.report import (
     _DELTA_FIELDS,
-    _QUEUE_SLOTS,
     AnalysisConfig,
-    _run_stages,
-    analyze,
-    analyze_with_communities,
+    PowerLawFit,
     compare,
     comparison_to_dict,
     comparison_to_json,
@@ -34,6 +32,7 @@ from wsdepnet.report import (
     report_from_json,
     report_to_json,
 )
+from wsdepnet.stages import _QUEUE_SLOTS, _run_stages
 
 FAST = AnalysisConfig(er_samples=8, bootstrap_n=0, walktrap_t=4, seed=0)
 
@@ -129,8 +128,8 @@ def test_analyze_rejects_bad_config_before_any_work(k2_collection, monkeypatch, 
     def no_work(*_args):
         raise AssertionError("analyze did work before checking its config")
 
-    monkeypatch.setattr("wsdepnet.report.network_summary", no_work)
-    monkeypatch.setattr("wsdepnet.report.giant_subnetwork", no_work)
+    monkeypatch.setattr("wsdepnet.analysis.network_summary", no_work)
+    monkeypatch.setattr("wsdepnet.analysis.giant_subnetwork", no_work)
     with pytest.raises(ValueError, match=message):
         analyze(net, dataclasses.replace(FAST, **{field: value}))
 
@@ -179,7 +178,7 @@ def cpus(monkeypatch):
     """Set the CPU count analyze sees; 1 keeps every stage in process."""
 
     def set_count(count):
-        monkeypatch.setattr("wsdepnet.report._usable_cpus", lambda: count)
+        monkeypatch.setattr("wsdepnet.stages._usable_cpus", lambda: count)
 
     return set_count
 
@@ -196,7 +195,7 @@ def forks(monkeypatch):
             made.append(pid)
         return pid
 
-    monkeypatch.setattr("wsdepnet.report.os.fork", fork)
+    monkeypatch.setattr("wsdepnet.stages.os.fork", fork)
     return made
 
 
@@ -225,6 +224,25 @@ def test_stage_queue_refuses_more_stages_than_it_holds(cpus, forks):
     assert ran == [] and forks == []
 
 
+@pytest.mark.parametrize("without", ["second-cpu", "fork"])
+def test_without_a_helper_the_stages_run_with_no_pipe_or_fork(k2_collection, monkeypatch, cpus, deadline, without):
+    net = build_network(k2_collection, MatcherKind.SYNTACTIC_EQUAL)
+    config = AnalysisConfig(er_samples=20, bootstrap_n=100, walktrap_t=4, seed=7)
+    cpus(2)
+    forked = report_to_json(analyze(net, config))
+
+    def refuse(*_args):
+        raise AssertionError("a pipe or a fork without a helper")
+
+    monkeypatch.setattr("wsdepnet.stages.os.pipe", refuse)
+    if without == "fork":
+        monkeypatch.delattr("wsdepnet.stages.os.fork")
+    else:
+        monkeypatch.setattr("wsdepnet.stages.os.fork", refuse)
+        cpus(1)
+    assert report_to_json(analyze(net, config)) == forked
+
+
 def _random_tree(nodes, seed):
     """Links parent -> child of a random recursive tree: every in-degree is 1,
     so the in-degree fit is degenerate while the others bootstrap in blocks."""
@@ -239,7 +257,7 @@ def _heavy_tailed_fit(data, **kwargs):
 
 
 def test_bootstrap_draw_past_int64_nulls_only_the_p_value(monkeypatch, cpus, forks, deadline):
-    monkeypatch.setattr("wsdepnet.report.fit_power_law", _heavy_tailed_fit)
+    monkeypatch.setattr("wsdepnet.analysis.fit_power_law", _heavy_tailed_fit)
     net = _random_tree(400, seed=3)
     config = AnalysisConfig(er_samples=2, bootstrap_n=100, walktrap_t=4, seed=7)
     cpus(1)
@@ -328,8 +346,8 @@ def test_walktrap_runs_in_this_process(k2_collection, monkeypatch, cpus, forks, 
             time.sleep(0.2)  # the helper reaches the queue first
         return pid
 
-    monkeypatch.setattr("wsdepnet.report.walktrap", recorded_walktrap)
-    monkeypatch.setattr("wsdepnet.report.os.fork", fork_then_wait)
+    monkeypatch.setattr("wsdepnet.analysis.walktrap", recorded_walktrap)
+    monkeypatch.setattr("wsdepnet.stages.os.fork", fork_then_wait)
     cpus(2)
     report = analyze(net, FAST)
     assert len(forks) == 1
@@ -366,13 +384,13 @@ def test_failed_er_child_fails_analyze_loudly(k2_collection, monkeypatch, cpus, 
         os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
         return walktrap(*args, **kwargs)
 
-    monkeypatch.setattr("wsdepnet.report.walktrap", walktrap_after_the_helper)
-    monkeypatch.setattr("wsdepnet.report.er_baseline", child)
+    monkeypatch.setattr("wsdepnet.analysis.walktrap", walktrap_after_the_helper)
+    monkeypatch.setattr("wsdepnet.analysis.er_baseline", child)
     cpus(2)
     if child is _raise_key_error:  # an exception the helper could send back is raised here
         expected = pytest.raises(KeyError, match="not a ValueError")
     else:
-        expected = pytest.raises(RuntimeError, match=f"^analyze: helper process ended with exit status {status} ")
+        expected = pytest.raises(HelperProcessError, match=f"^helper process ended with exit status {status} ")
     with expected:
         analyze(net, FAST)
     assert len(forks) == 1
@@ -405,8 +423,8 @@ def test_failing_stage_reaps_the_er_child(k2_collection, monkeypatch, cpus, fork
     def broken_walktrap(*_args, **_kwargs):
         raise RuntimeError("walktrap broke")
 
-    monkeypatch.setattr("wsdepnet.report.er_baseline", slow_baseline)
-    monkeypatch.setattr("wsdepnet.report.walktrap", broken_walktrap)
+    monkeypatch.setattr("wsdepnet.analysis.er_baseline", slow_baseline)
+    monkeypatch.setattr("wsdepnet.analysis.walktrap", broken_walktrap)
     cpus(2)
     with pytest.raises(RuntimeError, match="walktrap broke"):
         analyze(net, FAST)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wsdepnet import community, report, topology
+from wsdepnet import analysis, community, topology
 from wsdepnet.cli import main as cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
@@ -34,8 +34,8 @@ LINKLESS_WSDL = """<?xml version="1.0"?>
 # walktrap checks connectivity once per run, and giant_subnetwork decomposes
 # once per run, so the last two count runs from any caller, a script included
 COUNTED = (
-    (report, "walktrap"),
-    (report, "giant_subnetwork"),
+    (analysis, "walktrap"),
+    (analysis, "giant_subnetwork"),
     (community, "weak_components_of"),
     (topology, "components"),
 )
@@ -75,7 +75,7 @@ def test_demo_runs_walktrap_once_per_network_and_writes_the_cli_bytes(tmp_path, 
         (run_demo, ["--er-samples", "0"], "samples must be >= 1, got 0"),
         (run_demo, ["--er-samples", "abc"], "invalid int value: 'abc'"),
         (run_demo, ["--walktrap-t", "0"], "t must be >= 1, got 0"),
-        (run_sawsdl_corpus, ["corpus", "--bootstrap", "50"], "replicates must be 0 or >= 100, got 50"),
+        (run_sawsdl_corpus, ["corpus", "--bootstrap", "50"], "bootstrap_n must be 0 or >= 100, got 50"),
         (run_sawsdl_corpus, ["corpus", "--er-samples", "abc"], "invalid int value: 'abc'"),
         (run_demo, ["--seed", "-1"], "seed must be >= 0, got -1"),
     ],
