@@ -12,10 +12,11 @@ per process that grows in pieces and belongs to the last law drawn from;
 they go through the KS scan in blocks of rows, and select_xmin is the
 one-row case of the same scan.
 
-Hurwitz zeta values (the discrete normalization) are computed by direct
-summation with an Euler-Maclaurin tail correction, accurate to ~1e-12
-relative; ratios are evaluated in scaled form so huge exponents do not
-underflow to 0/0.
+Hurwitz zeta values (the discrete normalization) sum their terms directly
+up to an edge set by the exponent and the cutoff, and add the
+Euler-Maclaurin tail there, so all values of one candidate cutoff share
+their direct terms; ratios are evaluated in scaled form so huge exponents
+do not underflow to 0/0.
 """
 
 from __future__ import annotations
@@ -27,40 +28,53 @@ import numpy as np
 from .errors import DegenerateAnalysisError
 from .report import PowerLawFit
 
-_EM_TERMS = 28  # direct-sum terms before the tail correction
+_DIRECT = 28  # most direct terms of a zeta value before its Euler-Maclaurin tail
 _BLOCK_CELLS = 1 << 14  # bootstrap samples scanned at once; bounds the scan's memory
 _CHUNK = 8  # bootstrap replicates drawn from one RNG stream
 _MIN_TAIL = 10  # least tail size of a candidate cutoff (2 where no cutoff keeps 10)
 
 
-def _scaled_zeta(alpha: np.ndarray | float, q: np.ndarray | float, scale: np.ndarray | float) -> np.ndarray:
+def _scaled_zeta(alpha, q, scale, group=None) -> np.ndarray:
     """The Hurwitz zeta sum over k >= 0 of (q + k)**-alpha (alpha > 1, q >= 1),
-    times scale**alpha, elementwise with broadcasting.
+    times scale**alpha: elementwise with broadcasting, or, given `group`, of
+    each q[i] with alpha[group[i]] and scale[group[i]], where q[i] >= scale.
 
-    Stable for large alpha when q >= scale >= 1: every power has a base
-    ratio >= 1, so terms underflow to zero instead of overflowing.
+    Terms below the edge E = max(m, min(ceil(1.5 (alpha + 10)), m + _DIRECT)),
+    m = min(q, scale), are summed directly, smallest first, before the
+    Euler-Maclaurin tail at E (through B10); q >= E takes the tail at q alone.
+    A group shares its row of terms, their suffix sums and the tail at E, and
+    each value is bit-identical in its group or alone. Stable for large alpha
+    when q >= scale >= 1: every base ratio is >= 1, so terms underflow to 0.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    q = np.asarray(q, dtype=float)
-    scale = np.asarray(scale, dtype=float)
-    shape = np.broadcast(alpha, q, scale).shape
-    total = np.zeros(shape)
-    neg_alpha = -alpha
-    # + and / round exactly in any kernel, so they run in place; the power
-    # gets its own buffer, as numpy may pick another pow kernel in place
-    ratio, term = np.empty(shape), np.empty(shape)
-    for t in range(_EM_TERMS):
-        np.add(q, t, out=ratio)
-        np.divide(ratio, scale, out=ratio)
-        np.power(ratio, neg_alpha, out=term)
-        total += term
-    edge = q + _EM_TERMS
-    ratio_pow = (edge / scale) ** -alpha
-    total = total + scale * (edge / scale) ** (1.0 - alpha) / (alpha - 1.0)
-    total = total + ratio_pow / 2.0
-    total = total + alpha * ratio_pow / (12.0 * edge)
-    total = total - alpha * (alpha + 1.0) * (alpha + 2.0) * ratio_pow / (720.0 * edge**3)
-    return total
+    shape, start = np.shape(q), scale  # a group's row of terms starts at its scale
+    if group is None:  # each value is a group of its own, whose row starts at q
+        alpha, q, scale = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (alpha, q, scale)))
+        shape, alpha, q, scale = q.shape, alpha.ravel(), q.ravel(), scale.ravel()
+        group, start = np.arange(q.size), q
+    m = np.minimum(start, scale)
+    edge = np.fmax(m, np.fmin(np.ceil(1.5 * (alpha + 10.0)), m + _DIRECT))
+    width = np.maximum(edge - start, 0).astype(np.intp)  # direct terms of each row
+    row = np.repeat(np.arange(width.size), width)
+    col = np.arange(row.size) - np.repeat(np.cumsum(width) - width, width)
+    terms = np.zeros((width.size, width.max(initial=0) + 1))  # a zero column past every row
+    terms[row, col] = np.power((start[row] + col) / scale[row], -alpha[row])
+    suffix = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]  # smallest first; 0 past a row's terms
+
+    # the tail at `at`, each group's E and each q past its E, with y = 1 / at: scale (at / scale)**(1 - alpha)
+    # (1 / (alpha - 1) + y / 2 + alpha / 12 y**2 (1 - c1 y**2 (1 - c2 y**2 (1 - c3 y**2 (1 - c4 y**2)))))
+    past = q >= edge[group]
+    far, near = np.flatnonzero(past), np.flatnonzero(~past)
+    at, by = np.concatenate([edge, q[far]]), np.concatenate([np.arange(edge.size), group[far]])
+    y = 1.0 / at
+    series, x = 1.0, y * y
+    for k, d in ((7.0, 39.6), (5.0, 40.0), (3.0, 42.0), (1.0, 60.0)):
+        series = 1.0 - ((alpha + k) * (alpha + k + 1.0) / d)[by] * x * series
+    power = np.power(at / scale[by], (1.0 - alpha)[by])
+    tail = scale[by] * power * ((1.0 / (alpha - 1.0))[by] + y * (0.5 + (alpha / 12.0)[by] * y * series))
+    out, g = np.empty(q.size), group[near]
+    out[far] = tail[edge.size :]
+    out[near] = suffix[g, (q[near] - start[g]).astype(np.intp)] + tail[g]
+    return out.reshape(shape)
 
 
 def _as_positive_ints(data) -> np.ndarray:
@@ -89,7 +103,7 @@ def _ks_scan(samples: np.ndarray):
     alpha, ks) with one entry per candidate, rows ascending and cutoffs
     ascending within a row; rows with fewer than 2 distinct values have no
     candidates. Only the (candidate, distinct value >= candidate) pairs of
-    all rows go through one _scaled_zeta call.
+    all rows go through one _scaled_zeta call, grouped by candidate.
     """
     rows, n = samples.shape
     step = samples[:, 1:] != samples[:, :-1]
@@ -115,9 +129,7 @@ def _ks_scan(samples: np.ndarray):
     pc = np.repeat(np.arange(cand.size), width)
     j = np.arange(pc.size) + np.repeat(cand - starts, width)
     w = samples[row[j], first[j]].astype(float)
-    scaled = _scaled_zeta(
-        np.concatenate([alphas, alphas[pc]]), np.concatenate([v, w + 1.0]), np.concatenate([v, v[pc]])
-    )
+    scaled = _scaled_zeta(alphas, np.concatenate([v, w + 1.0]), v, np.concatenate([np.arange(cand.size), pc]))
     model = 1.0 - scaled[cand.size :] / scaled[: cand.size][pc]
     empirical = (last[j] + 1 - cand_first[pc]) / n_tail[pc]
     gaps = np.abs(empirical - model)
@@ -156,7 +168,10 @@ def drop_table() -> None:
 
 def _tail_values(alpha: float, xmin: int, u: np.ndarray) -> np.ndarray:
     """The draws of the uniforms `u` from the discrete power law on {xmin,
-    xmin+1, ...}: for each, the least x >= xmin whose CDF reaches it.
+    xmin+1, ...}: for each, the least x >= xmin whose entry in the CDF table
+    (the cumsum of the terms over the zeta norm) reaches it. The table
+    agrees with model_tail_cdf to rounding, not bit for bit, so a uniform
+    within that rounding of a CDF step may draw the value past the step.
 
     They are looked up in the CDF table over [xmin, xmin + L) that _slot
     keeps for the last law drawn from; another law replaces it. L starts at
@@ -179,8 +194,9 @@ def _tail_values(alpha: float, xmin: int, u: np.ndarray) -> np.ndarray:
         table[: cdf.size] = cdf
         for first in range(cdf.size, table.size, _PIECE):
             stop = min(first + _PIECE, table.size)
-            # / and + round exactly in place, as in _scaled_zeta; the power
-            # writes to the table, a buffer apart from its input
+            # / and + round exactly in place; the power writes to the table,
+            # a buffer apart from its input, as numpy may pick another pow
+            # kernel in place
             ratio = np.arange(xmin + first, xmin + stop, dtype=float)
             ratio /= xmin
             piece = np.power(ratio, -alpha, out=table[first:stop])

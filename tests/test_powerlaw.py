@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 import weakref
 from unittest import mock
 
@@ -68,6 +69,64 @@ def test_zeta_recurrence():
             lhs = float(powerlaw._scaled_zeta(alpha, q, 1.0))
             rhs = float(powerlaw._scaled_zeta(alpha, q + 1, 1.0)) + q**-alpha
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0, 20.0, 300.0])
+def test_scaled_zeta_within_5e_12_of_scipy(scale):
+    # q < scale too, where the direct terms run from q and their ratios are below 1
+    alpha = np.linspace(1.5, 8.0, 131)[:, None]
+    q = np.arange(1.0, 1001.0)
+    ours = powerlaw._scaled_zeta(alpha, q, scale)
+    assert np.max(np.abs(ours / (scipy_zeta(alpha, q) * scale**alpha) - 1.0)) <= 5e-12
+
+
+# small values, ties and gaps; values where float64 spaces integers 2 apart; up to 2**62
+SCAN_VALUES = st.one_of(st.integers(1, 40), st.integers(2**53 - 20, 2**53 + 20), st.integers(1, 2**62))
+
+
+@given(
+    rows=st.tuples(st.integers(1, 3), st.integers(2, 30)).flatmap(
+        lambda shape: st.lists(
+            st.lists(SCAN_VALUES, min_size=shape[1], max_size=shape[1]), min_size=shape[0], max_size=shape[0]
+        )
+    )
+)
+@settings(max_examples=150)
+def test_scan_zeta_values_equal_elementwise_calls(rows):
+    """Each (candidate, value) pair of the scan's grouped _scaled_zeta call is
+    bit-identical to the same pair alone, and to its cell of the oracle's
+    (candidate x distinct value) matrix, whose masked cells raise nothing."""
+    samples = np.sort(np.array(rows, dtype=np.int64), axis=1)
+    zeta, calls = powerlaw._scaled_zeta, []
+
+    def recorded(alpha, q, scale, group=None):
+        calls.append((alpha, q, scale, group, zeta(alpha, q, scale, group)))
+        return calls[-1][-1]
+
+    # exponents of tails tied past 2**53 may be inf, and their KS nan
+    with mock.patch.object(powerlaw, "_scaled_zeta", recorded), np.errstate(all="ignore"):
+        cand_row, v, alphas, _ = powerlaw._ks_scan(samples)
+    ((alpha, q, scale, group, scaled),) = calls
+    with np.errstate(all="ignore"):
+        assert zeta(alpha[group], q, scale[group]).tobytes() == scaled.tobytes()
+        for i in range(0, q.size, max(1, q.size // 7)):
+            assert zeta(alpha[group[i]], q[i], scale[group[i]]).tobytes() == scaled[i : i + 1].tobytes()
+
+    pairs = [np.zeros(0)]
+    for r, sample in enumerate(samples):
+        values, first = np.unique(sample, return_index=True)
+        if values.size < 2:
+            continue
+        tail = sample.size - first  # candidates by position, as values past 2**53 share floats
+        at = np.flatnonzero(tail >= (powerlaw._MIN_TAIL if (tail >= powerlaw._MIN_TAIL).any() else 2))
+        mine = cand_row == r
+        assert np.array_equal(values[at].astype(float), v[mine])
+        # the oracle's errstate; cells with w < v, so q < scale, are masked out there
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore", divide="raise"):
+            warnings.simplefilter("error")
+            matrix = zeta(alphas[mine, None], values.astype(float)[None, :] + 1.0, v[mine, None])
+        pairs += [cells[i:] for cells, i in zip(matrix, at)]
+    assert np.concatenate(pairs).tobytes() == scaled[v.size :].tobytes()
 
 
 # -- MLE ----------------------------------------------------------------------
@@ -187,8 +246,8 @@ def test_select_xmin_degenerate():
         select_xmin([])
 
 
-def _constant_zeta(alpha, q, scale):
-    return np.ones(np.broadcast(alpha, q, scale).shape)
+def _constant_zeta(alpha, q, scale, group=None):
+    return np.ones(np.broadcast(alpha, q, scale).shape if group is None else np.shape(q))
 
 
 @given(
@@ -347,8 +406,17 @@ def test_table_growth_to_2_20_entries_stays_under_12_mb():
     finally:
         tracemalloc.stop()
     assert powerlaw._slot[2].size == 2**20
-    assert drawn.tolist() == [quantile_oracle(alpha, xmin, float(u[0]))]
     assert peak <= 12 * 2**20
+    # the table agrees with the exact CDF to 1e-13, where the steps near 2**19 are
+    # 2.2e-12 apart: u, exactly on the step of 2**19 + 5, may draw either side of
+    # it, and uniforms 1e-13 off the step draw as the exact CDF's bisection does
+    x = np.arange(xmin, xmin + 2**20, 16)
+    assert np.abs(powerlaw._slot[2][x - xmin] - powerlaw.model_tail_cdf(alpha, xmin, x)).max() <= 1e-13
+    exact = quantile_oracle(alpha, xmin, float(u[0]))
+    assert exact == 2**19 + 5 and drawn[0] in (exact, exact + 1)
+    off = u[0] + np.array([-1e-13, 1e-13])
+    assert powerlaw._tail_values(alpha, xmin, off).tolist() == [exact, exact + 1]
+    assert [quantile_oracle(alpha, xmin, float(ui)) for ui in off] == [exact, exact + 1]
 
 
 def test_draw_past_int64_raises():
