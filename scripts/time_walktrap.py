@@ -7,7 +7,8 @@ proportional to their degree, up to 3,000 nodes and 8,994 links (seed 0).
 Prints the wall time of `community.walktrap` at t = 4, a SHA-256 of its
 partition (node -> community id, in node order), best cut and merge count,
 and a SHA-256 of its dendrogram CSV (`community.dendrogram_csv`), which
-also carries the exact Delta-sigma of every merge. With --check it also
+also carries the exact Delta-sigma of every merge, then the process's peak
+RSS so far (`ru_maxrss`, in MB of 2^20 bytes). With --check it also
 runs the heap implementation kept as the test oracle (`tests/helpers.py`;
 tens of seconds) and exits 1 if its partition hash differs; the heap
 version's Delta-sigma values differ in their last bits, so only the
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import resource
 import sys
 import time
 from pathlib import Path
@@ -76,7 +78,8 @@ def main(argv=None) -> int:
     print(
         f"walktrap: {net.node_count} nodes, {net.link_count} links, t={T}: {elapsed:.2f} s, "
         f"{result.partition.community_count} communities, modularity {result.partition.modularity:.6f}, "
-        f"partition sha256 {digest}, dendrogram sha256 {dendrogram_hash(result)}"
+        f"partition sha256 {digest}, dendrogram sha256 {dendrogram_hash(result)}, "
+        f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB"
     )
     if not args.check:
         return 0

@@ -65,7 +65,7 @@ def analyze_with_communities(
     The rest are stages of one queue, in this order: Walktrap, the
     Erdos-Renyi baseline, the bootstrap blocks of the in, out and all fits,
     directed and undirected distances, and transitivity. This process
-    takes Walktrap, so its n x n matrices and its result stay here; then
+    takes Walktrap, so its n x n matrix and its result stay here; then
     it and, where `os.fork` exists and a second CPU is usable, one forked
     helper process each take the next stage until none is left. Without a
     helper, or where the OS refuses its pipes or its fork, the stages run

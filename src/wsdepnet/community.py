@@ -38,15 +38,15 @@ evaluates the new community and the neighbours whose nearest it absorbed,
 each over all its neighbours. Ties go to the smallest (min id, max id).
 The floating-point operations and their operands are those of a row and
 column update, so merges and Delta-sigma do not depend on this
-bookkeeping. Memory is one n x n matrix, plus a spare one during the walk
-steps.
+bookkeeping. Memory is one n x n matrix, plus fewer than n side rows
+during the walk steps (walk_gram).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -109,6 +109,62 @@ class WalktrapResult:
         return assignment
 
 
+def _visit_order(undirected: list[list[int]]) -> tuple[int, list[int], list[list[int]]]:
+    """(k, order, dies): the nodes by descending degree; k < n, the most rows
+    alive beyond n during a walk step that visits them in that order; dies[i],
+    the nodes whose last neighbour is visit i."""
+    order = sorted(range(len(undirected)), key=lambda u: -len(undirected[u]))
+    position = np.argsort(order).tolist()
+    dies: list[list[int]] = [[] for _ in order]
+    for v, neighbors in enumerate(undirected):
+        dies[max(map(position.__getitem__, neighbors))].append(v)
+    # visit i writes new row i + 1 while the old rows not freed before it live
+    k = max(i + 1 - freed for i, freed in enumerate(accumulate(map(len, dies), initial=0)))
+    return k, order, dies
+
+
+def walk_gram(undirected: list[list[int]], t: int) -> np.ndarray:
+    """G = (P^2t - 1 pi^T) D^-1 from 2t - 1 walk steps: row u of a power is
+    the sum of the last power's rows over u's neighbours, ascending, over d_u.
+    All rows share one pool, G and the k side rows of _visit_order: a new row
+    takes a free slot, and a row of the last power frees its slot after its
+    last neighbour's visit. Then the rows move into node order in place: each
+    chain that ends in a free row of G, then each cycle, through a side row."""
+    size = len(undirected)
+    degrees = [len(neighbors) for neighbors in undirected]
+    pi = np.asarray(degrees) / float(sum(degrees))
+    k, order, dies = _visit_order(undirected)
+    gram = np.full((size, size), -pi)
+    for u, neighbors in enumerate(undirected):
+        gram[u, neighbors] += 1.0 / degrees[u]
+    pool = [*gram, *np.empty((k, size))]  # a view per row
+    slot, free = list(range(size)), list(range(size, size + k))
+    for _ in range(2 * t - 1):
+        was, slot = slot, [0] * size
+        rows = [pool[s] for s in was]  # the last power, by node
+        for u, neighbors, dead in zip(order, map(undirected.__getitem__, order), dies):
+            slot[u] = s = free.pop()
+            row = pool[s]
+            np.copyto(row, rows[neighbors[0]])
+            for v in neighbors[1:]:
+                row += rows[v]
+            row /= degrees[u]
+            free += map(was.__getitem__, dead)
+    held = dict(zip(slot, range(size)))  # slot -> node
+    for u in [u for u in range(size) if u not in held] + list(range(size)):  # chains from free rows of G first
+        if held.get(u, u) != u:  # another node's row: a cycle, and the chains have freed every side row
+            np.copyto(pool[size], pool[u])
+            slot[held[u]] = size
+        while u < size and held.get(u) != u:
+            np.copyto(pool[u], pool[slot[u]])
+            held[u], u = u, slot[u]
+    # the rows' pi-weighted mean is 0 but for rounding, which would not
+    # cancel in Delta-sigma
+    gram -= np.einsum("u,uv->v", pi, gram)
+    gram /= degrees
+    return gram
+
+
 def walktrap(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
     """Agglomerate the network and return the maximum-modularity cut.
 
@@ -130,29 +186,7 @@ def walktrap(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
     if not m:
         raise DegenerateAnalysisError("walktrap", "no links")
 
-    # G = (P^2t - 1 pi^T) D^-1 from 2t - 1 walk steps: row u of the next
-    # power is the mean of the rows of the last over u's neighbours.
-    pi = np.asarray(degrees) / (2.0 * m)
-    gram = np.empty((size, size))
-    gram[:] = -pi
-    for u, neighbors in enumerate(undirected):
-        gram[u, neighbors] += 1.0 / degrees[u]
-    spare = np.empty_like(gram)
-    for _ in range(2 * t - 1):
-        rows = list(gram)  # a view per row, made once per step, not once per add
-        for u, neighbors in enumerate(undirected):
-            row = spare[u]
-            np.copyto(row, rows[neighbors[0]])
-            for v in neighbors[1:]:
-                row += rows[v]
-            row /= degrees[u]
-        del rows
-        gram, spare = spare, gram
-    del spare
-    # the rows' pi-weighted mean is 0 but for rounding, which would not
-    # cancel in Delta-sigma
-    gram -= np.einsum("u,uv->v", pi, gram)
-    gram /= degrees
+    gram = walk_gram(undirected, t)
     diag = gram.diagonal().copy()
 
     # Row r of gram belongs to the community ids[r]; a merge keeps one of

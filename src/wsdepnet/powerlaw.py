@@ -99,8 +99,9 @@ def _ks_scan(samples: np.ndarray):
     `samples` is an (R, n) array sorted along its rows. Candidates are the
     distinct values keeping at least _MIN_TAIL observations in the tail
     where the row has any such value, and at least 2 otherwise; each gets
-    the (xmin - 1/2) exponent of the module docstring. Returns (row, xmin,
-    alpha, ks) with one entry per candidate, rows ascending and cutoffs
+    the (xmin - 1/2) exponent of the module docstring, unless rounding puts
+    that outside (1, inf), as it may for a tail tied past 2^53. Returns (row,
+    xmin, alpha, ks) with one entry per candidate, rows ascending and cutoffs
     ascending within a row; rows with fewer than 2 distinct values have no
     candidates. Only the (candidate, distinct value >= candidate) pairs of
     all rows go through one _scaled_zeta call, grouped by candidate.
@@ -116,8 +117,9 @@ def _ks_scan(samples: np.ndarray):
     fallback = np.bincount(row[keep], minlength=rows) == 0
     cand = np.flatnonzero(np.where(fallback[row], tail >= 2, keep) & (distinct[row] >= 2))
 
-    # all candidate exponents from suffix log sums
+    # all candidate exponents from suffix log sums, refusing a denominator <= 0 (alpha = inf or < 1)
     suffix_logsum = np.cumsum(np.log(samples.astype(float))[:, ::-1], axis=1)[:, ::-1]
+    cand = cand[suffix_logsum[row[cand], first[cand]] > tail[cand] * np.log(samples[row[cand], first[cand]] - 0.5)]
     cand_row, cand_first = row[cand], first[cand]
     v = samples[cand_row, cand_first].astype(float)
     n_tail = tail[cand].astype(float)
@@ -145,9 +147,11 @@ def select_xmin(data) -> tuple[int, float, float]:
     smaller cutoff. Returns (xmin, alpha, ks_statistic), alpha from the
     (xmin - 1/2) approximation of _ks_scan.
     """
-    _, v, alphas, ks = _ks_scan(np.sort(_as_positive_ints(data))[None, :])
+    arr = np.sort(_as_positive_ints(data))
+    _, v, alphas, ks = _ks_scan(arr[None, :])
     if ks.size == 0:
-        raise DegenerateAnalysisError("power-law-fit", "fewer than 2 distinct values")
+        reason = "fewer than 2 distinct values" if not arr.size or arr[0] == arr[-1] else "no exponent in (1, inf)"
+        raise DegenerateAnalysisError("power-law-fit", reason)
     best = int(np.argmin(ks))  # first minimum == smallest cutoff
     return int(v[best]), float(alphas[best]), float(ks[best])
 

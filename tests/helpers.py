@@ -279,6 +279,31 @@ def walktrap_delta_sigma_exact(undirected: list[list[int]], t: int):
     return delta_sigma
 
 
+def walk_gram_oracle(undirected: list[list[int]], t: int) -> np.ndarray:
+    """`community.walk_gram` as it was before its rows shared one pool: each
+    walk step writes every row, in node order, into a second n x n buffer,
+    and the two buffers swap. The rows are the same sums of the same rows in
+    the same order, so the two agree bit for bit."""
+    degrees = [len(neighbors) for neighbors in undirected]
+    pi = np.asarray(degrees) / float(sum(degrees))
+    gram = np.empty((len(undirected), len(undirected)))
+    gram[:] = -pi
+    for u, neighbors in enumerate(undirected):
+        gram[u, neighbors] += 1.0 / degrees[u]
+    spare = np.empty_like(gram)
+    for _ in range(2 * t - 1):
+        for u, neighbors in enumerate(undirected):
+            row = spare[u]
+            np.copyto(row, gram[neighbors[0]])
+            for v in neighbors[1:]:
+                row += gram[v]
+            row /= degrees[u]
+        gram, spare = spare, gram
+    gram -= np.einsum("u,uv->v", pi, gram)
+    gram /= degrees
+    return gram
+
+
 def walktrap_heap_reference(n: DependencyNetwork, t: int = 4) -> WalktrapResult:
     """Walktrap with explicit walk rows and a lazily pruned heap.
 
@@ -426,10 +451,15 @@ def select_xmin_oracle(data, min_tail: int = 10) -> tuple[int, float, float]:
 
     log_data = np.log(arr.astype(float))
     suffix_logsum = np.concatenate([np.cumsum(log_data[::-1])[::-1], [0.0]])
-    v = values[cand].astype(float)
     n_tail = tail_sizes[cand].astype(float)
-    denom = suffix_logsum[first_index[cand]] - n_tail * np.log(v - 0.5)
-    alphas = 1.0 + n_tail / denom
+    with np.errstate(divide="ignore"):
+        alphas = 1.0 + n_tail / (suffix_logsum[first_index[cand]] - n_tail * np.log(values[cand] - 0.5))
+    # a candidate whose exponent rounding puts outside (1, inf) is no law
+    law = (alphas > 1) & (alphas < INF)
+    if not law.any():
+        raise DegenerateAnalysisError("power-law-fit", "no exponent in (1, inf)")
+    cand, n_tail, alphas = cand[law], n_tail[law], alphas[law]
+    v = values[cand].astype(float)
 
     counts = np.diff(np.append(first_index, n))
     cum_counts = np.cumsum(counts)  # number of observations <= values[j]

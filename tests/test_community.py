@@ -14,6 +14,7 @@ from helpers import (
     random_connected_undirected_network,
     walktrap_delta_sigma,
     walktrap_delta_sigma_exact,
+    walk_gram_oracle,
     walktrap_heap_reference,
 )
 from wsdepnet import community
@@ -236,6 +237,70 @@ def test_walktrap_peak_memory_is_two_walk_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 8 * size * size + 256 * 1024
+
+
+def test_walktrap_peak_memory_is_one_walk_matrix_on_a_heavy_tailed_graph():
+    # in descending degree order the walk steps need one side row here; the
+    # slack covers the adjacency, the link counts and the per-community arrays
+    net = heavy_tailed_network()
+    size = net.node_count
+    assert size == 1200
+    tracemalloc.start()
+    try:
+        walktrap(net, t=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * size * size + 2 * 2**20
+
+
+@st.composite
+def _walk_graphs(draw):
+    """Adjacency lists of a star, a path, a clique, a tree whose few hubs
+    carry the other nodes as leaves, or a connected random graph; all but
+    the last are numbered in a drawn order or in order of construction."""
+    kind = draw(st.sampled_from(["star", "path", "clique", "leafy tree", "random"]))
+    size = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return random_connected_undirected_network(rng, max_n=size).neighbors
+    if kind == "star":
+        edges = [(0, v) for v in range(1, size)]
+    elif kind == "path":
+        edges = [(v, v + 1) for v in range(size - 1)]
+    elif kind == "clique":
+        edges = [(u, v) for u in range(size) for v in range(u + 1, size)]
+    else:
+        hubs = draw(st.integers(1, max(1, size // 5)))
+        edges = [(int(rng.integers(v)), v) for v in range(1, hubs)]
+        edges += [(int(rng.integers(hubs)), v) for v in range(hubs, size)]
+    label = rng.permutation(size).tolist() if draw(st.booleans()) else list(range(size))
+    undirected: list[list[int]] = [[] for _ in range(size)]
+    for u, v in edges:
+        undirected[label[u]].append(label[v])
+        undirected[label[v]].append(label[u])
+    return [sorted(neighbors) for neighbors in undirected]
+
+
+@given(_walk_graphs(), st.integers(1, 4))
+@settings(max_examples=200)
+def test_walk_gram_equals_the_two_buffer_walk_bit_for_bit(undirected, t):
+    # a row written to a slot still in use, or a row left out of node order,
+    # changes G; the side buffer stays below n rows
+    assert community._visit_order(undirected)[0] < len(undirected)
+    assert community.walk_gram(undirected, t).tobytes() == walk_gram_oracle(undirected, t).tobytes()
+
+
+@pytest.mark.parametrize(
+    "edges, side_rows",
+    [
+        ([(0, v) for v in range(1, 6)], 1),  # the hub's visit frees every leaf
+        ([(v, v + 1) for v in range(5)], 2),
+        ([(u, v) for u in range(6) for v in range(u + 1, 6)], 5),  # every row lives until the last visits
+    ],
+)
+def test_walk_side_rows_of_a_star_a_path_and_a_clique(edges, side_rows):
+    assert community._visit_order(_net(6, edges).neighbors)[0] == side_rows
 
 
 @given(_connected_nets())

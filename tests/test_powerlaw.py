@@ -103,7 +103,7 @@ def test_scan_zeta_values_equal_elementwise_calls(rows):
         calls.append((alpha, q, scale, group, zeta(alpha, q, scale, group)))
         return calls[-1][-1]
 
-    # exponents of tails tied past 2**53 may be inf, and their KS nan
+    # the exponents of tails tied past 2**53 may be refused, and other cells overflow
     with mock.patch.object(powerlaw, "_scaled_zeta", recorded), np.errstate(all="ignore"):
         cand_row, v, alphas, _ = powerlaw._ks_scan(samples)
     ((alpha, q, scale, group, scaled),) = calls
@@ -119,6 +119,10 @@ def test_scan_zeta_values_equal_elementwise_calls(rows):
             continue
         tail = sample.size - first  # candidates by position, as values past 2**53 share floats
         at = np.flatnonzero(tail >= (powerlaw._MIN_TAIL if (tail >= powerlaw._MIN_TAIL).any() else 2))
+        log_sums = np.log(sample[::-1].astype(float)).cumsum()[::-1][first[at]]
+        with np.errstate(divide="ignore"):
+            exponent = 1.0 + tail[at] / (log_sums - tail[at] * np.log(values[at] - 0.5))
+        at = at[(exponent > 1) & (exponent < np.inf)]  # refused otherwise
         mine = cand_row == r
         assert np.array_equal(values[at].astype(float), v[mine])
         # the oracle's errstate; cells with w < v, so q < scale, are masked out there
@@ -127,6 +131,29 @@ def test_scan_zeta_values_equal_elementwise_calls(rows):
             matrix = zeta(alphas[mine, None], values.astype(float)[None, :] + 1.0, v[mine, None])
         pairs += [cells[i:] for cells, i in zip(matrix, at)]
     assert np.concatenate(pairs).tobytes() == scaled[v.size :].tobytes()
+
+
+def test_scan_refuses_exponents_outside_one_to_inf():
+    # Past 2**53, v - 1/2 rounds to v: a tail tied at v gets a zero
+    # denominator (alpha = inf, and a KS of nan) or one rounded below 0
+    # (alpha < 1). Both are refused, in the bootstrap's block scan as in
+    # select_xmin, so neither a fit nor a replicate's KS can be nan.
+    samples = np.sort(
+        np.array([[1] * 3 + [2**60] * 10, [1, 2, 3] + [2**55] * 10, list(range(1, 14))], dtype=np.int64), axis=1
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, v, alphas, ks = powerlaw._ks_scan(samples)
+        fits = [select_xmin(sample) for sample in samples]
+        assert select_xmin([1, 2**60, 2**60]) == select_xmin_oracle([1, 2**60, 2**60])
+    assert ((alphas > 1) & (alphas < np.inf)).all() and not np.isnan(ks).any()
+    assert {2.0**55, 2.0**60}.isdisjoint(v.tolist())
+    ks_values = np.full(len(samples), np.inf)
+    np.minimum.at(ks_values, rows, ks)  # a replicate's KS, as _replicate_ks takes it
+    assert ks_values.tolist() == [ks for _, _, ks in fits]
+    assert select_xmin([1, 2**60, 2**60])[0] == 1
+    with pytest.raises(DegenerateAnalysisError, match=r"no exponent in \(1, inf\)"):
+        select_xmin([2**60, 2**60 + 1, 2**60 + 1])
 
 
 # -- MLE ----------------------------------------------------------------------

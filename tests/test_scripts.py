@@ -1,6 +1,7 @@
 """The scripts: one Walktrap per network, the CLI's bytes and exit codes, the benchmark verdict,
 the differing JSON values of two outputs."""
 
+import re
 import sys
 from pathlib import Path
 
@@ -122,6 +123,7 @@ def test_time_walktrap_check_agrees_with_the_heap_reference(monkeypatch, capsys)
     timed, reference = capsys.readouterr().out.splitlines()
     assert timed.startswith("walktrap: 60 nodes, 174 links, t=4: ")
     assert timed.split(", partition sha256 ")[1].split(",")[0] == reference.split("partition sha256 ")[1]
+    assert re.fullmatch(r".*, dendrogram sha256 [0-9a-f]{64}, peak RSS \d+\.\d MB", timed)
 
 
 PARENT = [1.00, 0.98, 1.02, 0.99, 1.01]  # median 1.00, interquartile range 0.02
