@@ -16,14 +16,18 @@ lists every output file
 whose bytes differ between the trees and every command whose exit status
 differs, and exits 1 if there is any. Under a `.json` output whose bytes
 differ it prints each differing value as a dotted path with both sides,
-e.g. `power_law.all.p_value 0.821 -> 0.816`. Inputs and outputs go to one
-temporary directory, removed at the end; neither tree is written to.
+e.g. `power_law.all.p_value 0.821 -> 0.816`, and after them each
+differing p-value's ratio to the bound of a declared change to the
+bootstrap's draws (`pvalue_bound_ratios`), e.g. `power_law.all.p_value
+|dp|/bound 0.065`. Inputs and outputs go to one temporary directory,
+removed at the end; neither tree is written to.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -53,6 +57,22 @@ def json_differences(parent, change, path: str = "") -> list[str]:
             return []
         return [f"{path or '(document)'} {_shown(parent)} -> {_shown(change)}"]
     return [line for key, p, c in pairs for line in json_differences(p, c, f"{path}.{key}" if path else str(key))]
+
+
+def pvalue_bound_ratios(parent, change) -> list[str]:
+    """For each tail whose `power_law.<tail>.p_value` differs between two
+    decoded reports, |dp| / (4 sqrt(2 p (1 - p) / R) + 2 / R), with p the
+    mean of both sides and R the change's `bootstrap_n`: the bound of a
+    declared change to the bootstrap's draws, so a ratio above 1 breaks it."""
+    lines = []
+    for tail, fit in (change.get("power_law") or {}).items():
+        before = ((parent.get("power_law") or {}).get(tail) or {}).get("p_value")
+        after = (fit or {}).get("p_value")
+        if isinstance(before, float | int) and isinstance(after, float | int) and before != after:
+            p, replicates = (before + after) / 2, fit["bootstrap_n"]
+            bound = 4 * math.sqrt(2 * p * (1 - p) / replicates) + 2 / replicates
+            lines.append(f"power_law.{tail}.p_value |dp|/bound {abs(after - before) / bound:.3g}")
+    return lines
 
 
 def _shown(value) -> str:
@@ -131,7 +151,10 @@ def main(argv: list[str] | None = None) -> int:
                     if not (left.is_file() and right.is_file() and left.read_bytes() == right.read_bytes()):
                         problems.append(f"{rel}: bytes differ")
                         if rel.suffix == ".json" and left.is_file() and right.is_file():
-                            found = json_differences(json.loads(left.read_bytes()), json.loads(right.read_bytes()))
+                            docs = json.loads(left.read_bytes()), json.loads(right.read_bytes())
+                            found = json_differences(*docs)
+                            if all(isinstance(doc, dict) for doc in docs):
+                                found += pvalue_bound_ratios(*docs)
                             details += [f"  {rel}: {line}" for line in found]
                 compared += len(files)
                 differing += len(problems)

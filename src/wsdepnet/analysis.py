@@ -17,7 +17,7 @@ import numpy as np
 from .community import WalktrapResult, walktrap
 from .errors import DegenerateAnalysisError
 from .network import DependencyNetwork, network_summary
-from .powerlaw import bootstrap_blocks, drop_table, fit_power_law, pvalue_from_replicates
+from .powerlaw import bootstrap_blocks, fit_power_law, pvalue_from_replicates
 from .report import _TAILS, AnalysisConfig, MetricsReport, _checked
 from .stages import _QUEUE_SLOTS, _run_stages
 from .topology import (
@@ -75,8 +75,6 @@ def analyze_with_communities(
     `resource.RUSAGE_CHILDREN`, not in `RUSAGE_SELF`. A stage raises its
     exception in whichever process ran it; if the helper itself fails,
     this raises `errors.HelperProcessError`.
-    The CDF table that the bootstrap draws through (`powerlaw.drop_table`)
-    is freed before this returns, so it does not outlive the call.
     """
     config = _checked(config or AnalysisConfig())
     if n.node_count == 0:
@@ -109,10 +107,7 @@ def analyze_with_communities(
         functools.partial(distances, giant, "undirected"),
         functools.partial(transitivity, giant),
     ]
-    try:
-        results = iter(_run_stages(stages))
-    finally:
-        drop_table()  # up to 8 MiB, which no later call needs
+    results = iter(_run_stages(stages))
     outcomes["communities"], outcomes["er_baseline"] = next(results), next(results)
     for tail, calls in blocks.items():
         fit = fits[tail]

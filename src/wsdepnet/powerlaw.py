@@ -7,10 +7,10 @@ is chosen among observed values by minimizing the Kolmogorov-Smirnov
 distance between the empirical tail CDF and the fitted model CDF. The
 p-value refits every bootstrap replicate, so it measures the whole
 procedure, not just the final exponent. Replicates are drawn in chunks of
-eight, one RNG stream and three RNG calls per chunk, through one CDF table
-per process that grows in pieces and belongs to the last law drawn from;
-they go through the KS scan in blocks of rows, and select_xmin is the
-one-row case of the same scan.
+eight from one RNG stream per chunk, their tail values by rejection from
+the continuous power law, with no state kept between draws; they go
+through the KS scan in blocks of rows, and select_xmin is the one-row case
+of the same scan.
 
 Hurwitz zeta values (the discrete normalization) sum their terms directly
 up to an edge set by the exponent and the cutoff, and add the
@@ -34,30 +34,24 @@ _CHUNK = 8  # bootstrap replicates drawn from one RNG stream
 _MIN_TAIL = 10  # least tail size of a candidate cutoff (2 where no cutoff keeps 10)
 
 
-def _scaled_zeta(alpha, q, scale, group=None) -> np.ndarray:
-    """The Hurwitz zeta sum over k >= 0 of (q + k)**-alpha (alpha > 1, q >= 1),
-    times scale**alpha: elementwise with broadcasting, or, given `group`, of
-    each q[i] with alpha[group[i]] and scale[group[i]], where q[i] >= scale.
+def _scaled_zeta(alpha, q, scale, group) -> np.ndarray:
+    """The Hurwitz zeta sum over k >= 0 of (q[i] + k)**-a (a > 1), times s**a,
+    for each q[i] with a = alpha[group[i]] and s = scale[group[i]], where
+    q[i] >= s >= 1.
 
-    Terms below the edge E = max(m, min(ceil(1.5 (alpha + 10)), m + _DIRECT)),
-    m = min(q, scale), are summed directly, smallest first, before the
-    Euler-Maclaurin tail at E (through B10); q >= E takes the tail at q alone.
-    A group shares its row of terms, their suffix sums and the tail at E, and
-    each value is bit-identical in its group or alone. Stable for large alpha
-    when q >= scale >= 1: every base ratio is >= 1, so terms underflow to 0.
+    Terms below a group's edge E = max(s, min(ceil(1.5 (a + 10)), s + _DIRECT))
+    are summed directly, smallest first, before the Euler-Maclaurin tail at E
+    (through B10); q >= E takes the tail at q alone. A group shares its row
+    of terms from s, their suffix sums and the tail at E, and each value is
+    bit-identical in its group or alone in a group of the same a and s.
+    Stable for large a: every base ratio is >= 1, so terms underflow to 0.
     """
-    shape, start = np.shape(q), scale  # a group's row of terms starts at its scale
-    if group is None:  # each value is a group of its own, whose row starts at q
-        alpha, q, scale = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (alpha, q, scale)))
-        shape, alpha, q, scale = q.shape, alpha.ravel(), q.ravel(), scale.ravel()
-        group, start = np.arange(q.size), q
-    m = np.minimum(start, scale)
-    edge = np.fmax(m, np.fmin(np.ceil(1.5 * (alpha + 10.0)), m + _DIRECT))
-    width = np.maximum(edge - start, 0).astype(np.intp)  # direct terms of each row
+    edge = np.fmax(scale, np.fmin(np.ceil(1.5 * (alpha + 10.0)), scale + _DIRECT))
+    width = (edge - scale).astype(np.intp)  # direct terms of each row
     row = np.repeat(np.arange(width.size), width)
     col = np.arange(row.size) - np.repeat(np.cumsum(width) - width, width)
     terms = np.zeros((width.size, width.max(initial=0) + 1))  # a zero column past every row
-    terms[row, col] = np.power((start[row] + col) / scale[row], -alpha[row])
+    terms[row, col] = np.power((scale[row] + col) / scale[row], -alpha[row])
     suffix = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]  # smallest first; 0 past a row's terms
 
     # the tail at `at`, each group's E and each q past its E, with y = 1 / at: scale (at / scale)**(1 - alpha)
@@ -73,8 +67,8 @@ def _scaled_zeta(alpha, q, scale, group=None) -> np.ndarray:
     tail = scale[by] * power * ((1.0 / (alpha - 1.0))[by] + y * (0.5 + (alpha / 12.0)[by] * y * series))
     out, g = np.empty(q.size), group[near]
     out[far] = tail[edge.size :]
-    out[near] = suffix[g, (q[near] - start[g]).astype(np.intp)] + tail[g]
-    return out.reshape(shape)
+    out[near] = suffix[g, (q[near] - scale[g]).astype(np.intp)] + tail[g]
+    return out
 
 
 def _as_positive_ints(data) -> np.ndarray:
@@ -85,12 +79,6 @@ def _as_positive_ints(data) -> np.ndarray:
     if arr.size and arr.min() < 1:
         raise ValueError("data must be positive integers")
     return arr
-
-
-def model_tail_cdf(alpha: float, xmin: int, values) -> np.ndarray:
-    """P(X <= v | X >= xmin) of the discrete power law, for integer v >= xmin."""
-    values = np.asarray(values, dtype=float)
-    return 1.0 - _scaled_zeta(alpha, values + 1.0, float(xmin)) / _scaled_zeta(alpha, float(xmin), float(xmin))
 
 
 def _ks_scan(samples: np.ndarray):
@@ -156,92 +144,34 @@ def select_xmin(data) -> tuple[int, float, float]:
     return int(v[best]), float(alphas[best]), float(ks[best])
 
 
-_MAX_TABLE = 2**20
-_PIECE = 1 << 16  # table entries computed at once while a table grows
-_INT64_MAX = 2**63 - 1
-# ((alpha, xmin), zeta normalization, CDF table) of the last law drawn from:
-# a process keeps one table, whichever laws it draws from and in what order
-_slot = (None, None, None)
+_INT64_END = 2.0**63  # the least float past the int64 range
+# proposals per draw still needed in a round of _tail_draws: above 1 / ln 2,
+# the inverse of the least acceptance rate (alpha -> 1 at xmin = 1)
+_OVERDRAW = 1.45
 
 
-def drop_table() -> None:
-    """Free the CDF table of the last law drawn from; the next draw builds its own."""
-    global _slot
-    _slot = (None, None, None)
-
-
-def _tail_values(alpha: float, xmin: int, u: np.ndarray) -> np.ndarray:
-    """The draws of the uniforms `u` from the discrete power law on {xmin,
-    xmin+1, ...}: for each, the least x >= xmin whose entry in the CDF table
-    (the cumsum of the terms over the zeta norm) reaches it. The table
-    agrees with model_tail_cdf to rounding, not bit for bit, so a uniform
-    within that rounding of a CDF step may draw the value past the step.
-
-    They are looked up in the CDF table over [xmin, xmin + L) that _slot
-    keeps for the last law drawn from; another law replaces it. L starts at
-    1024 and grows x4 only when a draw needs it, up to _MAX_TABLE entries
-    (8 MB); draws beyond the table bisect the exact CDF instead (_quantile).
-    A grown table keeps its prefix and continues it in pieces of _PIECE
-    entries, each piece's cumsum starting from the last entry. cumsum is
-    sequential, so every table equals the one-shot cumsum of its length,
-    and a longer table gives every draw the index a shorter one would.
+def _tail_draws(rng: np.random.Generator, alpha: float, xmin: int, count: int) -> np.ndarray:
+    """`count` draws of the discrete power law P(X = k) ~ k**-alpha on {xmin,
+    xmin + 1, ...}, as floats, by rejection from the continuous power law on
+    [xmin, inf): each pair (w, v) of a round of random((2, m)) proposes
+    x = floor(xmin (1 - w)**(-1 / (alpha - 1))), which puts mass
+    (xmin / k)**(alpha - 1) g(k) on k, g(k) = 1 - (1 + 1/k)**(1 - alpha), and
+    keeps it where v x g(x) <= xmin g(xmin). 1 / (k g(k)) falls with k, so
+    the kept values follow the law exactly. Rounds of m = floor(_OVERDRAW r)
+    + 16 proposals, r the draws still needed, run until `count` are kept, in
+    order. A proposal past 2**63, inf included, is capped there and tested
+    like any other; past 2**53 proposals are float-spaced.
     """
-    global _slot
-    if u.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    law, norm, cdf = _slot  # one read, so a table always goes with its own law
-    if law != (alpha, xmin):
-        law, norm, cdf = (alpha, xmin), float(_scaled_zeta(alpha, float(xmin), float(xmin))), np.zeros(0)
-    u_max = float(u.max())
-    while cdf.size == 0 or (cdf[-1] < u_max and cdf.size < _MAX_TABLE):
-        table = np.empty(4 * cdf.size or 1024)
-        table[: cdf.size] = cdf
-        for first in range(cdf.size, table.size, _PIECE):
-            stop = min(first + _PIECE, table.size)
-            # / and + round exactly in place; the power writes to the table,
-            # a buffer apart from its input, as numpy may pick another pow
-            # kernel in place
-            ratio = np.arange(xmin + first, xmin + stop, dtype=float)
-            ratio /= xmin
-            piece = np.power(ratio, -alpha, out=table[first:stop])
-            piece /= norm
-            if first:
-                piece[0] += table[first - 1]
-            np.cumsum(piece, out=piece)
-        cdf = table
-        _slot = law, norm, cdf  # a new law's first 1024 entries drop the old law's table
-    out = xmin + np.searchsorted(cdf, u, side="left")
-    past = out >= xmin + cdf.size  # extreme tail, bisected on the exact CDF
-    if past.any():
-        out[past] = _quantile(alpha, xmin, u[past])
-    return out.astype(np.int64)
-
-
-def _quantile(alpha: float, xmin: int, u) -> np.ndarray:
-    """For each uniform of `u`, the least x >= xmin with model_tail_cdf(x) >= u,
-    all bisected together: hi doubles (h -> 2h + 1, capped at 2**63 - 1) from
-    xmin until its CDF reaches u, then [xmin, hi] is halved. Each uniform
-    takes the steps it would take alone, so its result does not depend on
-    the others. A u whose CDF at 2**63 - 1 is still short raises
-    DegenerateAnalysisError: its draw lies past the int64 range."""
-    shape = np.shape(u)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    lo = np.full(u.shape, xmin, dtype=np.int64)
-    hi = lo.copy()
-    short = model_tail_cdf(alpha, xmin, hi) < u
-    while short.any():
-        if hi[short].max() == _INT64_MAX:
-            raise DegenerateAnalysisError("power-law-fit", "a bootstrap draw lies past the int64 range")
-        hi[short] = 2 * np.minimum(hi[short], _INT64_MAX // 2) + 1
-        short[short] = model_tail_cdf(alpha, xmin, hi[short]) < u[short]
-    open_ = lo < hi
-    while open_.any():
-        mid = lo[open_] + (hi[open_] - lo[open_]) // 2  # (lo + hi) // 2 may pass 2**63
-        reached = model_tail_cdf(alpha, xmin, mid) >= u[open_]
-        hi[open_] = np.where(reached, mid, hi[open_])
-        lo[open_] = np.where(reached, lo[open_], mid + 1)
-        open_ = lo < hi
-    return lo.reshape(shape)
+    bound = xmin * -np.expm1((1.0 - alpha) * np.log1p(1.0 / xmin))
+    kept, need = [np.zeros(0)], count
+    while need:
+        w, v = rng.random((2, int(_OVERDRAW * need) + 16))
+        with np.errstate(over="ignore"):
+            x = np.fmin(np.floor(xmin * np.power(1.0 - w, -1.0 / (alpha - 1.0))), _INT64_END)
+        x = x[v * x * -np.expm1((1.0 - alpha) * np.log1p(1.0 / x)) <= bound][:need]
+        kept.append(x)
+        need -= x.size
+    return np.concatenate(kept)
 
 
 def pvalue_from_replicates(observed_ks: float, replicate_ks) -> float:
@@ -270,12 +200,12 @@ def _replicate_ks(
     its own rows, so the arrays of consecutive ranges join into the array
     of their union.
 
-    A chunk makes three RNG calls: binomial(n, n_tail/n) tail sizes k of
-    its rows, the uniforms of all its tail draws, and the indices of its
-    values below xmin (the draws of choice(below, replace=True)), made
-    only when there is one. Row i takes its k[i] tail draws first. The
-    tail uniforms of a whole block go through _tail_values at once; a draw
-    past the int64 range raises DegenerateAnalysisError.
+    A chunk makes its RNG calls in this order: binomial(n, n_tail/n) tail
+    sizes k of its rows, the rounds of _tail_draws for all their tail draws,
+    and the indices of its values below xmin (the draws of
+    choice(below, replace=True)), made only when there is one. Row i takes
+    its k[i] tail draws first. A tail draw of a row in range past the int64
+    range raises DegenerateAnalysisError.
     """
     n = arr.size
     below = arr[arr < fit.xmin]
@@ -283,12 +213,12 @@ def _replicate_ks(
     chunks, end = _block_rows(n) // _CHUNK, -(-stop // _CHUNK)
     ks_values = np.full(stop - start, np.inf)
     for first in range(start // _CHUNK, end, chunks):
-        tail_sizes, uniforms, picks = [], [], []
+        tail_sizes, draws, picks = [], [], []
         for chunk in range(first, min(first + chunks, end)):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,))))
             k = rng.binomial(n, p_tail, _CHUNK)
             tail_sizes.append(k)
-            uniforms.append(rng.random(k.sum()))
+            draws.append(_tail_draws(rng, fit.alpha, fit.xmin, int(k.sum())))
             if below_count := _CHUNK * n - k.sum():
                 picks.append(rng.integers(0, below.size, below_count))
         sizes = np.concatenate(tail_sizes)
@@ -296,7 +226,10 @@ def _replicate_ks(
         before, through = int(sizes[:lo].sum()), int(sizes[:hi].sum())  # their tail draws
         in_tail = np.arange(n) < sizes[lo:hi, None]
         samples = np.empty(in_tail.shape, dtype=np.int64)
-        samples[in_tail] = _tail_values(fit.alpha, fit.xmin, np.concatenate(uniforms)[before:through])
+        tail = np.concatenate(draws)[before:through]
+        if (tail >= _INT64_END).any():
+            raise DegenerateAnalysisError("power-law-fit", "a bootstrap draw lies past the int64 range")
+        samples[in_tail] = tail
         if picks:
             samples[~in_tail] = below[np.concatenate(picks)[lo * n - before : hi * n - through]]
         samples.sort(axis=1)

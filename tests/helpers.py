@@ -423,6 +423,20 @@ def fit_alpha_continuous(data, xmin: int) -> float:
     return 1.0 + tail.size / log_sum
 
 
+def scaled_zeta(alpha, q, scale) -> np.ndarray:
+    """powerlaw._scaled_zeta elementwise, with broadcasting: each value alone
+    in a group of its own exponent and scale, where q >= scale."""
+    arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (alpha, q, scale)))
+    alpha, q, scale = (x.ravel() for x in arrays)
+    return powerlaw._scaled_zeta(alpha, q, scale, np.arange(q.size)).reshape(arrays[0].shape)
+
+
+def model_tail_cdf(alpha: float, xmin: int, values) -> np.ndarray:
+    """P(X <= v | X >= xmin) of the discrete power law, for integer v >= xmin."""
+    values = np.asarray(values, dtype=float)
+    return 1.0 - scaled_zeta(alpha, values + 1.0, float(xmin)) / scaled_zeta(alpha, float(xmin), float(xmin))
+
+
 def ks_distance(data, alpha: float, xmin: int) -> float:
     """KS distance between the empirical tail CDF and the model CDF, at the
     distinct tail values, one sample at a time."""
@@ -432,7 +446,7 @@ def ks_distance(data, alpha: float, xmin: int) -> float:
         raise DegenerateAnalysisError("power-law-fit", f"empty tail above {xmin}")
     values, counts = np.unique(tail, return_counts=True)
     empirical = np.cumsum(counts) / tail.size
-    return float(np.max(np.abs(empirical - powerlaw.model_tail_cdf(alpha, xmin, values))))
+    return float(np.max(np.abs(empirical - model_tail_cdf(alpha, xmin, values))))
 
 
 def select_xmin_oracle(data, min_tail: int = 10) -> tuple[int, float, float]:
@@ -466,13 +480,15 @@ def select_xmin_oracle(data, min_tail: int = 10) -> tuple[int, float, float]:
     a_col = alphas[:, None]
     v_col = v[:, None]
     w_row = values.astype(float)[None, :]
-    scaled_norm = powerlaw._scaled_zeta(a_col, v_col, v_col)
-    # pairs below the cutoff may overflow, and inf - inf gives nan; they are masked out
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled_tail = powerlaw._scaled_zeta(a_col, w_row + 1.0, v_col)
+    scaled_norm = scaled_zeta(a_col, v_col, v_col)
+    # only the pairs at or past the cutoff; the rest are masked out
+    inside = np.broadcast_to(w_row >= v_col, (v.size, values.size))
+    a_cell, v_cell, w_cell = (np.broadcast_to(x, inside.shape)[inside] for x in (a_col, v_col, w_row))
+    scaled_tail = np.ones(inside.shape)
+    scaled_tail[inside] = scaled_zeta(a_cell, w_cell + 1.0, v_cell)
     model = 1.0 - scaled_tail / scaled_norm
     empirical = (cum_counts[None, :] - first_index[cand][:, None]) / n_tail[:, None]
-    gaps = np.where(w_row >= v_col, np.abs(empirical - model), -np.inf)
+    gaps = np.where(inside, np.abs(empirical - model), -np.inf)
     ks = gaps.max(axis=1)
 
     best = int(np.argmin(ks))
@@ -484,11 +500,11 @@ def quantile_oracle(alpha: float, xmin: int, u: float) -> int:
     uniform alone: hi doubles (h -> 2h + 1) until its CDF reaches u, then
     [xmin, hi] is halved, one model_tail_cdf call per step."""
     lo = hi = xmin
-    while float(powerlaw.model_tail_cdf(alpha, xmin, [hi])[0]) < u:
+    while float(model_tail_cdf(alpha, xmin, [hi])[0]) < u:
         hi = 2 * hi + 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if float(powerlaw.model_tail_cdf(alpha, xmin, [mid])[0]) >= u:
+        if float(model_tail_cdf(alpha, xmin, [mid])[0]) >= u:
             hi = mid
         else:
             lo = mid + 1
@@ -499,7 +515,7 @@ def powerlaw_values_oracle(alpha: float, xmin: int, u: np.ndarray) -> np.ndarray
     """Inverse-CDF draws of the uniforms `u` through a CDF table built for them alone."""
     if u.size == 0:
         return np.zeros(0, dtype=np.int64)
-    norm = float(powerlaw._scaled_zeta(alpha, float(xmin), float(xmin)))
+    norm = float(scaled_zeta(alpha, float(xmin), float(xmin)))
     length = 1024
     u_max = float(u.max())
     while True:
@@ -514,18 +530,37 @@ def powerlaw_values_oracle(alpha: float, xmin: int, u: np.ndarray) -> np.ndarray
     return out.astype(np.int64)
 
 
-def sample_discrete_powerlaw_oracle(alpha: float, xmin: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws through a CDF table built for this call alone."""
-    return powerlaw_values_oracle(alpha, xmin, rng.random(size))
+def tail_draws_oracle(
+    rng: np.random.Generator, alpha: float, xmin: int, count: int, overdraw: float = 1.45
+) -> list[float]:
+    """The tail draws of powerlaw._tail_draws, kept one proposal at a time:
+    rounds of 2 x m uniforms, m = floor(overdraw r) + 16 for the r draws still
+    needed, propose x = min(floor(xmin (1 - w)**(-1/(alpha - 1))), 2**63) and
+    keep it where v x g(x) <= xmin g(xmin), g(k) = -expm1((1 - alpha) log1p(1/k));
+    a round's proposals past the last draw needed are dropped."""
+
+    def g(k):
+        return -np.expm1((1.0 - alpha) * np.log1p(1.0 / k))
+
+    kept: list[float] = []
+    while len(kept) < count:
+        w, v = rng.random((2, int(overdraw * (count - len(kept))) + 16))
+        with np.errstate(over="ignore"):
+            x = np.minimum(np.floor(xmin * (1.0 - w) ** (-1.0 / (alpha - 1.0))), 2.0**63)
+        for value, keep in zip(x.tolist(), (v * x * g(x) <= xmin * g(np.float64(xmin))).tolist()):
+            if keep and len(kept) < count:
+                kept.append(value)
+    return kept
 
 
 def replicate_ks_oracle(data, fit: PowerLawFit, replicates: int, seed: int, min_tail: int = 10) -> np.ndarray:
     """Bootstrap KS values one replicate at a time (inf where a replicate collapsed).
 
-    Chunk c makes its three RNG calls from the stream (seed, c): the tail
-    sizes of its 8 replicates, all their tail uniforms, and all their picks
-    below xmin. Each replicate then takes its share of both, tail first,
-    and is scanned alone.
+    Chunk c makes its RNG calls from the stream (seed, c) in order: the tail
+    sizes of its 8 replicates, the rounds of all their tail draws, and all
+    their picks below xmin. Each replicate then takes its share of both, tail
+    first, and is scanned alone; a tail draw of 2**63 or more raises
+    OverflowError.
     """
     arr = np.asarray(data, dtype=np.int64)
     n = arr.size
@@ -535,14 +570,17 @@ def replicate_ks_oracle(data, fit: PowerLawFit, replicates: int, seed: int, min_
     for chunk in range(-(-replicates // 8)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
         sizes = rng.binomial(n, p_tail, 8)
-        uniforms = rng.random(sizes.sum())
+        tail = tail_draws_oracle(rng, fit.alpha, fit.xmin, int(sizes.sum()))
         picks = rng.integers(0, below.size, 8 * n - sizes.sum()) if 8 * n > sizes.sum() else None
         tail_at = pick_at = 0
         for i, k in enumerate(sizes.tolist()):
             r = 8 * chunk + i
             if r == replicates:
                 break
-            parts = [powerlaw_values_oracle(fit.alpha, fit.xmin, uniforms[tail_at : tail_at + k])]
+            drawn = tail[tail_at : tail_at + k]
+            if any(value >= 2**63 for value in drawn):
+                raise OverflowError("a tail draw past the int64 range")
+            parts = [np.array(drawn, dtype=np.int64)]
             if n > k:
                 parts.append(below[picks[pick_at : pick_at + n - k]])
             tail_at, pick_at = tail_at + k, pick_at + n - k

@@ -22,6 +22,7 @@ from helpers import (
     op,
     param,
     planted_two_block,
+    powerlaw_values_oracle,
     random_directed_network,
     triangle_count_trace,
 )
@@ -31,7 +32,7 @@ from wsdepnet.community import walktrap
 from wsdepnet.matching import MatcherKind, build_archetypes
 from wsdepnet.model import collection_from_dict
 from wsdepnet.network import build_network, network_from_edges
-from wsdepnet.powerlaw import _tail_values, fit_power_law
+from wsdepnet.powerlaw import fit_power_law
 from wsdepnet.report import AnalysisConfig
 from wsdepnet.sawsdl import load_sawsdl
 from wsdepnet.topology import (
@@ -151,7 +152,7 @@ def test_criterion_5_power_law_fitter():
     p_hits = 0
     for seed in range(20):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=12345, spawn_key=(seed,)))
-        data = _tail_values(2.5, 5, rng.random(5000))
+        data = powerlaw_values_oracle(2.5, 5, rng.random(5000))
         fit = fit_power_law(data, replicates=1000, seed=seed)
         alpha_hits += 2.4 <= fit.alpha <= 2.6
         p_hits += fit.p_value > 0.1

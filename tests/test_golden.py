@@ -23,16 +23,22 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 MATCHERS = ("syntactic-equal", "semantic-exact")
 CONFIG = AnalysisConfig(er_samples=5, bootstrap_n=100)
 
-# analyze of the golden collection under the OpenBLAS kernel named in argv[1]
-KERNEL_PROBE = """
+# analyze of the golden collection under the environment variable NAME=value of
+# argv[1], set before numpy loads, and which of numpy's SIMD targets it dispatches to
+ENV_PROBE = """
 import json, os, sys
-os.environ["OPENBLAS_CORETYPE"] = sys.argv[1]  # read once, when numpy loads OpenBLAS
+name, _, value = sys.argv[1].partition("=")
+os.environ[name] = value  # read once, when numpy loads
 from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 from wsdepnet import AnalysisConfig, MatcherKind, analyze, build_network, load_canonical, report_to_json
 collection = load_canonical(Path(sys.argv[2]) / "collection.json")
 config = AnalysisConfig(er_samples=5, bootstrap_n=100)
-print(json.dumps([report_to_json(analyze(build_network(collection, MatcherKind(m)), config)) for m in sys.argv[3:]]))
+reports = [report_to_json(analyze(build_network(collection, MatcherKind(m)), config)) for m in sys.argv[3:]]
+print(json.dumps([[target for target in __cpu_dispatch__ if __cpu_features__[target]], reports]))
 """
+# numpy's dispatched SIMD targets past its x86-64-v2 baseline
+SIMD_TARGETS = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 
 
 @pytest.mark.parametrize("matcher", MATCHERS)
@@ -56,7 +62,16 @@ def test_in_memory_report_matches_golden(matcher):
 
 @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
 def test_report_bytes_do_not_depend_on_the_openblas_kernel(coretype):
-    reports = fresh_interpreter(KERNEL_PROBE, coretype, str(GOLDEN), *MATCHERS)
+    _, reports = fresh_interpreter(ENV_PROBE, f"OPENBLAS_CORETYPE={coretype}", str(GOLDEN), *MATCHERS)
+    for matcher, text in zip(MATCHERS, reports, strict=True):
+        assert text == (GOLDEN / f"{matcher}.report.json").read_text(encoding="utf-8"), matcher
+
+
+def test_report_bytes_do_not_depend_on_numpy_simd_dispatch():
+    """The bootstrap's power, log1p and expm1 give the golden bytes with
+    every SIMD target past numpy's baseline turned off."""
+    targets, reports = fresh_interpreter(ENV_PROBE, f"NPY_DISABLE_CPU_FEATURES={SIMD_TARGETS}", str(GOLDEN), *MATCHERS)
+    assert targets == []
     for matcher, text in zip(MATCHERS, reports, strict=True):
         assert text == (GOLDEN / f"{matcher}.report.json").read_text(encoding="utf-8"), matcher
 

@@ -1,7 +1,5 @@
 import math
-import tracemalloc
 import warnings
-import weakref
 from unittest import mock
 
 import numpy as np
@@ -12,11 +10,12 @@ from scipy.special import zeta as scipy_zeta
 from helpers import (
     fit_alpha_continuous,
     ks_distance,
+    model_tail_cdf,
     powerlaw_values_oracle,
-    quantile_oracle,
     replicate_ks_oracle,
-    sample_discrete_powerlaw_oracle,
+    scaled_zeta,
     select_xmin_oracle,
+    tail_draws_oracle,
 )
 from wsdepnet import powerlaw
 from wsdepnet.errors import DegenerateAnalysisError
@@ -24,22 +23,10 @@ from wsdepnet.powerlaw import (
     degree_distribution_rows,
     fit_power_law,
     gof_pvalue,
-    model_tail_cdf,
     pvalue_from_replicates,
     select_xmin,
 )
 from wsdepnet.report import PowerLawFit
-
-EMPTY_SLOT = (None, None, None)
-
-
-@pytest.fixture(autouse=True)
-def empty_table_slot():
-    """Each test starts with no CDF table in powerlaw's slot and leaves none
-    behind: a table built under a patched _scaled_zeta must not outlive it."""
-    with mock.patch.object(powerlaw, "_slot", EMPTY_SLOT):
-        yield
-
 
 # -- Hurwitz zeta -------------------------------------------------------------
 
@@ -47,7 +34,7 @@ def empty_table_slot():
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0, 2.5, 3.5, 6.0, 10.0])
 @pytest.mark.parametrize("q", [1, 2, 3, 5, 10, 50])
 def test_hurwitz_zeta_against_scipy(alpha, q):
-    ours = float(powerlaw._scaled_zeta(alpha, q, 1.0))
+    ours = float(scaled_zeta(alpha, q, 1.0))
     ref = float(scipy_zeta(alpha, q))
     assert ours == pytest.approx(ref, rel=1e-10)
 
@@ -57,7 +44,7 @@ def test_hurwitz_zeta_against_scipy(alpha, q):
     q=st.integers(1, 100),
 )
 def test_hurwitz_zeta_property(alpha, q):
-    ours = float(powerlaw._scaled_zeta(alpha, q, 1.0))
+    ours = float(scaled_zeta(alpha, q, 1.0))
     ref = float(scipy_zeta(alpha, q))
     assert ours == pytest.approx(ref, rel=1e-8)
 
@@ -66,17 +53,16 @@ def test_zeta_recurrence():
     # zeta(a, q) = zeta(a, q+1) + q^-a
     for alpha in (1.5, 2.5, 4.0):
         for q in (1, 4, 9):
-            lhs = float(powerlaw._scaled_zeta(alpha, q, 1.0))
-            rhs = float(powerlaw._scaled_zeta(alpha, q + 1, 1.0)) + q**-alpha
+            lhs = float(scaled_zeta(alpha, q, 1.0))
+            rhs = float(scaled_zeta(alpha, q + 1, 1.0)) + q**-alpha
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0, 20.0, 300.0])
 def test_scaled_zeta_within_5e_12_of_scipy(scale):
-    # q < scale too, where the direct terms run from q and their ratios are below 1
     alpha = np.linspace(1.5, 8.0, 131)[:, None]
-    q = np.arange(1.0, 1001.0)
-    ours = powerlaw._scaled_zeta(alpha, q, scale)
+    q = np.arange(scale, 1001.0)
+    ours = scaled_zeta(alpha, q, scale)
     assert np.max(np.abs(ours / (scipy_zeta(alpha, q) * scale**alpha) - 1.0)) <= 5e-12
 
 
@@ -95,22 +81,22 @@ SCAN_VALUES = st.one_of(st.integers(1, 40), st.integers(2**53 - 20, 2**53 + 20),
 def test_scan_zeta_values_equal_elementwise_calls(rows):
     """Each (candidate, value) pair of the scan's grouped _scaled_zeta call is
     bit-identical to the same pair alone, and to its cell of the oracle's
-    (candidate x distinct value) matrix, whose masked cells raise nothing."""
+    (candidate x distinct value >= candidate) cells, which raise nothing."""
     samples = np.sort(np.array(rows, dtype=np.int64), axis=1)
     zeta, calls = powerlaw._scaled_zeta, []
 
-    def recorded(alpha, q, scale, group=None):
+    def recorded(alpha, q, scale, group):
         calls.append((alpha, q, scale, group, zeta(alpha, q, scale, group)))
         return calls[-1][-1]
 
-    # the exponents of tails tied past 2**53 may be refused, and other cells overflow
+    # the exponents of tails tied past 2**53 may be refused
     with mock.patch.object(powerlaw, "_scaled_zeta", recorded), np.errstate(all="ignore"):
         cand_row, v, alphas, _ = powerlaw._ks_scan(samples)
     ((alpha, q, scale, group, scaled),) = calls
     with np.errstate(all="ignore"):
-        assert zeta(alpha[group], q, scale[group]).tobytes() == scaled.tobytes()
+        assert scaled_zeta(alpha[group], q, scale[group]).tobytes() == scaled.tobytes()
         for i in range(0, q.size, max(1, q.size // 7)):
-            assert zeta(alpha[group[i]], q[i], scale[group[i]]).tobytes() == scaled[i : i + 1].tobytes()
+            assert scaled_zeta(alpha[group[i]], q[i], scale[group[i]]).tobytes() == scaled[i : i + 1].tobytes()
 
     pairs = [np.zeros(0)]
     for r, sample in enumerate(samples):
@@ -125,11 +111,9 @@ def test_scan_zeta_values_equal_elementwise_calls(rows):
         at = at[(exponent > 1) & (exponent < np.inf)]  # refused otherwise
         mine = cand_row == r
         assert np.array_equal(values[at].astype(float), v[mine])
-        # the oracle's errstate; cells with w < v, so q < scale, are masked out there
-        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore", divide="raise"):
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
             warnings.simplefilter("error")
-            matrix = zeta(alphas[mine, None], values.astype(float)[None, :] + 1.0, v[mine, None])
-        pairs += [cells[i:] for cells, i in zip(matrix, at)]
+            pairs += [scaled_zeta(a, values[i:].astype(float) + 1.0, c) for a, c, i in zip(alphas[mine], v[mine], at)]
     assert np.concatenate(pairs).tobytes() == scaled[v.size :].tobytes()
 
 
@@ -204,7 +188,7 @@ def test_fit_alpha_continuous_formula():
 def test_fit_alpha_consistency_on_synthetic(seed, alpha, xmin):
     # the shifted approximation is only trustworthy for xmin >= 4
     rng = np.random.default_rng(seed)
-    data = powerlaw._tail_values(alpha, xmin, rng.random(3000))
+    data = powerlaw_values_oracle(alpha, xmin, rng.random(3000))
     estimate = _scan_alpha(data, xmin=xmin)
     assert abs(estimate - alpha) < 0.25
 
@@ -222,13 +206,13 @@ def test_model_tail_cdf_monotone_bounded():
 
 def test_ks_distance_small_for_exact_model():
     rng = np.random.default_rng(1)
-    data = powerlaw._tail_values(2.3, 3, rng.random(20_000))
+    data = powerlaw_values_oracle(2.3, 3, rng.random(20_000))
     assert ks_distance(data, 2.3, 3) < 0.02
 
 
 def test_ks_distance_large_for_wrong_alpha():
     rng = np.random.default_rng(1)
-    data = powerlaw._tail_values(2.3, 3, rng.random(20_000))
+    data = powerlaw_values_oracle(2.3, 3, rng.random(20_000))
     assert ks_distance(data, 4.0, 3) > 0.2
 
 
@@ -237,7 +221,7 @@ def test_ks_distance_large_for_wrong_alpha():
 
 def test_select_xmin_recovers_planted_cutoff():
     rng = np.random.default_rng(0)
-    tail = powerlaw._tail_values(2.5, 5, rng.random(5000))
+    tail = powerlaw_values_oracle(2.5, 5, rng.random(5000))
     xmin, alpha, ks = select_xmin(tail)
     assert xmin == 5
     assert alpha == pytest.approx(2.5, abs=0.1)
@@ -246,7 +230,7 @@ def test_select_xmin_recovers_planted_cutoff():
 
 def test_select_xmin_with_noise_below_cutoff():
     rng = np.random.default_rng(0)
-    tail = powerlaw._tail_values(2.5, 8, rng.random(4000))
+    tail = powerlaw_values_oracle(2.5, 8, rng.random(4000))
     noise = rng.integers(1, 8, size=2000)
     data = np.concatenate([tail, noise])
     xmin, alpha, _ = select_xmin(data)
@@ -273,8 +257,8 @@ def test_select_xmin_degenerate():
         select_xmin([])
 
 
-def _constant_zeta(alpha, q, scale, group=None):
-    return np.ones(np.broadcast(alpha, q, scale).shape if group is None else np.shape(q))
+def _constant_zeta(alpha, q, scale, group):
+    return np.ones(np.shape(q))
 
 
 @given(
@@ -305,151 +289,90 @@ def test_select_xmin_matches_oracle(data, min_tail, tied):
 
 
 def test_sampler_respects_xmin_and_determinism():
-    a = powerlaw._tail_values(2.5, 4, np.random.default_rng(9).random(1000))
-    b = powerlaw._tail_values(2.5, 4, np.random.default_rng(9).random(1000))
+    a = powerlaw._tail_draws(np.random.default_rng(9), 2.5, 4, 1000)
+    b = powerlaw._tail_draws(np.random.default_rng(9), 2.5, 4, 1000)
     assert np.array_equal(a, b)
-    assert a.min() >= 4
-    assert a.dtype.kind == "i"
+    assert a.size == 1000 and a.min() >= 4
+    assert np.array_equal(a, np.floor(a))
 
 
 def test_sampler_marginal_frequencies():
     rng = np.random.default_rng(11)
-    data = powerlaw._tail_values(2.5, 1, rng.random(200_000))
+    data = powerlaw._tail_draws(rng, 2.5, 1, 200_000)
     p1 = np.mean(data == 1)
     expected = 1.0 / float(scipy_zeta(2.5, 1))
     assert p1 == pytest.approx(expected, abs=0.005)
 
 
-def test_shared_table_draws_match_per_call_draws():
-    # At alpha = 2 about 6e-4 of the mass lies beyond the first 1024-entry
-    # table, so the large first draw grows the slot's table; the small later
-    # draws would fit in a fresh table but are looked up in the grown one.
-    alpha, xmin = 2.0, 1
-    sizes = [5000] + [5] * 40 + [0, 1, 200]
-    powerlaw._tail_values(alpha, xmin, np.zeros(1))
-    fresh_top = float(powerlaw._slot[2][-1])
-    fit_fresh = 0
-    for r, size in enumerate(sizes):
-        rng, twin = (np.random.default_rng((7, r)) for _ in range(2))
-        drawn = powerlaw._tail_values(alpha, xmin, rng.random(size))
-        assert drawn.dtype == np.int64
-        assert np.array_equal(drawn, sample_discrete_powerlaw_oracle(alpha, xmin, size, twin))
+@pytest.mark.parametrize("alpha, xmin, count", [(2.5, 1, 0), (2.5, 1, 1), (2.09, 4, 3000), (1.05, 1, 500)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tail_draws_equal_per_proposal_oracle(alpha, xmin, count):
+    rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+    drawn = powerlaw._tail_draws(rng, alpha, xmin, count)
+    assert drawn.tolist() == tail_draws_oracle(twin, alpha, xmin, count)
+    assert rng.random() == twin.random()  # both left the stream at the same place
+
+
+@pytest.mark.parametrize("alpha, xmin", [(1.05, 1), (1.5, 1), (2.09, 4), (2.5, 3), (3.5, 10)])
+def test_tail_draws_follow_the_exact_law(alpha, xmin):
+    # frequencies of the first 20 values and two tail masses, each within 5
+    # standard errors of the law P(X = k) = k**-alpha / zeta(alpha, xmin)
+    size = 200_000
+    drawn = powerlaw._tail_draws(np.random.default_rng(int(100 * alpha) + xmin), alpha, xmin, size)
+    norm = float(scipy_zeta(alpha, xmin))
+    values = np.arange(xmin, xmin + 20)
+    freq = [np.mean(drawn == k) for k in values] + [np.mean(drawn >= 10 * xmin), np.mean(drawn >= 100 * xmin)]
+    exact = np.concatenate([values**-alpha, scipy_zeta(alpha, [10 * xmin, 100 * xmin])]) / norm
+    assert np.all(np.abs(np.array(freq) - exact) <= 5 * np.sqrt(exact * (1 - exact) / size))
+
+
+def test_rounds_too_small_for_one_pass_draw_in_order_and_ranges_join():
+    # 16 proposals a round: every chunk takes several rounds of proposals
+    rng = np.random.default_rng(2)
+    arr = np.concatenate([powerlaw_values_oracle(2.3, 3, rng.random(200)), rng.integers(1, 3, size=70)])
+    fit = fit_power_law(arr, replicates=0)
+    with mock.patch.object(powerlaw, "_OVERDRAW", 0.0):
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        drawn = powerlaw._tail_draws(rng, 2.3, 3, 500)
+        assert drawn.tolist() == tail_draws_oracle(twin, 2.3, 3, 500, overdraw=0.0)
         assert rng.random() == twin.random()
-        if r == 0:
-            assert powerlaw._slot[2].size > 1024
-        elif size:
-            fit_fresh += float(np.random.default_rng((7, r)).random(size).max()) <= fresh_top
-    assert fit_fresh >= 10
-
-
-def test_tail_table_stops_at_2_20_entries():
-    # At alpha = 1.85 one of these 90,000 draws lies past 2**20; the table
-    # stops there (8 MB) and that draw bisects the exact CDF instead of
-    # growing the table to 2**22 entries.
-    alpha, xmin = 1.85, 1
-    rng, twin = np.random.default_rng(0), np.random.default_rng(0)
-    past_table = 0
-    for _ in range(300):
-        drawn, u = powerlaw._tail_values(alpha, xmin, rng.random(300)), twin.random(300)
-        cdf = powerlaw._slot[2]
-        assert cdf.size <= 2**20
-        inside = drawn < xmin + cdf.size
-        assert np.array_equal(drawn[inside], xmin + np.searchsorted(cdf, u[inside], side="left"))
-        for value, ui in zip(drawn[~inside], u[~inside]):
-            past_table += 1
-            assert value == powerlaw._quantile(alpha, xmin, float(ui))
-    assert powerlaw._slot[2].size == 2**20
-    assert past_table >= 1
-
-
-def test_extreme_tail_draws_equal_per_draw_bisection():
-    # At alpha = 1.3 about 1.6% of the mass lies past 2**20, so dozens of
-    # these draws bisect the exact CDF together; the oracle bisects each
-    # draw on its own
-    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-    drawn = powerlaw._tail_values(1.3, 1, rng.random(3000))
-    assert np.array_equal(drawn, sample_discrete_powerlaw_oracle(1.3, 1, 3000, twin))
-    assert np.count_nonzero(drawn >= 1 + 2**20) >= 20
+        whole = powerlaw._replicate_ks(arr, fit, 100, 11)
+        parts = [powerlaw._replicate_ks(arr, fit, stop, 11, start) for start, stop in [(0, 13), (13, 64), (64, 100)]]
+    assert np.array_equal(np.concatenate(parts), whole)
+    assert not np.array_equal(powerlaw._replicate_ks(arr, fit, 100, 11), whole)  # the rounds moved the draws
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_draw_just_below_int64_max_equals_bisection():
-    # at alpha = 1.05 these quantiles lie in (2**62, 2**63 - 1]: the doubling
-    # stops at hi = 2**63 - 1, and lo + hi would wrap
-    alpha, xmin = 1.05, 1
-    low, high = powerlaw.model_tail_cdf(alpha, xmin, [2**62, 2**63 - 1])
-    u = np.linspace(low, high, 7)[1:]
-    drawn = powerlaw._tail_values(alpha, xmin, u)
-    assert drawn.min() > 2**62
-    assert drawn.tolist() == [quantile_oracle(alpha, xmin, float(ui)) for ui in u]
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_quantile_past_2_62_within_int64_equals_bisection():
-    # for xmin > 1 hi runs (xmin + 1) * 2**k - 1, which passes 2**62 short of
-    # these quantiles; the doubling stops at 2**63 - 1 rather than raising
-    alpha = 1.05
-    for xmin in [2, 3, 5, 7]:
-        u = powerlaw.model_tail_cdf(alpha, xmin, [2**62 + 12345, 6.9e18, 8e18, 9.2e18])
-        drawn = powerlaw._quantile(alpha, xmin, u)
-        assert drawn.tolist() == [quantile_oracle(alpha, xmin, float(ui)) for ui in u]
-
-
-def test_one_grown_table_per_process():
-    # the slot keeps the table of the last law drawn from: each law drops the
-    # table of the one before (B shares A's alpha, C shares B's xmin), and A's
-    # draws, repeated, regrow it
-    u = np.random.default_rng(3).random(5000)
-    drawn, tables = [], []
-    for alpha, xmin in [(2.0, 1), (2.0, 2), (1.8, 2)]:
-        drawn.append(powerlaw._tail_values(alpha, xmin, u))
-        assert np.array_equal(drawn[-1], powerlaw_values_oracle(alpha, xmin, u))
-        law, _, cdf = powerlaw._slot
-        assert law == (alpha, xmin) and cdf.size > 1024
-        assert all(table() is None for table in tables)
-        tables.append(weakref.ref(cdf))
-    assert np.array_equal(powerlaw._tail_values(2.0, 1, u), drawn[0])
-
-
-@pytest.mark.parametrize("alpha, xmin", [(2.0, 1), (1.3, 4)])
-def test_table_grown_in_pieces_equals_one_shot_cumsum(alpha, xmin):
-    norm = float(powerlaw._scaled_zeta(alpha, float(xmin), float(xmin)))
-    one_shot = np.cumsum((np.arange(xmin, xmin + 2**20, dtype=float) / xmin) ** -alpha / norm)
-    for size in [1024, 4**6, 4**7, 4**8, 4**9, 4**10]:
-        # a draw of one_shot[size - 1] needs the first `size` entries
-        assert powerlaw._tail_values(alpha, xmin, one_shot[[size - 1]]).tolist() == [xmin + size - 1]
-        assert np.array_equal(powerlaw._slot[2], one_shot[:size])
-
-
-def test_table_growth_to_2_20_entries_stays_under_12_mb():
-    # the old table (2 MiB), the new one (8 MiB) and one piece of ratios (0.5 MiB);
-    # the one-shot cumsum of all 2**20 entries took 26 MiB
-    alpha, xmin = 2.0, 1
-    u = powerlaw.model_tail_cdf(alpha, xmin, [2**19 + 5])
-    tracemalloc.start()
-    try:
-        drawn = powerlaw._tail_values(alpha, xmin, u)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert powerlaw._slot[2].size == 2**20
-    assert peak <= 12 * 2**20
-    # the table agrees with the exact CDF to 1e-13, where the steps near 2**19 are
-    # 2.2e-12 apart: u, exactly on the step of 2**19 + 5, may draw either side of
-    # it, and uniforms 1e-13 off the step draw as the exact CDF's bisection does
-    x = np.arange(xmin, xmin + 2**20, 16)
-    assert np.abs(powerlaw._slot[2][x - xmin] - powerlaw.model_tail_cdf(alpha, xmin, x)).max() <= 1e-13
-    exact = quantile_oracle(alpha, xmin, float(u[0]))
-    assert exact == 2**19 + 5 and drawn[0] in (exact, exact + 1)
-    off = u[0] + np.array([-1e-13, 1e-13])
-    assert powerlaw._tail_values(alpha, xmin, off).tolist() == [exact, exact + 1]
-    assert [quantile_oracle(alpha, xmin, float(ui)) for ui in off] == [exact, exact + 1]
-
-
 def test_draw_past_int64_raises():
-    # at alpha = 1.05 the quantile of 1 - 1e-12 lies near 1e240
+    # at alpha = 1.01 and xmin = 1 two proposals in three overflow past 2**63,
+    # and two in three of those are kept
+    fit = PowerLawFit(alpha=1.01, xmin=1, ks_statistic=0.1, p_value=None, n_tail=50, bootstrap_n=0)
     with pytest.raises(DegenerateAnalysisError, match="a bootstrap draw lies past the int64 range"):
-        powerlaw._tail_values(1.05, 1, np.array([0.5, 1 - 1e-12]))
+        powerlaw._replicate_ks(np.arange(1, 51), fit, 8, 0)
+
+
+@pytest.mark.parametrize("seed, dropped", [(6, "rejected"), (1, "surplus")])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_proposals_past_int64_not_kept_raise_nothing(seed, dropped):
+    # Chunk 0 of the two values [1, 2] under alpha = 1.1 and xmin = 1 needs
+    # 16 tail draws from one round of 39 proposals; with these seeds a
+    # proposal past 2**63 is rejected or kept past the 16th, and none of the
+    # 16 draws lies past 2**63
+    alpha = 1.1
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    need = int(rng.binomial(2, 1.0, 8).sum())
+    w, v = rng.random((2, int(1.45 * need) + 16))
+    with np.errstate(over="ignore"):
+        x = np.minimum(np.floor((1.0 - w) ** (-1.0 / (alpha - 1.0))), 2.0**63)
+    g = -np.expm1((1.0 - alpha) * np.log1p(1.0 / np.append(x, 1.0)))
+    keep = v * x * g[:-1] <= g[-1]
+    kept = np.flatnonzero(keep)
+    past = x >= 2**63
+    assert need == 16 and kept.size >= need and not past[kept[:need]].any()
+    assert (past & ~keep).any() if dropped == "rejected" else past[kept[need:]].any()
+    fit = PowerLawFit(alpha=alpha, xmin=1, ks_statistic=0.1, p_value=None, n_tail=2, bootstrap_n=0)
+    ks = powerlaw._replicate_ks(np.array([1, 2]), fit, 8, seed)
+    assert ks.shape == (8,) and not np.isnan(ks).any()
 
 
 # -- goodness of fit ----------------------------------------------------------
@@ -462,17 +385,15 @@ def test_pvalue_from_replicates():
 
 def test_gof_requires_enough_replicates():
     rng = np.random.default_rng(0)
-    data = powerlaw._tail_values(2.5, 2, rng.random(500))
+    data = powerlaw_values_oracle(2.5, 2, rng.random(500))
     fit = fit_power_law(data, replicates=0)
     with pytest.raises(ValueError, match="replicates"):
         gof_pvalue(data, fit, replicates=50, seed=0)
 
 
 def _check_against_oracle(data, replicates, seed, min_tail, rows_per_block, tied=False):
-    # a fresh table slot, so no table outlives the zeta it was built with
     with (
         mock.patch.object(powerlaw, "_scaled_zeta", _constant_zeta if tied else powerlaw._scaled_zeta),
-        mock.patch.object(powerlaw, "_slot", EMPTY_SLOT),
         mock.patch.object(powerlaw, "_MIN_TAIL", min_tail),
     ):
         fit = fit_power_law(data, replicates=0)
@@ -543,7 +464,7 @@ def test_replicate_ranges_join_into_one_range(data, replicates, cuts, seed, min_
 @pytest.mark.parametrize("most", [1, 3, 32])
 def test_bootstrap_blocks_join_into_one_range(most):
     rng = np.random.default_rng(4)
-    arr = np.concatenate([powerlaw._tail_values(2.3, 3, rng.random(200)), rng.integers(1, 3, size=70)])
+    arr = np.concatenate([powerlaw_values_oracle(2.3, 3, rng.random(200)), rng.integers(1, 3, size=70)])
     fit = fit_power_law(arr, replicates=0)
     whole = powerlaw._replicate_ks(arr, fit, 1000, 11)
     blocks = powerlaw.bootstrap_blocks(arr, fit, 1000, 11, most)
@@ -553,7 +474,7 @@ def test_bootstrap_blocks_join_into_one_range(most):
 
 
 def test_bootstrap_draw_past_int64_is_degenerate():
-    # at alpha = 1.1 and xmin = 1 about 1.3% of the draws lie past 2**62
+    # at alpha = 1.1 and xmin = 1 about 1.2% of the draws lie past 2**63
     fit = PowerLawFit(alpha=1.1, xmin=1, ks_statistic=0.1, p_value=None, n_tail=300, bootstrap_n=0)
     with pytest.raises(DegenerateAnalysisError, match="a bootstrap draw lies past the int64 range"):
         gof_pvalue(np.arange(1, 301), fit, 100, 0)
@@ -569,13 +490,13 @@ def test_batched_bootstrap_edge_cases(replicates):
     assert np.isinf(_check_against_oracle(collapsing, replicates, 0, 10, 100)).any()
     # paper-scale sample (n = 270) in blocks of 100 replicates
     rng = np.random.default_rng(replicates)
-    heavy = np.concatenate([powerlaw._tail_values(2.3, 3, rng.random(200)), rng.integers(1, 3, size=70)])
+    heavy = np.concatenate([powerlaw_values_oracle(2.3, 3, rng.random(200)), rng.integers(1, 3, size=70)])
     _check_against_oracle(heavy, replicates, 5, 10, 100)
 
 
 def test_fit_power_law_without_bootstrap():
     rng = np.random.default_rng(5)
-    data = powerlaw._tail_values(2.2, 3, rng.random(2000))
+    data = powerlaw_values_oracle(2.2, 3, rng.random(2000))
     fit = fit_power_law(data, replicates=0)
     assert fit.p_value is None
     assert fit.bootstrap_n == 0
@@ -584,7 +505,7 @@ def test_fit_power_law_without_bootstrap():
 
 def test_fit_power_law_deterministic():
     rng = np.random.default_rng(6)
-    data = powerlaw._tail_values(2.5, 2, rng.random(800))
+    data = powerlaw_values_oracle(2.5, 2, rng.random(800))
     a = fit_power_law(data, replicates=100, seed=3)
     b = fit_power_law(data, replicates=100, seed=3)
     assert a == b
@@ -594,7 +515,7 @@ def test_fit_power_law_deterministic():
 
 def test_fit_power_law_plausible_p_on_true_model():
     rng = np.random.default_rng(8)
-    data = powerlaw._tail_values(2.5, 5, rng.random(3000))
+    data = powerlaw_values_oracle(2.5, 5, rng.random(3000))
     fit = fit_power_law(data, replicates=200, seed=0)
     assert fit.p_value is not None and fit.p_value > 0.05
 

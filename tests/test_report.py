@@ -18,7 +18,6 @@ from wsdepnet.community import walktrap
 from wsdepnet.matching import MatcherKind
 from wsdepnet.model import collection_from_dict, load_canonical
 from wsdepnet.network import build_network, network_from_edges
-from wsdepnet import powerlaw
 from wsdepnet.powerlaw import fit_power_law
 from wsdepnet.report import (
     _DELTA_FIELDS,
@@ -275,30 +274,6 @@ def test_bootstrap_draw_past_int64_nulls_only_the_p_value(monkeypatch, cpus, for
         assert fit.ks_statistic > 0
         assert forked.degenerate[f"power_law_{tail}_p_value"] == "a bootstrap draw lies past the int64 range"
     assert forked.communities is not None and forked.er_avg_distance is not None
-
-
-def test_analyze_frees_the_cdf_table(monkeypatch, cpus, deadline):
-    # every stage runs in this process, so its bootstraps fill the slot
-    filled = []
-    draw = powerlaw._tail_values
-
-    def recorded_draw(*args):
-        values = draw(*args)
-        filled.append(powerlaw._slot[2].size)
-        return values
-
-    monkeypatch.setattr(powerlaw, "_slot", (None, None, None))
-    monkeypatch.setattr(powerlaw, "_tail_values", recorded_draw)
-    net = _random_tree(400, seed=3)
-    config = AnalysisConfig(er_samples=2, bootstrap_n=100, walktrap_t=4, seed=7)
-    cpus(1)
-    fresh = report_to_json(analyze(net, config))
-    assert filled and min(filled) >= 1024
-    assert powerlaw._slot == (None, None, None)
-    # a table of another law left in the slot changes no byte either
-    draw(2.5, 3, np.random.default_rng(0).random(10))
-    assert report_to_json(analyze(net, config)) == fresh
-    assert powerlaw._slot == (None, None, None)
 
 
 @pytest.mark.parametrize("case", ["k2", "reciprocal-pair", "degenerate-tail"])

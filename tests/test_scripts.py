@@ -184,6 +184,19 @@ def test_same_outputs_names_differing_json_values(change, expected):
     assert same_outputs.json_differences(REPORT, change) == expected
 
 
+def test_same_outputs_gives_each_differing_p_value_against_its_bound():
+    # p = 0.8 and R = 1000: the bound is 4 sqrt(2 0.8 0.2 / 1000) + 2 / 1000 = 0.0736
+    parent = {"power_law": {"all": {"p_value": 0.79, "bootstrap_n": 1000}, "in": None,
+                            "out": {"p_value": 0.5, "bootstrap_n": 1000}}}
+    change = {"power_law": {"all": {"p_value": 0.81, "bootstrap_n": 1000}, "in": None,
+                            "out": {"p_value": 0.5, "bootstrap_n": 1000}}}
+    assert same_outputs.pvalue_bound_ratios(parent, change) == ["power_law.all.p_value |dp|/bound 0.272"]
+    degenerate = {"power_law": {"all": {"p_value": None, "bootstrap_n": 1000}}}
+    assert same_outputs.pvalue_bound_ratios(parent, degenerate) == []
+    assert same_outputs.pvalue_bound_ratios(degenerate, change) == []
+    assert same_outputs.pvalue_bound_ratios({}, {}) == []
+
+
 def test_same_outputs_names_a_differing_document():
     assert same_outputs.json_differences([1], {"a": 1}) == ['(document) [1] -> {"a": 1}']
     assert same_outputs.json_differences(True, 1) == ["(document) true -> 1"]
