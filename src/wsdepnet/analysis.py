@@ -27,7 +27,7 @@ from .topology import (
     distances,
     er_baseline,
     giant_subnetwork,
-    transitivity,
+    undirected_metrics,
 )
 
 _DEFAULT_LABELS = {"syntactic-equal": "N^Eq", "semantic-exact": "N^Ex"}
@@ -64,9 +64,10 @@ def analyze_with_communities(
     power-law cutoffs take milliseconds and run first, in this process.
     The rest are stages of one queue, in this order: Walktrap, the
     Erdos-Renyi baseline, the bootstrap blocks of the in, out and all fits,
-    directed and undirected distances, and transitivity. This process
-    takes Walktrap, so its n x n matrix and its result stay here; then
-    it and, where `os.fork` exists and a second CPU is usable, one forked
+    directed distances, and undirected distances with transitivity (one
+    BFS, `topology.undirected_metrics`). This process takes Walktrap, so
+    its n x n matrix and its result stay here; then it and, where
+    `os.fork` exists and a second CPU is usable, one forked
     helper process each take the next stage until none is left. Without a
     helper, or where the OS refuses its pipes or its fork, the stages run
     in a plain loop here. Every stage draws from its own seeded RNG stream
@@ -104,8 +105,7 @@ def analyze_with_communities(
         functools.partial(_outcome, _er_baseline, giant, config),
         *(call for calls in blocks.values() for call in calls),
         functools.partial(distances, giant, "directed"),
-        functools.partial(distances, giant, "undirected"),
-        functools.partial(transitivity, giant),
+        functools.partial(undirected_metrics, giant),
     ]
     results = iter(_run_stages(stages))
     outcomes["communities"], outcomes["er_baseline"] = next(results), next(results)
@@ -118,7 +118,7 @@ def analyze_with_communities(
             fit.p_value = pvalue_from_replicates(fit.ks_statistic, np.concatenate(parts))
         else:
             outcomes[f"power_law_{tail}_p_value"] = (None, reason)
-    directed, undirected, clustering = results
+    directed, (undirected, clustering) = results
 
     for mode, stats in (("directed", directed), ("undirected", undirected)):
         outcomes[f"avg_distance_{mode}"] = _outcome(_defined, stats.average, "fewer than 2 nodes")

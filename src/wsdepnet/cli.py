@@ -4,7 +4,8 @@ Subcommands: extract, analyze, compare, communities, degree-dist, export.
 Exit codes: 0 success, 1 usage error, 2 input/parse error or an output
 path that cannot be written, 3 degenerate analysis (metric undefined on
 the given network), 4 analysis error (the helper process of `analyze`
-ended without its results; the message names its exit status).
+ended without its results; the message names its exit status), 5 out of
+memory (an allocation refused in this process or in that helper).
 
 The analysis modules are imported by the commands that use them, so
 extract, export and compare start without loading numpy.
@@ -231,6 +232,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except HelperProcessError as exc:
         print(f"wsdepnet: analysis error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"wsdepnet: out of memory: {str(exc) or 'an allocation was refused'}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ Erdős–Rényi G(n,m) baselines for the small-world comparison.
 All metrics treat the network as an unweighted simple graph; distance and
 transitivity conventions follow the module contracts (directed averages
 cover mutually reachable ordered pairs only, transitivity is the global
-triangle ratio). The average distances, transitivity and degree
-correlation of a network are each one division of integer counts.
+triangle ratio of the projection's giant). The average distances,
+transitivity and degree correlation of a network are each one division
+of integer counts.
 """
 
 from __future__ import annotations
@@ -58,13 +59,6 @@ def _link_pairs(n: DependencyNetwork) -> tuple[np.ndarray, np.ndarray]:
     """(source, target) arrays of the links of n."""
     ends = np.fromiter(itertools.chain.from_iterable(n.links), dtype=np.intp, count=2 * n.link_count)
     return ends[0::2], ends[1::2]
-
-
-def _undirected_pairs(undirected: Adjacency) -> tuple[np.ndarray, np.ndarray]:
-    """(source, target) arrays of the links u -> v, v in undirected[u]: each
-    link of an undirected adjacency in both orientations."""
-    src = np.repeat(np.arange(len(undirected)), [len(neighbors) for neighbors in undirected])
-    return src, np.fromiter(itertools.chain.from_iterable(undirected), dtype=np.intp, count=src.size)
 
 
 def _pull_columns(src: np.ndarray, dst: np.ndarray, size: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -123,16 +117,6 @@ def _pull_levels(reach: np.ndarray, columns: list[np.ndarray]):
         frontier = pulled
 
 
-def _common_neighbors(adjacent: np.ndarray, row: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Common neighbours of each pair (a[i], b[i]), from the neighbour sets
-    of the first level of _pull_levels, one word at a time."""
-    first, second = row[a], row[b]
-    common = np.zeros(a.size, dtype=np.int64)
-    for word in adjacent.T:
-        common += np.bitwise_count(word[first] & word[second])
-    return common
-
-
 # -- metric operations over dependency networks ---------------------------------
 
 def components(n: DependencyNetwork) -> list[list[int]]:
@@ -172,8 +156,8 @@ def distances(n: DependencyNetwork, mode: str = "directed") -> DistanceStats:
     """BFS distances from every node.
 
     Directed mode averages over ordered pairs at finite distance only and
-    reports that pair count; undirected mode averages over all ordered pairs
-    u != v (call on a connected component). Single-node networks have an
+    reports that pair count; undirected mode is that of undirected_metrics
+    (call on a connected component). Single-node networks have an
     undefined average (None) and diameter 0.
     """
     if mode not in ("directed", "undirected"):
@@ -181,7 +165,9 @@ def distances(n: DependencyNetwork, mode: str = "directed") -> DistanceStats:
     size = n.node_count
     if size == 0:
         raise DegenerateAnalysisError("average-distance", "empty network")
-    row, columns = _pull_columns(*(_link_pairs(n) if mode == "directed" else _undirected_pairs(n.neighbors)), size)
+    if mode == "undirected":
+        return undirected_metrics(n)[0]
+    row, columns = _pull_columns(*_link_pairs(n), size)
     reach = _source_plane(row, np.arange(size), -(-size // 64))
     total = finite_pairs = diameter = 0
     for pulled in _pull_levels(reach, columns):
@@ -189,29 +175,33 @@ def distances(n: DependencyNetwork, mode: str = "directed") -> DistanceStats:
         diameter += 1
         total += diameter * found
         finite_pairs += found
-    if mode == "undirected" and finite_pairs < size * (size - 1):
-        # every node misses some node, so the first unreachable pair starts at 0
-        target = int(np.flatnonzero((reach[row, 0] & np.uint64(1)) == 0)[0])
-        raise DegenerateAnalysisError("average-distance", f"no path 0 -> {target}")
     if finite_pairs == 0:
         return DistanceStats(average=None, diameter=0, finite_pairs=0)
     return DistanceStats(average=total / finite_pairs, diameter=diameter, finite_pairs=finite_pairs)
 
 
-def transitivity(n: DependencyNetwork) -> float:
-    """Global triangle density of the undirected simple projection:
-    3 * triangles / connected triples, 0.0 when there are no triples."""
+def undirected_metrics(n: DependencyNetwork) -> tuple[DistanceStats, float]:
+    """(distances, transitivity) of the undirected projection of a connected
+    non-empty network, from one BFS: its edges u < v through _er_samples as
+    a stack of one. A disconnected n raises DegenerateAnalysisError naming
+    the first pair with no path."""
     size = n.node_count
-    src, dst = _undirected_pairs(n.neighbors)
-    row, columns = _pull_columns(src, dst, size)
-    adjacent = next(_pull_levels(_source_plane(row, np.arange(size), -(-size // 64)), columns), None)
-    if adjacent is None:
-        return 0.0
+    src = np.repeat(np.arange(size), [len(neighbors) for neighbors in n.neighbors])
+    dst = np.fromiter(itertools.chain.from_iterable(n.neighbors), dtype=np.intp, count=src.size)
     once = src < dst
-    closed = int(_common_neighbors(adjacent, row, src[once], dst[once]).sum())  # 3 * triangles
-    degree = np.bincount(dst, minlength=size)
-    triples = int((degree * (degree - 1) // 2).sum())
-    return closed / triples if triples else 0.0
+    (giant,), (average,), (clustering,), diameter = _er_samples(size, src[once][None], dst[once][None])
+    if giant < size:
+        # no component holds every node, so the first unreachable pair starts at 0
+        target = min(set(range(size)).difference(weak_components_of(n.neighbors)[0]))
+        raise DegenerateAnalysisError("average-distance", f"no path 0 -> {target}")
+    return DistanceStats(float(average) if size > 1 else None, diameter, size * (size - 1)), float(clustering)
+
+
+def transitivity(n: DependencyNetwork) -> float:
+    """Transitivity of the giant of the undirected simple projection, as
+    undirected_metrics gives it: 3 * triangles / connected triples, 0.0
+    when there are no triples."""
+    return undirected_metrics(giant_subnetwork(n)[0])[1]
 
 
 @dataclass
@@ -245,9 +235,11 @@ def degree_stats(n: DependencyNetwork) -> DegreeStats:
 def degree_correlation(n: DependencyNetwork) -> float:
     """Pearson correlation of endpoint degrees over links (Newman's r).
 
-    Correlates total degrees k on the undirected projection, each link
-    contributing both orientations, so both ends share their moments: over
-    the S link ends, r = (S sum k_u k_v - (sum k)^2) / (S sum k^2 - (sum k)^2)
+    Sums over the edges of the undirected projection, each in both
+    orientations, so both ends share their moments, but k is the directed
+    total degree, in + out: a reciprocal pair A -> B, B -> A is one edge
+    yet adds 2 to k at each end. Over the S edge ends,
+    r = (S sum k_u k_v - (sum k)^2) / (S sum k^2 - (sum k)^2)
     (Newman, PRL 89, 208701, 2002), one division of exact integers.
     """
     if n.link_count == 0:
@@ -277,12 +269,13 @@ class ERBaseline:
     analytic_transitivity: float
 
 
-def _er_samples(nodes: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(average distance, transitivity) on the giant of each sample of
-    G(nodes, m), whose m edges (rows[i, e], cols[i, e]) are row i of the
-    (samples, m) arrays; all samples go through one BFS.
+def _er_samples(nodes: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(giant size, average distance, transitivity) on the giant of each
+    graph of a stack on `nodes` nodes, whose edges (rows[i, e], cols[i, e])
+    are row i of the (graphs, m) arrays, each once, and the stack's level
+    count, the diameter of a connected stack of one; one BFS for all.
 
-    A sample's giant is the component of its first node with the most
+    A graph's giant is the component of its first node with the most
     nodes reaching it. Distance totals, pair counts, closed and connected
     triples are integers summed over the giant, then divided.
     """
@@ -293,6 +286,7 @@ def _er_samples(nodes: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndar
     row, columns = _pull_columns(np.concatenate([v, u]), ends, count * nodes)
     reach = _source_plane(row, np.arange(count * nodes) % nodes, -(-nodes // 64))
     total = np.zeros(reach.shape, dtype=np.int64)  # distance totals per row and word
+    level, adjacent = 0, reach[:, :0]  # with no level, no neighbour sets
     for level, pulled in enumerate(_pull_levels(reach, columns), 1):
         if level == 1:
             adjacent = pulled
@@ -307,13 +301,14 @@ def _er_samples(nodes: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndar
     distance = np.where(giant, total.sum(axis=1)[node_row], 0).sum(axis=1)
     degree = np.bincount(ends, minlength=count * nodes).reshape(count, nodes)
     triples = np.where(giant, degree * (degree - 1) // 2, 0).sum(axis=1)
-    closed = np.zeros(count, dtype=np.int64)  # 3 * triangles
-    if rows.shape[1]:
-        common = _common_neighbors(adjacent, row, u, v)
-        edge_in_giant = np.take_along_axis(giant, rows, axis=1)
-        closed = np.where(edge_in_giant, common.reshape(rows.shape), 0).sum(axis=1)
+    at_u, at_v = row[u], row[v]
+    common = np.zeros(u.size, dtype=np.int64)
+    for word in adjacent.T:
+        common += np.bitwise_count(word[at_u] & word[at_v])
+    edge_in_giant = np.take_along_axis(giant, rows, axis=1)
+    closed = np.where(edge_in_giant, common.reshape(rows.shape), 0).sum(axis=1)  # 3 * triangles
     average = np.divide(distance, pairs, out=np.full(count, np.nan), where=pairs > 0)
-    return average, np.divide(closed, triples, out=np.zeros(count), where=triples > 0)
+    return size, average, np.divide(closed, triples, out=np.zeros(count), where=triples > 0), level
 
 
 def er_baseline(nodes: int, links: int, samples: int, seed: int) -> ERBaseline:
@@ -344,7 +339,7 @@ def er_baseline(nodes: int, links: int, samples: int, seed: int) -> ERBaseline:
         ])
         rows = np.searchsorted(offsets, chosen, side="right") - 1
         cols = rows + 1 + (chosen - offsets[rows])
-        distances_mc[first:last], transitivity_mc[first:last] = _er_samples(nodes, rows, cols)
+        _, distances_mc[first:last], transitivity_mc[first:last], _ = _er_samples(nodes, rows, cols)
     mean_degree = 2 * links / nodes if nodes else float("nan")
     analytic_distance = math.log(nodes) / math.log(mean_degree) if mean_degree > 1 else float("nan")
     return ERBaseline(

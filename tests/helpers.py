@@ -142,6 +142,14 @@ def triangle_ratio(undirected: list[list[int]]) -> float:
     return closed / triples if triples else 0.0
 
 
+def giant_adjacency(undirected: list[list[int]]) -> list[list[int]]:
+    """The adjacency of the first largest component of `undirected`, its
+    nodes re-indexed from 0 in id order."""
+    giant = max(weak_components_of(undirected), key=len)
+    index = {old: new for new, old in enumerate(giant)}
+    return [[index[v] for v in undirected[old]] for old in giant]
+
+
 def sample_gnm_adjacency(n: int, m: int, rng: np.random.Generator) -> list[list[int]]:
     """Uniform random simple undirected graph with exactly m edges, drawn as
     `topology.er_baseline` draws each sample."""
@@ -170,10 +178,7 @@ def er_baseline_oracle(nodes: int, links: int, samples: int, seed: int) -> ERBas
     transitivity_mc = np.empty(samples)
     for i in range(samples):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        adj = sample_gnm_adjacency(nodes, links, rng)
-        giant = max(weak_components_of(adj), key=len)
-        index = {old: new for new, old in enumerate(giant)}
-        giant_adj = [[index[v] for v in adj[old]] for old in giant]
+        giant_adj = giant_adjacency(sample_gnm_adjacency(nodes, links, rng))
         distances_mc[i] = distance_stats_of(giant_adj, require_all_pairs=True)[0]
         transitivity_mc[i] = triangle_ratio(giant_adj)
     mean_degree = 2 * links / nodes if nodes else float("nan")

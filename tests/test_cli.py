@@ -5,6 +5,7 @@ import signal
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import collection_doc, fresh_interpreter, op, param
@@ -337,6 +338,39 @@ def test_dead_helper_exits_4_naming_its_status(k2_net, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == (
         f"wsdepnet: analysis error: helper process ended with exit status {-signal.SIGKILL} after sending 0 bytes\n"
+    )
+
+
+def test_memory_error_here_exits_5_in_one_line(k2_net, monkeypatch, capsys):
+    def refused(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr("wsdepnet.analysis.walktrap", refused)  # stage 0, run in this process
+    assert main(["analyze", str(k2_net), *FAST_ANALYZE]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "wsdepnet: out of memory: Unable to allocate 7.28 TiB\n"
+
+
+def test_memory_error_in_the_helper_exits_5_in_one_line(k2_net, monkeypatch, capsys):
+    from numpy._core._exceptions import _ArrayMemoryError
+
+    parent, drain = os.getpid(), stages._drain
+
+    def refused(*args, **kwargs):
+        assert os.getpid() != parent
+        raise _ArrayMemoryError((10**6, 10**6), np.dtype(np.uint64))
+
+    monkeypatch.setattr("wsdepnet.stages._usable_cpus", lambda: 2)
+    # this process takes no queued stage, so the helper runs all of them
+    monkeypatch.setattr("wsdepnet.stages._drain", lambda *args: {} if os.getpid() == parent else drain(*args))
+    monkeypatch.setattr("wsdepnet.analysis.undirected_metrics", refused)
+    assert main(["analyze", str(k2_net), *FAST_ANALYZE]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "wsdepnet: out of memory: Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
+        " and data type uint64\n"
     )
 
 

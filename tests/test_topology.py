@@ -14,6 +14,8 @@ from helpers import (
     distance_stats_of,
     er_baseline_oracle,
     floyd_warshall,
+    giant_adjacency,
+    random_connected_undirected_network,
     random_directed_network,
     sample_gnm_adjacency,
     triangle_count_trace,
@@ -164,7 +166,7 @@ def test_kernel_equals_python_int_oracles(n):
         got = distances(n, mode)
         assert (got.diameter, got.finite_pairs) == (diameter, finite_pairs)
         assert got.average == (average if finite_pairs else None)
-    assert transitivity(n) == triangle_ratio(n.neighbors)
+    assert transitivity(n) == triangle_ratio(giant_adjacency(n.neighbors))
 
 
 @given(_directed_nets())
@@ -198,11 +200,19 @@ def test_no_triples_transitivity_zero():
 @given(_directed_nets())
 @settings(max_examples=40)
 def test_triangles_agree_with_trace_oracle(n):
-    undirected = n.neighbors
+    undirected = giant_adjacency(n.neighbors)
     triples = sum(len(neigh) * (len(neigh) - 1) // 2 for neigh in undirected)
     expected = 3 * triangle_count_trace(undirected) / triples if triples else 0.0
     assert transitivity(n) == pytest.approx(expected, abs=1e-12)
     assert 0.0 <= transitivity(n) <= 1.0
+
+
+def test_transitivity_is_the_giants():
+    # the giant: a triangle 0-1-2 with a tail 2-3-4, 3 closed of 6 triples;
+    # the smaller component 5-6-7 is a second triangle
+    n = _net(8, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (5, 6), (6, 7), (7, 5)])
+    assert transitivity(n) == triangle_ratio(giant_adjacency(n.neighbors)) == 0.5
+    assert triangle_ratio(n.neighbors) == 2 / 3
 
 
 def test_average_local_clustering_square_with_diagonal():
@@ -408,6 +418,51 @@ def test_er_batches_join_into_one_run(monkeypatch, per_batch):
     whole = er_baseline(65, 100, 7, 4)
     monkeypatch.setattr(topology, "_PLANE_WORDS", per_batch * 65 * 2)  # n = 65 takes 2 words
     assert er_baseline(65, 100, 7, 4) == whole == er_baseline_oracle(65, 100, 7, 4)
+
+
+def _random_stack(nodes, links, graphs, seed):
+    """(graphs, links) edge arrays u < v of uniform simple graphs on `nodes` nodes."""
+    rng = np.random.default_rng(seed)
+    upper = np.array([(u, v) for u in range(nodes) for v in range(u + 1, nodes)], dtype=np.intp).reshape(-1, 2)
+    chosen = np.stack([upper[rng.choice(len(upper), links, replace=False)] for _ in range(graphs)])
+    return chosen[..., 0], chosen[..., 1]
+
+
+@pytest.mark.parametrize(
+    "nodes, rows, cols",
+    [
+        # a triangle beside three isolated nodes, and two 4-node paths beside two
+        (6, [[0, 1, 0], [0, 1, 2], [3, 4, 0]], [[1, 2, 2], [1, 2, 3], [4, 5, 5]]),
+        (70, *_random_stack(70, 60, 4, 8)),  # 60 edges leave each giant short of 70 nodes
+        (70, *_random_stack(70, 300, 3, 9)),
+        (9, *_random_stack(9, 0, 3, 0)),  # no links
+        (1, *_random_stack(1, 0, 2, 0)),  # a single node
+    ],
+)
+def test_er_samples_equal_per_graph_oracles(nodes, rows, cols):
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    sizes, averages, transitivities = [], [], []
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        adj = [[] for _ in range(nodes)]
+        for u, v in zip(row, col):
+            adj[u].append(v)
+            adj[v].append(u)
+        giant = giant_adjacency(adj)
+        sizes.append(len(giant))
+        averages.append(distance_stats_of(giant, require_all_pairs=True)[0])
+        transitivities.append(triangle_ratio(giant))
+    size, average, transitivity_of, _ = topology._er_samples(nodes, rows, cols)
+    assert size.tolist() == sizes
+    np.testing.assert_array_equal(average, averages)  # nan where a giant is one node
+    np.testing.assert_array_equal(transitivity_of, transitivities)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_er_samples_level_count_is_the_diameter_of_a_connected_graph(seed):
+    n = random_connected_undirected_network(np.random.default_rng(seed), max_n=90)
+    edges = np.array([(u, v) for u, neighbors in enumerate(n.neighbors) for v in neighbors if u < v]).T
+    levels = topology._er_samples(n.node_count, edges[:1], edges[1:])[3]
+    assert levels == max(max(row) for row in floyd_warshall(n.neighbors))
 
 
 def test_er_rejects_bad_arguments():
